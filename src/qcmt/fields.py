@@ -33,7 +33,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
 
 from .algebra import Index
 from .gaussian import GaussianKernel
@@ -364,6 +363,10 @@ def _integration_limit(bound, start: float) -> float:
 
 
 def _quadrature(integrand, bound, start: float, diagnostics: dict) -> complex:
+    # scipy.integrate is imported on first use: it dominates the start-up
+    # time and memory of commands that never build a field kernel
+    from scipy import integrate
+
     limit = _integration_limit(bound, start)
     real, real_err = integrate.quad(
         lambda k: integrand(k).real, -limit, limit, limit=400, epsabs=1e-12, epsrel=1e-10

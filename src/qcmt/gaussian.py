@@ -9,9 +9,15 @@ zero of the exponential generating function
     exp( - sum_m lambda_m^2 (i_m^c, i_m)/2
          - sum_{m<n} lambda_m lambda_n (i_m^c, i_n) ).
 
-``wick_expect`` enumerates matchings; ``moment_from_generating_series``
-differentiates the generating function instead and is kept as a slow,
-structurally independent cross-check of the same number.
+``wick_expect`` sums the matchings by expanding along the first position,
+
+    m(t) = sum_j (t_0^c, t_j) m(t without positions 0 and j),
+
+the hafnian of the contraction matrix.  Each kernel memoizes the moments
+of the sub-words this recursion reaches, so the entries of a Gram matrix
+share their work.  ``moment_from_generating_series`` differentiates the
+generating function instead and is kept as a slow, structurally
+independent cross-check of the same number.
 """
 
 from __future__ import annotations
@@ -22,8 +28,15 @@ import numpy as np
 
 from .algebra import AlgebraElement, Index, Word
 
-# Explicit matching enumeration grows as (N-1)!!; refuse beyond this.
+# Longest word ``wick_expect`` accepts; the CLI caps moment words and Gram
+# degree by it.  It bounds the recursion depth (N/2 levels) and the
+# sub-words one length-N moment can reach (under 2**(N-1)), so a single
+# moment stays cheap even with a cold memo.
 MATCHING_CAP = 12
+# Most sub-word moments one kernel memoizes, about 170 bytes each (11 MB
+# when full).  A full memo is emptied and refilled rather than frozen: a
+# frozen memo would leave the sub-words of every later word unshared.
+MEMO_CAP = 1 << 16
 
 
 class GaussianKernel:
@@ -68,6 +81,14 @@ class GaussianKernel:
             note(b)
         self._indices = tuple(order)
         self.tol = float(tol)
+        # Moment engine state: a code per distinct (tag, ctag) pair, the
+        # contraction (a^c, b) for every pair of codes (None when the kernel
+        # lacks it), and the memo of sub-word moments keyed on code tuples,
+        # seeded with the empty word that ends every expansion.
+        self._codes = {}
+        self._coded = []
+        self._rows = []
+        self._memo = {(): 1 + 0j}
         if validate:
             self.validate()
 
@@ -105,6 +126,58 @@ class GaussianKernel:
         if swapped in self._pair:
             return self._pair[swapped].conjugate()
         raise KeyError(f"kernel has no entry for pair ({i!r}, {j!r})")
+
+    def _encode(self, w: Word) -> tuple:
+        """The word as a tuple of codes; the code of an index covers its ctag."""
+        codes = self._codes
+        try:
+            return tuple([codes[ix.tag, ix.ctag] for ix in w])
+        except KeyError:
+            for ix in w:
+                if (ix.tag, ix.ctag) not in codes:
+                    self._add_code(ix)
+            return tuple([codes[ix.tag, ix.ctag] for ix in w])
+
+    def _add_code(self, ix: Index):
+        code = len(self._coded)
+        self._codes[ix.tag, ix.ctag] = code
+        self._coded.append(ix)
+        for c, row in enumerate(self._rows):
+            row.append(self._contraction(c, code))
+        self._rows.append([self._contraction(code, c) for c in range(code + 1)])
+
+    def _contraction(self, a: int, b: int):
+        try:
+            return self.pairing(self._coded[a].involve(), self._coded[b])
+        except KeyError:
+            return None
+
+    def _wick(self, t: tuple) -> complex:
+        """Moment of an even, non-empty code word by expansion along t[0].
+
+        Every word is always summed in the same order, so a value read from
+        the memo is bitwise the value a fresh kernel would compute.
+        """
+        row = self._rows[t[0]]
+        memo = self._memo
+        rest = t[1:]
+        total = 0j
+        for j, b in enumerate(rest):
+            factor = row[b]
+            if not factor:
+                if factor is None:  # raise the kernel's KeyError for the pair
+                    self.pairing(self._coded[t[0]].involve(), self._coded[b])
+                continue
+            sub = rest[:j] + rest[j + 1 :]
+            value = memo.get(sub)
+            if value is None:
+                value = self._wick(sub)
+                if len(memo) >= MEMO_CAP:
+                    memo.clear()
+                    memo[()] = 1 + 0j
+                memo[sub] = value
+            total += factor * value
+        return total
 
     def matrix(self, indices=None) -> np.ndarray:
         indices = self._indices if indices is None else list(indices)
@@ -174,9 +247,11 @@ def commutator_factor(kernel: GaussianKernel, i: Index, j: Index) -> complex:
 def wick_expect(kernel: GaussianKernel, w: Word) -> complex:
     """Moment of an ordered word under the Gaussian state of ``kernel``.
 
-    Sums the product of contractions (i_m^c, i_n), m < n, over all perfect
-    matchings of the word positions.  Odd words vanish; words longer than
-    ``MATCHING_CAP`` are refused.
+    Expands along the first position, m(t) = sum_j (t_0^c, t_j) m(t'),
+    with t' the word without positions 0 and j, which sums the products of
+    contractions (i_m^c, i_n), m < n, over all perfect matchings.  Sub-word
+    moments are memoized on the kernel.  Odd words vanish; words longer
+    than ``MATCHING_CAP`` are refused.
     """
     n = len(w)
     if n > MATCHING_CAP:
@@ -185,25 +260,7 @@ def wick_expect(kernel: GaussianKernel, w: Word) -> complex:
         return 1 + 0j
     if n % 2:
         return 0j
-    # contraction table: left factor always carries the involution
-    pair = kernel.pairing
-    conj = [i.involve() for i in w]
-
-    def matchings(positions):
-        if not positions:
-            yield 1 + 0j
-            return
-        first = positions[0]
-        rest = positions[1:]
-        for t, partner in enumerate(rest):
-            factor = pair(conj[first], w[partner])
-            if factor == 0:
-                continue
-            remaining = rest[:t] + rest[t + 1 :]
-            for sub in matchings(remaining):
-                yield factor * sub
-
-    return sum(matchings(tuple(range(n))), 0j)
+    return kernel._wick(kernel._encode(w))
 
 
 def generating_function(kernel: GaussianKernel, indices, lambdas) -> complex:
@@ -252,7 +309,7 @@ def moment_from_generating_series(kernel: GaussianKernel, w: Word) -> complex:
     which equals the mixed partial at zero.  Dividing by i^N undoes the
     i lambda_m factors in the exponentials and yields rho(M_{i_1}...M_{i_N}).
 
-    Structurally independent of the matching enumeration in
+    Structurally independent of the contraction recursion in
     ``wick_expect``; intended as its oracle.
     """
     n = len(w)

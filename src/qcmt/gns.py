@@ -37,9 +37,6 @@ class MonomialBasis:
     def __len__(self):
         return len(self.words)
 
-    def position(self, w: Word) -> int:
-        return self.words.index(tuple(w))
-
 
 def build_basis(indices, degree: int) -> MonomialBasis:
     if degree < 0:
@@ -91,12 +88,11 @@ class GramReport:
 
 
 def _gram_matrix(basis: MonomialBasis, state: State) -> np.ndarray:
-    n = len(basis)
-    g = np.zeros((n, n), dtype=complex)
-    for a, wa in enumerate(basis.words):
-        left = word_adjoint(wa)
-        for b, wb in enumerate(basis.words):
-            g[a, b] = state.word_expect(left + wb)
+    expect = state.word_expect
+    words = basis.words
+    g = np.empty((len(words), len(words)), dtype=complex)
+    for a, left in enumerate(map(word_adjoint, words)):
+        g[a] = [expect(left + wb) for wb in words]
     return g
 
 

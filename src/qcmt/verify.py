@@ -115,7 +115,11 @@ def check_algebra_laws(seed: int = 0, trials: int = 40, tolerance: float = 1e-12
 
 
 def check_wick_oracle(kernel: GaussianKernel, max_len: int = 4, tolerance: float = 1e-8) -> CheckResult:
-    """Matching enumeration against generating-function differentiation."""
+    """Contraction recursion against generating-function differentiation.
+
+    All words share one kernel, so later words read sub-word moments from
+    the memo that earlier words filled.
+    """
     worst = 0.0
     for length in range(max_len + 1):
         for w in product(kernel.indices, repeat=length):

@@ -1,7 +1,8 @@
 """Independent oracles used by the test suite.
 
 Each helper recomputes a quantity along a different route than the
-implementation under test: finite differences of the generating function,
+implementation under test: explicit perfect-matching enumeration for Wick
+moments, finite differences of the generating function,
 sympy symbolic brackets, matrix exponentials for quadratic flows,
 fixed-grid Simpson quadrature for field kernels, and direct position-space
 packet evaluation for Fourier conventions.
@@ -15,6 +16,33 @@ from scipy import integrate
 from scipy.linalg import expm
 
 from qcmt.gaussian import generating_function
+
+
+def wick_by_matchings(kernel, word):
+    """Wick moment by enumerating all (N-1)!! perfect matchings, no memo.
+
+    Sums the product of contractions (i_m^c, i_n), m < n, matching by
+    matching, straight from ``kernel.pairing``.
+    """
+    n = len(word)
+    if n % 2:
+        return 0j
+    conj = [i.involve() for i in word]
+
+    def matchings(positions):
+        if not positions:
+            yield 1 + 0j
+            return
+        first, rest = positions[0], positions[1:]
+        for t, partner in enumerate(rest):
+            factor = kernel.pairing(conj[first], word[partner])
+            if factor == 0:
+                continue
+            remaining = rest[:t] + rest[t + 1 :]
+            for sub in matchings(remaining):
+                yield factor * sub
+
+    return sum(matchings(tuple(range(n))), 0j)
 
 
 def fd_word_moment(kernel, word, h=0.08):
