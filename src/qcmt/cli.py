@@ -127,13 +127,16 @@ def validate_config(config: dict, mode: str):
                     raise ConfigError(f"unknown field 'kernel.packets[{pos}].{key}'")
 
 
-def build_packet(raw: dict) -> Wavepacket:
-    return Wavepacket.gaussian(
-        amplitude=_complex_value(raw.get("amplitude", 1.0), "packets.amplitude"),
-        center=tuple(raw.get("center", (0.0, 0.0))),
-        width=float(raw.get("width", 1.0)),
-        wavevector=tuple(raw.get("wavevector", (0.0, 0.0))),
-    )
+def build_packet(raw: dict, where: str) -> Wavepacket:
+    try:
+        return Wavepacket.gaussian(
+            amplitude=_complex_value(raw.get("amplitude", 1.0), "packets.amplitude"),
+            center=tuple(raw.get("center", (0.0, 0.0))),
+            width=float(raw.get("width", 1.0)),
+            wavevector=tuple(raw.get("wavevector", (0.0, 0.0))),
+        )
+    except ValueError as exc:
+        raise ConfigError(f"field '{where}': {exc}") from exc
 
 
 def build_kernel(config: dict):
@@ -179,7 +182,7 @@ def build_kernel(config: dict):
         )
     except ValueError as exc:
         raise ConfigError(f"field 'kernel': {exc}") from exc
-    packets = [build_packet(p) for p in raw["packets"]]
+    packets = [build_packet(p, f"kernel.packets[{pos}]") for pos, p in enumerate(raw["packets"])]
     kernel = kernel_as_gaussian(spec, packets, tol=1e-8)
     return kernel, spec, packets
 

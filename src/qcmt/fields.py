@@ -22,15 +22,32 @@ is invariant under the full Poincare group with amplitude set by hbar.
 The thermal kernel adds Bose occupation n(w) = 1/(e^{beta hbar w} - 1) on
 both mass-shell branches in the preferred rest frame, so it is invariant
 only under the stabilizer of that frame and its amplitude at high
-temperature is set by kT = 1/beta.  Only the k integral is numerical;
-everything in (t, x) is analytic.
+temperature is set by kT = 1/beta.
+
+Everything in (t, x) is analytic; only the integral over the mass shell is
+numerical.  It runs over the rapidity theta, with k = m sinh(theta),
+w = m cosh(theta) and dk / w = dtheta, so a boost by eta is a shift of
+theta by eta and the integrand decays double-exponentially.  The trapezoid
+rule on a uniform theta grid then converges geometrically.  Every packet
+of a family is evaluated on one grid, giving F (packets x nodes), and one
+weighted product gives the whole kernel matrix, hbar/(4 pi) F^H W F:
+
+* the window covers every component's envelope, on both branches for the
+  thermal kernel (on the negative branch a component of rapidity eta sits
+  near theta = -eta); its momentum reach is bounded by ``_CUTOFF_GUARD``;
+* two grids count as agreeing only once the finer one has a step that
+  resolves the narrowest envelope and the fastest relative phase of the
+  family, so no feature falls between nodes and no phase aliases alike;
+* the grid is halved until two successive grids agree, and a kernel whose
+  halving estimate still exceeds ``QUADRATURE_TOL`` at ``_NODE_CAP`` nodes
+  raises ``QuadratureError``.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,8 +56,18 @@ from .gaussian import GaussianKernel
 
 logger = logging.getLogger(__name__)
 
+# Tolerances on a kernel matrix, relative to max(1, largest |entry|): grid
+# halving stops once two successive grids agree to _HALVING_TOL, and a
+# kernel still off by more than QUADRATURE_TOL at _NODE_CAP nodes is refused.
 QUADRATURE_TOL = 1e-8
+_HALVING_TOL = 1e-10
+# The window keeps every component's envelope down to this fraction of its
+# peak; its momentum reach m sinh|theta| may not pass _CUTOFF_GUARD.
 _ENVELOPE_FLOOR = 1e-16
+_CUTOFF_GUARD = 1e6
+# Coarsest grid over the window, in intervals; the grid is halved from it.
+_START_INTERVALS = 16
+_NODE_CAP = 1 << 16
 
 
 class QuadratureError(RuntimeError):
@@ -49,6 +76,21 @@ class QuadratureError(RuntimeError):
     def __init__(self, message, **diagnostics):
         super().__init__(message)
         self.diagnostics = diagnostics
+
+
+def _base_transform(amplitude, center, width, wavevector, wb, kb):
+    """Fourier transform of a base component at base-frame momentum (wb, kb).
+
+    Broadcasts: parameters may be columns over components and momenta rows
+    over grid nodes.
+    """
+    t0, x0 = center
+    w0, k0 = wavevector
+    dw = wb - w0
+    dk = kb - k0
+    sigma2 = width * width
+    exponent = 1j * (dw * t0 - dk * x0) - sigma2 * (dw * dw + dk * dk) / 4.0
+    return amplitude * math.pi * sigma2 * np.exp(exponent)
 
 
 @dataclass(frozen=True)
@@ -66,34 +108,17 @@ class PacketComponent:
     rapidity: float = 0.0
 
     def __post_init__(self):
-        if self.width <= 0:
-            raise ValueError("packet width must be positive")
+        if not self.width > 0 or not math.isfinite(self.width):
+            raise ValueError("packet width must be positive and finite")
 
     def fourier(self, omega, k):
         """Analytic Fourier transform; accepts scalars or numpy arrays."""
         ch = math.cosh(self.rapidity)
         sh = math.sinh(self.rapidity)
         # momentum covector in the base frame of the component
-        wb = omega * ch - k * sh
-        kb = k * ch - omega * sh
-        t0, x0 = self.center
-        w0, k0 = self.wavevector
-        dw = wb - w0
-        dk = kb - k0
-        sigma2 = self.width * self.width
-        gauss = np.exp(-sigma2 * (dw * dw + dk * dk) / 4.0)
-        phase = np.exp(1j * (dw * t0 - dk * x0))
-        return self.amplitude * math.pi * sigma2 * phase * gauss
-
-    def fourier_bound(self, omega, k) -> float:
-        """Magnitude of ``fourier``; the phase-free Gaussian envelope."""
-        ch = math.cosh(self.rapidity)
-        sh = math.sinh(self.rapidity)
-        dw = omega * ch - k * sh - self.wavevector[0]
-        dk = k * ch - omega * sh - self.wavevector[1]
-        sigma2 = self.width * self.width
-        return abs(self.amplitude) * math.pi * sigma2 * math.exp(
-            -sigma2 * (dw * dw + dk * dk) / 4.0
+        return _base_transform(
+            self.amplitude, self.center, self.width, self.wavevector,
+            omega * ch - k * sh, k * ch - omega * sh,
         )
 
     def conjugate(self) -> "PacketComponent":
@@ -173,9 +198,6 @@ class Wavepacket:
 
     def fourier(self, omega, k):
         return sum(c.fourier(omega, k) for c in self.components)
-
-    def fourier_bound(self, omega, k) -> float:
-        return sum(c.fourier_bound(omega, k) for c in self.components)
 
     def key(self) -> tuple:
         return tuple(sorted(c.key() for c in self.components))
@@ -320,92 +342,131 @@ class FieldKernelSpec:
         return math.atanh(ux / ut)
 
 
-def _momentum_scale(spec: FieldKernelSpec, *packets) -> float:
-    """Half-width of a k window certain to contain every component's shell peak."""
-    reach = 10.0 + 4.0 * spec.mass
-    for f in packets:
-        for c in f.components:
-            stretch = math.exp(abs(c.rapidity))
-            reach = max(
-                reach,
-                stretch
-                * (
-                    abs(c.wavevector[0])
-                    + abs(c.wavevector[1])
-                    + spec.mass
-                    + 8.0 / c.width
-                )
-                + 4.0,
-            )
-    return reach
-
-
-_CUTOFF_GUARD = 1e6
-
-
-def _integration_limit(bound, start: float) -> float:
-    """Symmetric cutoff where the envelope bound falls under the floor."""
-    if start > _CUTOFF_GUARD:
+def _grid_window(mass: float, packets, branches) -> tuple:
+    """Theta window over every component's envelope on every branch, and a
+    grid step that resolves the narrowest envelope and fastest phase in it."""
+    comps = [c for f in packets for c in f.components]
+    # Lab-frame centres.  F carries the phase exp(i(w T - k X)); a phase
+    # common to the family cancels in every pairing, so each is measured
+    # from the family's mean centre.
+    centers = [PoincareElement.boost(c.rapidity).apply_point(c.center) for c in comps]
+    ref_t = sum(t for t, _ in centers) / len(centers)
+    ref_x = sum(x for _, x in centers) / len(centers)
+    spread = 2.0 * math.sqrt(-math.log(_ENVELOPE_FLOOR))
+    spans = []
+    for sign in branches:
+        for c, (t, x) in zip(comps, centers):
+            w0, k0 = c.wavevector
+            # (w0, k0) lies within this distance of the shell, so wherever
+            # the envelope is above the floor, |m sinh(phi) - k0| <= reach
+            reach = math.hypot(sign * math.hypot(mass, k0) - w0, spread / c.width)
+            phi = (math.asinh((k0 - reach) / mass), math.asinh((k0 + reach) / mass))
+            ends = (phi[0] + sign * c.rapidity, phi[1] + sign * c.rapidity)
+            spans.append((sign, c.width, t - ref_t, x - ref_x, phi, ends))
+    lo = min(span[5][0] for span in spans)
+    hi = max(span[5][1] for span in spans)
+    limit = math.asinh(_CUTOFF_GUARD / mass)
+    if not -limit <= lo <= hi <= limit:
         raise QuadratureError(
             "kernel integrand needs a momentum cutoff beyond the guard rail",
-            cutoff=start,
+            window=(lo, hi),
+            cutoff=_CUTOFF_GUARD,
         )
-    grid = np.linspace(-start, start, 81)
-    scale = max(max(bound(k) for k in grid), 1e-300)
-    limit = start
-    while max(bound(limit), bound(-limit)) > _ENVELOPE_FLOOR * scale:
-        limit *= 1.4
-        if limit > _CUTOFF_GUARD:
-            raise QuadratureError(
-                "kernel integrand fails to decay", cutoff=limit, scale=scale
+    bands = []
+    for sign, width, t, x, phi, ends in spans:
+        # in phi the envelope varies on the scale 1 / (sigma m cosh phi);
+        # |d phase / d theta| is largest at an end of the span
+        envelope = width * mass * math.cosh(max(-phi[0], phi[1]))
+        phase = max(abs(sign * t * math.sinh(e) - x * math.cosh(e)) for e in ends)
+        bands.append(envelope + mass * phase)
+    # np.max lets a NaN through, and a NaN step is never reached
+    return lo, hi, math.pi / (2.0 * float(np.max(bands)))
+
+
+def _kernel_matrix(spec: FieldKernelSpec, packets, thermal: bool) -> np.ndarray:
+    """Pairings of a packet family, hbar/(4 pi) F^H W F on a halved theta grid.
+
+    The vacuum weight is 1 on the positive branch; the thermal weights are
+    1 + n on the positive branch and n on the negative one, with packets
+    boosted into the rest frame first.
+    """
+    if thermal:
+        chi = spec.frame_rapidity()
+        if chi != 0.0:
+            into_frame = PoincareElement.boost(-chi)
+            packets = [poincare_act(into_frame, f) for f in packets]
+    m = spec.mass
+    lo, hi, step = _grid_window(m, packets, (1, -1) if thermal else (1,))
+    comps = [c for f in packets for c in f.components]
+    firsts = np.cumsum([0] + [len(f.components) for f in packets[:-1]])
+    amplitude = np.array([complex(c.amplitude) for c in comps])[:, None]
+    rapidity, width, t0, x0, w0, k0 = np.array(
+        [(c.rapidity, c.width, *c.center, *c.wavevector) for c in comps]
+    ).T[:, :, None]
+
+    def weighted_sum(theta, ends):
+        weights = {1: ends}
+        if thermal:
+            # Bose occupation 1 / (e^x - 1) in a form that underflows to 0
+            x = spec.beta * spec.hbar * m * np.cosh(theta)
+            occupation = np.exp(-x) / -np.expm1(-x)
+            weights = {1: ends * (1.0 + occupation), -1: ends * occupation}
+        total = 0.0
+        for sign, weight in weights.items():
+            # components see phi = theta - sign * rapidity in their base frame
+            phi = theta - sign * rapidity
+            values = _base_transform(
+                amplitude, (t0, x0), width, (w0, k0), sign * m * np.cosh(phi), m * np.sinh(phi)
             )
-    return limit
+            f = np.add.reduceat(values, firsts, axis=0)
+            total = total + (f.conj() * weight) @ f.T
+        return total
 
-
-def _quadrature(integrand, bound, start: float, diagnostics: dict) -> complex:
-    # scipy.integrate is imported on first use: it dominates the start-up
-    # time and memory of commands that never build a field kernel
-    from scipy import integrate
-
-    limit = _integration_limit(bound, start)
-    real, real_err = integrate.quad(
-        lambda k: integrand(k).real, -limit, limit, limit=400, epsabs=1e-12, epsrel=1e-10
+    intervals = _START_INTERVALS
+    # grids coarser than the step are never accepted: start one halving
+    # above it, leaving room under the cap for at least one halving
+    while (hi - lo) / intervals > 2.0 * step and 4 * intervals + 1 <= _NODE_CAP:
+        intervals *= 2
+    h = (hi - lo) / intervals
+    ends = np.ones(intervals + 1)
+    ends[0] = ends[-1] = 0.5
+    sums = weighted_sum(lo + h * np.arange(intervals + 1), ends)
+    scale = spec.hbar / (4.0 * math.pi)
+    value = scale * h * sums
+    error = math.inf
+    while True:
+        # Two grids coarser than the step can miss a narrow feature alike
+        # and agree on a wrong value, so agreement counts only once h <= step.
+        bound = max(1.0, float(np.max(np.abs(value))))
+        resolved = h <= step
+        if resolved and error <= _HALVING_TOL * bound:
+            break
+        if 2 * intervals + 1 > _NODE_CAP:
+            if not (resolved and error <= QUADRATURE_TOL * bound):
+                raise QuadratureError(
+                    f"kernel grid not converged at {intervals + 1} nodes: halving"
+                    f" error {error:.3e}, tolerance {QUADRATURE_TOL:.0e}",
+                    window=(lo, hi),
+                    nodes=intervals + 1,
+                    error=error,
+                    kind="thermal" if thermal else "vacuum",
+                )
+            break
+        sums = sums + weighted_sum(lo + h * (np.arange(intervals) + 0.5), 1.0)
+        intervals *= 2
+        h = (hi - lo) / intervals
+        refined = scale * h * sums
+        error = float(np.max(np.abs(refined - value)))
+        value = refined
+    logger.debug(
+        "kernel grid: window=[%.3g, %.3g] nodes=%d error=%.3g", lo, hi, intervals + 1, error
     )
-    imag, imag_err = integrate.quad(
-        lambda k: integrand(k).imag, -limit, limit, limit=400, epsabs=1e-12, epsrel=1e-10
-    )
-    err = real_err + imag_err
-    logger.debug("quadrature: cutoff=%.3g estimated error=%.3g", limit, err)
-    if err > QUADRATURE_TOL:
-        raise QuadratureError(
-            f"kernel quadrature error estimate {err:.3e} exceeds {QUADRATURE_TOL:.0e}",
-            cutoff=limit,
-            error=err,
-            **diagnostics,
-        )
-    return complex(real, imag)
+    return value
 
 
 def vacuum_kernel(spec: FieldKernelSpec, f: Wavepacket, g: Wavepacket) -> complex:
     """Poincare-invariant two-point pairing (f, g) = rho(M_f^dagger M_g) at beta = inf."""
-    m = spec.mass
-
-    def integrand(k):
-        w = math.sqrt(k * k + m * m)
-        return spec.hbar * np.conj(f.fourier(w, k)) * g.fourier(w, k) / (4 * math.pi * w)
-
-    def bound(k):
-        w = math.sqrt(k * k + m * m)
-        return spec.hbar * f.fourier_bound(w, k) * g.fourier_bound(w, k) / (4 * math.pi * w)
-
-    return _quadrature(integrand, bound, _momentum_scale(spec, f, g), {"kind": "vacuum"})
-
-
-def _bose(x: float) -> float:
-    # x = beta * hbar * omega > 0; negligible occupation past the exp range
-    if x > 700.0:
-        return 0.0
-    return 1.0 / math.expm1(x)
+    return complex(_kernel_matrix(spec, [f, g], thermal=False)[0, 1])
 
 
 def thermal_kernel(spec: FieldKernelSpec, f: Wavepacket, g: Wavepacket) -> complex:
@@ -416,31 +477,7 @@ def thermal_kernel(spec: FieldKernelSpec, f: Wavepacket, g: Wavepacket) -> compl
     """
     if not spec.is_thermal:
         raise ValueError("thermal_kernel needs finite beta; use vacuum_kernel")
-    chi = spec.frame_rapidity()
-    if chi != 0.0:
-        into_frame = PoincareElement.boost(-chi)
-        f = poincare_act(into_frame, f)
-        g = poincare_act(into_frame, g)
-    m = spec.mass
-    bh = spec.beta * spec.hbar
-
-    def integrand(k):
-        w = math.sqrt(k * k + m * m)
-        n = _bose(bh * w)
-        plus = np.conj(f.fourier(w, k)) * g.fourier(w, k)
-        minus = np.conj(f.fourier(-w, k)) * g.fourier(-w, k)
-        return spec.hbar * ((1.0 + n) * plus + n * minus) / (4 * math.pi * w)
-
-    def bound(k):
-        w = math.sqrt(k * k + m * m)
-        n = _bose(bh * w)
-        plus = f.fourier_bound(w, k) * g.fourier_bound(w, k)
-        minus = f.fourier_bound(-w, k) * g.fourier_bound(-w, k)
-        return spec.hbar * ((1.0 + n) * plus + n * minus) / (4 * math.pi * w)
-
-    return _quadrature(
-        integrand, bound, _momentum_scale(spec, f, g), {"kind": "thermal", "beta": spec.beta}
-    )
+    return complex(_kernel_matrix(spec, [f, g], thermal=True)[0, 1])
 
 
 def kernel_pairing(spec: FieldKernelSpec, f: Wavepacket, g: Wavepacket) -> complex:
@@ -487,18 +524,5 @@ def kernel_as_gaussian(spec: FieldKernelSpec, packets, tol: float = 1e-10) -> Ga
         if fc.key() not in seen:
             seen.add(fc.key())
             family.append(fc)
-    indices = [packet_index(f) for f in family]
-    n = len(family)
-    matrix = np.zeros((n, n), dtype=complex)
-    for a, fa in enumerate(family):
-        for b, fb in enumerate(family):
-            if b < a:
-                matrix[a, b] = matrix[b, a].conjugate()
-            else:
-                matrix[a, b] = kernel_pairing(spec, fa, fb)
-    matrix = 0.5 * (matrix + matrix.conj().T)
-    entries = {}
-    for a, ia in enumerate(indices):
-        for b, ib in enumerate(indices):
-            entries[(ia, ib)] = matrix[a, b]
-    return GaussianKernel(entries, indices=indices, tol=tol)
+    matrix = _kernel_matrix(spec, family, thermal=spec.is_thermal)
+    return GaussianKernel.from_matrix([packet_index(f) for f in family], matrix, tol=tol)

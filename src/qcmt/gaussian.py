@@ -15,9 +15,9 @@ zero of the exponential generating function
 
 the hafnian of the contraction matrix.  Each kernel memoizes the moments
 of the sub-words this recursion reaches, so the entries of a Gram matrix
-share their work.  ``moment_from_generating_series`` differentiates the
-generating function instead and is kept as a slow, structurally
-independent cross-check of the same number.
+share their work.  ``moment_from_generating_series`` expands the
+generating function as a power series over bitmask monomials instead and
+is kept as a structurally independent cross-check of the same number.
 """
 
 from __future__ import annotations
@@ -284,30 +284,22 @@ def generating_function(kernel: GaussianKernel, indices, lambdas) -> complex:
     return cmath.exp(-exponent)
 
 
-def _series_multiply(left, right, n):
-    """Product of truncated multivariate polynomials over exponent tuples.
-
-    Any monomial with an exponent above one is dropped: it can never reach
-    the multilinear target monomial lambda_1 ... lambda_n again.
-    """
-    out = {}
-    for ea, ca in left.items():
-        for eb, cb in right.items():
-            exps = tuple(x + y for x, y in zip(ea, eb))
-            if any(x > 1 for x in exps):
-                continue
-            out[exps] = out.get(exps, 0j) + ca * cb
-    return out
-
-
 def moment_from_generating_series(kernel: GaussianKernel, w: Word) -> complex:
     """Moment of a word by differentiating the generating function at zero.
 
-    Expands exp(Q) as a truncated power series, with Q the quadratic
-    exponent of ``generating_function`` in one lambda variable per word
-    position, and reads off the coefficient of lambda_1 ... lambda_N,
-    which equals the mixed partial at zero.  Dividing by i^N undoes the
-    i lambda_m factors in the exponentials and yields rho(M_{i_1}...M_{i_N}).
+    Expands exp(Q) as a power series in one lambda variable per word
+    position, with Q the quadratic exponent of ``generating_function``,
+    and reads off the coefficient of lambda_1 ... lambda_N, which equals
+    the mixed partial at zero.  Dividing by i^N undoes the i lambda_m
+    factors in the exponentials and yields rho(M_{i_1}...M_{i_N}).
+
+    A monomial is the bitmask of the variables it holds.  Any monomial with
+    an exponent above one can never reach the multilinear target again, so
+    only the off-diagonal terms -(i_m^c, i_t) lambda_m lambda_t of Q are
+    kept and products of overlapping masks are dropped.  Each term of Q
+    holds two variables, so only Q^{N/2} / (N/2)! reaches the all-ones
+    mask; lower powers are expanded in full and the last only at the
+    target.  Odd words have no such power and vanish.
 
     Structurally independent of the contraction recursion in
     ``wick_expect``; intended as its oracle.
@@ -315,33 +307,35 @@ def moment_from_generating_series(kernel: GaussianKernel, w: Word) -> complex:
     n = len(w)
     if n == 0:
         return 1 + 0j
+    if n % 2:
+        return 0j / (1j) ** n
     conj = [i.involve() for i in w]
-    zero = (0,) * n
     quad = {}
     for m in range(n):
-        for t in range(m, n):
-            if m == t:
-                coeff = -kernel.pairing(conj[m], w[m]) / 2
-                exps = tuple(2 if s == m else 0 for s in range(n))
-            else:
-                coeff = -kernel.pairing(conj[m], w[t])
-                exps = tuple(1 if s in (m, t) else 0 for s in range(n))
-            if any(x > 1 for x in exps):
-                continue
+        for t in range(m + 1, n):
+            coeff = -kernel.pairing(conj[m], w[t])
             if coeff != 0:
-                quad[exps] = quad.get(exps, 0j) + coeff
-    series = {zero: 1 + 0j}
-    power = {zero: 1 + 0j}
+                # 0j + : every coefficient is a sum started at zero
+                quad[(1 << m) | (1 << t)] = 0j + coeff
+    half = n // 2
+    power = {0: 1 + 0j}
     factorial = 1.0
-    for order in range(1, n + 1):
-        power = _series_multiply(power, quad, n)
-        if not power:
-            break
+    for order in range(1, half):
+        product = {}
+        for ea, ca in power.items():
+            for eb, cb in quad.items():
+                if not ea & eb:
+                    product[ea | eb] = product.get(ea | eb, 0j) + ca * cb
+        power = product
         factorial *= order
-        for exps, c in power.items():
-            series[exps] = series.get(exps, 0j) + c / factorial
-    target = (1,) * n
-    return series.get(target, 0j) / (1j) ** n
+    factorial *= half
+    target = (1 << n) - 1
+    coefficient = 0j
+    for mask, c in power.items():
+        partner = quad.get(target ^ mask)
+        if partner is not None:
+            coefficient += c * partner
+    return (0j + coefficient / factorial) / (1j) ** n
 
 
 class State:

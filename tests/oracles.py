@@ -2,10 +2,14 @@
 
 Each helper recomputes a quantity along a different route than the
 implementation under test: explicit perfect-matching enumeration for Wick
-moments, finite differences of the generating function,
-sympy symbolic brackets, matrix exponentials for quadratic flows,
-fixed-grid Simpson quadrature for field kernels, and direct position-space
-packet evaluation for Fourier conventions.
+moments, the generating series over exponent tuples and finite
+differences of the generating function, sympy symbolic brackets, matrix
+exponentials for quadratic flows, direct position-space packet evaluation
+for Fourier conventions, and two momentum-space routes for field kernels:
+a fixed Simpson grid in k and adaptive ``quad`` in k, one pair at a time.
+The production kernels integrate over the rapidity theta instead
+(k = m sinh theta), with the trapezoid rule on a halved uniform grid, so
+neither route shares its variable, its rule or its error control.
 """
 
 import math
@@ -15,6 +19,7 @@ import numpy as np
 from scipy import integrate
 from scipy.linalg import expm
 
+from qcmt.fields import PoincareElement, poincare_act
 from qcmt.gaussian import generating_function
 
 
@@ -43,6 +48,62 @@ def wick_by_matchings(kernel, word):
                 yield factor * sub
 
     return sum(matchings(tuple(range(n))), 0j)
+
+
+def _tuple_series_multiply(left, right):
+    """Product of truncated multivariate polynomials over exponent tuples.
+
+    Any monomial with an exponent above one is dropped: it can never reach
+    the multilinear target monomial lambda_1 ... lambda_n again.
+    """
+    out = {}
+    for ea, ca in left.items():
+        for eb, cb in right.items():
+            exps = tuple(x + y for x, y in zip(ea, eb))
+            if any(x > 1 for x in exps):
+                continue
+            out[exps] = out.get(exps, 0j) + ca * cb
+    return out
+
+
+def series_by_exponent_tuples(kernel, w):
+    """Moment of a word as the lambda_1 ... lambda_N coefficient of exp(Q).
+
+    Every order of the power series is expanded over exponent tuples, the
+    diagonal lambda_m^2 terms included until the truncation drops them.
+    The production ``moment_from_generating_series`` is the same series over
+    bitmasks and must agree bit for bit.
+    """
+    n = len(w)
+    if n == 0:
+        return 1 + 0j
+    conj = [i.involve() for i in w]
+    zero = (0,) * n
+    quad = {}
+    for m in range(n):
+        for t in range(m, n):
+            if m == t:
+                coeff = -kernel.pairing(conj[m], w[m]) / 2
+                exps = tuple(2 if s == m else 0 for s in range(n))
+            else:
+                coeff = -kernel.pairing(conj[m], w[t])
+                exps = tuple(1 if s in (m, t) else 0 for s in range(n))
+            if any(x > 1 for x in exps):
+                continue
+            if coeff != 0:
+                quad[exps] = quad.get(exps, 0j) + coeff
+    series = {zero: 1 + 0j}
+    power = {zero: 1 + 0j}
+    factorial = 1.0
+    for order in range(1, n + 1):
+        power = _tuple_series_multiply(power, quad)
+        if not power:
+            break
+        factorial *= order
+        for exps, c in power.items():
+            series[exps] = series.get(exps, 0j) + c / factorial
+    target = (1,) * n
+    return series.get(target, 0j) / (1j) ** n
 
 
 def fd_word_moment(kernel, word, h=0.08):
@@ -159,3 +220,69 @@ def simpson_pairing(spec, f, g, half_width=40.0, points=20001):
         values = (1.0 + occupation) * plus + occupation * minus
     values = spec.hbar * values / (4 * math.pi * w)
     return complex(integrate.simpson(values, x=k))
+
+
+def _envelope(packet, omega, k):
+    """Upper bound on |F(omega, k)|: the phase-free Gaussian envelopes."""
+    total = 0.0
+    for c in packet.components:
+        ch = math.cosh(c.rapidity)
+        sh = math.sinh(c.rapidity)
+        dw = omega * ch - k * sh - c.wavevector[0]
+        dk = k * ch - omega * sh - c.wavevector[1]
+        sigma2 = c.width**2
+        total += abs(c.amplitude) * math.pi * sigma2 * math.exp(-sigma2 * (dw * dw + dk * dk) / 4)
+    return total
+
+
+def quad_pairing(spec, f, g, floor=1e-16):
+    """Kernel pairing by adaptive ``quad`` over k, one pair at a time.
+
+    The cutoff grows from a reach that covers every shell peak until the
+    integrand's envelope bound falls under ``floor`` of its largest value.
+    Thermal pairings boost both packets into the rest frame first.  Known
+    weakness: for pairs boosted beyond |eta| of about 2, ``quad``
+    under-resolves the squeezed integrand while its error estimate stays
+    small, so keep this oracle to moderate rapidities.
+    """
+    m = spec.mass
+    thermal = math.isfinite(spec.beta)
+    if thermal:
+        ut, ux = spec.rest_frame
+        into_frame = PoincareElement.boost(-math.atanh(ux / ut))
+        f, g = poincare_act(into_frame, f), poincare_act(into_frame, g)
+
+    def occupation(w):
+        x = spec.beta * spec.hbar * w
+        return 0.0 if not thermal or x > 700.0 else 1.0 / math.expm1(x)
+
+    def integrand(k, pair):
+        w = math.sqrt(k * k + m * m)
+        n = occupation(w)
+        value = (1.0 + n) * pair(f, g, w, k)
+        if n:
+            value += n * pair(f, g, -w, k)
+        return spec.hbar * value / (4 * math.pi * w)
+
+    def exact(a, b, w, k):
+        return np.conj(a.fourier(w, k)) * b.fourier(w, k)
+
+    def bound(a, b, w, k):
+        return _envelope(a, w, k) * _envelope(b, w, k)
+
+    reach = 10.0 + 4.0 * m
+    for c in f.components + g.components:
+        stretch = math.exp(abs(c.rapidity))
+        spread = abs(c.wavevector[0]) + abs(c.wavevector[1]) + m + 8.0 / c.width
+        reach = max(reach, stretch * spread + 4.0)
+    peak = max(max(integrand(k, bound) for k in np.linspace(-reach, reach, 81)), 1e-300)
+    limit = reach
+    while max(integrand(limit, bound), integrand(-limit, bound)) > floor * peak:
+        limit *= 1.4
+    parts = [
+        integrate.quad(
+            lambda k: part(integrand(k, exact)), -limit, limit, limit=400, epsabs=1e-12, epsrel=1e-10
+        )[0]
+        for part in (np.real, np.imag)
+    ]
+    return complex(*parts)

@@ -243,6 +243,26 @@ def test_quadrature_failure_exits_numerical(tmp_path):
     assert main(["boost-scan", "--config", config]) == 3
 
 
+@pytest.mark.parametrize("width", [0.0, float("nan"), -1.0])
+def test_bad_packet_width_is_a_config_error(tmp_path, capsys, width):
+    config = write_config(
+        tmp_path,
+        {
+            "kernel": {
+                "type": "field",
+                "mass": 1.0,
+                "beta": 1.0,
+                "packets": [{"width": width}, {"center": [0.0, 0.5]}],
+            },
+            "rapidities": [0.0],
+        },
+    )
+    assert main(["boost-scan", "--config", config]) == 2
+    err = capsys.readouterr().err
+    assert "kernel.packets[0]" in err and "width" in err
+    assert "Traceback" not in err
+
+
 def test_cli_entry_point_subprocess(tmp_path):
     env = dict(os.environ, QCMT_LOG="warning")
     result = subprocess.run(

@@ -1,9 +1,11 @@
+import logging
 import math
 
 import numpy as np
 import pytest
 
-from oracles import grid_fourier, packet_value, simpson_pairing
+from oracles import grid_fourier, packet_value, quad_pairing, simpson_pairing
+from qcmt import fields
 from qcmt.fields import (
     FieldKernelSpec,
     PoincareElement,
@@ -36,6 +38,12 @@ def packet_pair():
 def test_packet_requires_positive_width():
     with pytest.raises(ValueError):
         Wavepacket.gaussian(width=0.0)
+
+
+@pytest.mark.parametrize("width", [-1.0, math.nan, math.inf])
+def test_packet_rejects_negative_and_non_finite_width(width):
+    with pytest.raises(ValueError, match="width"):
+        Wavepacket.gaussian(width=width)
 
 
 def test_packet_linear_structure():
@@ -157,6 +165,75 @@ def test_vacuum_kernel_boost_invariance():
         assert abs(moved - base) < 1e-6
 
 
+def random_packet(rng):
+    return Wavepacket.gaussian(
+        amplitude=complex(rng.uniform(0.5, 1.5), rng.uniform(-0.5, 0.5)),
+        center=(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)),
+        width=rng.uniform(0.7, 1.5),
+        wavevector=(rng.uniform(0.3, 1.5), rng.uniform(-1.5, 1.5)),
+    )
+
+
+def test_vacuum_kernel_boost_invariance_at_large_rapidity():
+    # 2.1 <= |eta| <= 3 is where adaptive quad over k under-resolved the
+    # squeezed integrand of boosted pairs; on the theta grid a boost is a shift
+    rng = np.random.default_rng(2101)
+    for _ in range(8):
+        spec = FieldKernelSpec(mass=rng.uniform(0.5, 1.5))
+        f, g = random_packet(rng), random_packet(rng)
+        move = PoincareElement.boost(rng.choice([-1.0, 1.0]) * rng.uniform(2.1, 3.0))
+        moved = vacuum_kernel(spec, poincare_act(move, f), poincare_act(move, g))
+        assert abs(moved - vacuum_kernel(spec, f, g)) <= 1e-10
+
+
+def on_shell_packet(width, k0, sign=1.0):
+    return Wavepacket.gaussian(width=width, wavevector=(math.hypot(1.0, k0), sign * k0))
+
+
+def test_narrow_theta_feature_refines_a_coarse_grid(monkeypatch, caplog):
+    # wide packets at large wavevectors are narrow bumps near theta = asinh(12)
+    # and asinh(-6); the window's ends and midpoint miss both
+    narrow = poincare_act(PoincareElement.translate(0.3, -0.2), on_shell_packet(4.0, 12.0))
+    mixed = narrow + on_shell_packet(4.0, 6.0, sign=-1.0)
+    monkeypatch.setattr(fields, "_START_INTERVALS", 1)
+    with caplog.at_level(logging.DEBUG, logger="qcmt.fields"):
+        value = vacuum_kernel(VACUUM, mixed, narrow)
+    assert abs(value - simpson_pairing(VACUUM, mixed, narrow)) <= 1e-8
+    assert abs(value - quad_pairing(VACUUM, mixed, narrow)) <= 1e-8
+    # the one- and two-interval grids agree on a value near zero
+    lo, hi, nodes, _ = caplog.records[-1].args
+    theta = np.linspace(lo, hi, 3)
+    shell = (np.cosh(theta), np.sinh(theta))
+    pairs = np.conj(mixed.fourier(*shell)) * narrow.fourier(*shell)
+    assert np.max(np.abs(pairs)) < 1e-12 * abs(value)
+    assert nodes > 256
+
+
+def test_relative_phase_of_separated_packets_is_resolved():
+    # two on-shell packets 50 apart oscillate against each other fast
+    # enough that a step set by the envelopes alone lets the halved grids
+    # alias alike and agree on a value near 1 where the pairing is ~0
+    f = on_shell_packet(2.0, 8.0)
+    g = poincare_act(PoincareElement.translate(0.0, 50.0), f)
+    assert abs(vacuum_kernel(VACUUM, f, g)) <= 1e-10
+    # far apart in time the pairing decays slowly and oscillates fast
+    _, g = packet_pair()
+    later = poincare_act(PoincareElement.translate(400.0, 0.0), g)
+    fixed = simpson_pairing(VACUUM, g, later, half_width=60.0, points=400001)
+    assert abs(vacuum_kernel(VACUUM, g, later) - fixed) <= 1e-10
+
+
+def test_grid_halving_that_cannot_converge_under_the_cap_raises(monkeypatch):
+    f, g = packet_pair()
+    monkeypatch.setattr(fields, "_NODE_CAP", 33)
+    with pytest.raises(QuadratureError) as failure:
+        vacuum_kernel(VACUUM, f, g)
+    diagnostics = failure.value.diagnostics
+    assert diagnostics["nodes"] == 33
+    assert len(diagnostics["window"]) == 2
+    assert fields.QUADRATURE_TOL < diagnostics["error"] < math.inf
+
+
 def test_vacuum_kernel_translation_invariance():
     f, g = packet_pair()
     base = vacuum_kernel(VACUUM, f, g)
@@ -183,6 +260,16 @@ def test_thermal_kernel_requires_finite_beta():
 def test_thermal_kernel_matches_simpson_grid():
     f, g = packet_pair()
     assert abs(thermal_kernel(THERMAL, f, g) - simpson_pairing(THERMAL, f, g)) < 1e-8
+
+
+def test_thermal_kernel_of_boosted_packets_matches_simpson_grid():
+    # on the negative branch a packet of rapidity eta sits near theta = -eta
+    f, g = packet_pair()
+    for eta in (-1.5, 1.5):
+        move = PoincareElement.boost(eta)
+        fb, gb = poincare_act(move, f), poincare_act(move, g)
+        fixed = simpson_pairing(THERMAL, fb, gb, half_width=80.0, points=40001)
+        assert abs(thermal_kernel(THERMAL, fb, gb) - fixed) < 1e-10
 
 
 def test_thermal_kernel_not_boost_invariant():
@@ -268,6 +355,24 @@ def test_three_packet_matrix_is_psd():
         kernel = kernel_as_gaussian(spec, [f, g, h])
         assert kernel.min_eigenvalue() >= -1e-10
         assert kernel.hermiticity_defect() <= 1e-10
+
+
+def test_thermal_family_matrix_matches_quad_in_moving_frame():
+    chi = 0.4
+    spec = FieldKernelSpec(mass=1.0, beta=1.0, rest_frame=(math.cosh(chi), math.sinh(chi)))
+    f, g = packet_pair()
+    h = Wavepacket.gaussian(center=(0.0, 1.0), width=0.8)
+    kernel = kernel_as_gaussian(spec, [f, g, h])
+    # h is real, so its conjugate is itself and joins no second time
+    family = [f, g, h, f.conjugate(), g.conjugate()]
+    assert [ix.tag for ix in kernel.indices] == [p.key() for p in family]
+    matrix = kernel.matrix()
+    scale = np.max(np.abs(matrix))
+    assert np.max(np.abs(matrix - matrix.conj().T)) <= 1e-14 * scale
+    assert np.linalg.eigvalsh(0.5 * (matrix + matrix.conj().T))[0] >= -1e-14 * scale
+    for a in range(len(family)):
+        for b in range(a, len(family)):
+            assert abs(matrix[a, b] - quad_pairing(spec, family[a], family[b])) <= 1e-8
 
 
 def test_kernel_index_linearity():

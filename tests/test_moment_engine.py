@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import wick_by_matchings
+from oracles import series_by_exponent_tuples, wick_by_matchings
 from qcmt import gaussian
 from qcmt.algebra import Index, paired_indices
 from qcmt.gaussian import (
@@ -42,8 +42,8 @@ def _indices(kind, n):
 
 
 @st.composite
-def kernels_and_words(draw):
-    """A random PSD kernel of one kind over 2-4 indices, plus 1-3 words."""
+def kernels_and_words(draw, max_words=3):
+    """A random PSD kernel of one kind over 2-4 indices, plus 1 to ``max_words`` words."""
     kind = draw(st.sampled_from(KINDS))
     n = draw(st.integers(2, 4))
     unit = st.floats(-1.0, 1.0, allow_nan=False)
@@ -54,7 +54,7 @@ def kernels_and_words(draw):
     matrix = a @ a.conj().T / n + 0.1 * np.eye(n)
     kernel = GaussianKernel.from_matrix(_indices(kind, n), matrix)
     position = st.integers(0, n - 1)
-    words = draw(st.lists(st.lists(position, max_size=10), min_size=1, max_size=3))
+    words = draw(st.lists(st.lists(position, max_size=10), min_size=1, max_size=max_words))
     return kernel, [tuple(kernel.indices[p] for p in w) for w in words]
 
 
@@ -69,6 +69,16 @@ def test_recursion_matches_enumeration_and_series(case):
         value = wick_expect(kernel, w)
         assert abs(value - wick_by_matchings(kernel, w)) <= 1e-12 * scale
         assert abs(value - moment_from_generating_series(kernel, w)) <= 1e-10 * scale
+
+
+@settings(max_examples=40, deadline=None)
+@given(kernels_and_words(max_words=1))
+def test_bitmask_series_is_bitwise_the_tuple_series(case):
+    kernel, words = case
+    for w in words:
+        value = moment_from_generating_series(kernel, w)
+        expected = series_by_exponent_tuples(kernel, w)
+        assert (value.real.hex(), value.imag.hex()) == (expected.real.hex(), expected.imag.hex())
 
 
 def _complex_kernel():
