@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 import time
@@ -21,7 +22,7 @@ from .fields import FieldKernelSpec, PoincareElement, QuadratureError, Wavepacke
 from .gaussian import MATCHING_CAP, GaussianKernel, GaussianState, wick_expect
 from .gns import build_basis, gram
 from .koopman import gibbs_oscillator_kernel
-from .vacuum import extended_word_expect
+from .vacuum import commutation_witness, extended_word_expect
 from .verify import run_verify
 
 logger = logging.getLogger(__name__)
@@ -71,12 +72,30 @@ class ConfigError(Exception):
     """Invalid experiment configuration; the message names the offender."""
 
 
+def _float_value(raw, where: str) -> float:
+    """A finite JSON number; NaN, infinities and overflowing integers are refused."""
+    if not isinstance(raw, (int, float)):
+        raise ConfigError(f"field '{where}' must be a number")
+    try:
+        value = float(raw)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ConfigError(f"field '{where}' must be finite, not {raw!r}")
+    return value
+
+
+def _float_pair(raw, where: str) -> tuple:
+    if not isinstance(raw, list) or len(raw) != 2:
+        raise ConfigError(f"field '{where}' must be a pair of numbers")
+    return (_float_value(raw[0], where), _float_value(raw[1], where))
+
+
 def _complex_value(raw, where: str) -> complex:
-    if isinstance(raw, (int, float)):
-        return complex(raw)
-    if isinstance(raw, list) and len(raw) == 2 and all(isinstance(v, (int, float)) for v in raw):
-        return complex(raw[0], raw[1])
-    raise ConfigError(f"field '{where}' must be a number or an [re, im] pair")
+    """A finite number, or a finite [re, im] pair."""
+    if isinstance(raw, list) and len(raw) == 2:
+        return complex(*_float_pair(raw, where))
+    return complex(_float_value(raw, where))
 
 
 def load_config(path: str | None, mode: str) -> dict:
@@ -125,15 +144,25 @@ def validate_config(config: dict, mode: str):
             for key in packet:
                 if key not in PACKET_FIELDS:
                     raise ConfigError(f"unknown field 'kernel.packets[{pos}].{key}'")
+    if mode == "gram":
+        degree = config.get("degree", 2)
+        if type(degree) is not int or not 0 <= degree <= MATCHING_CAP // 2:
+            raise ConfigError(f"field 'degree' must be an integer from 0 to {MATCHING_CAP // 2}")
+    if mode == "boost-scan":
+        rapidities = config["rapidities"]
+        if not isinstance(rapidities, list):
+            raise ConfigError("field 'rapidities' must be a list of numbers")
+        for pos, chi in enumerate(rapidities):
+            _float_value(chi, f"rapidities[{pos}]")
 
 
 def build_packet(raw: dict, where: str) -> Wavepacket:
     try:
         return Wavepacket.gaussian(
-            amplitude=_complex_value(raw.get("amplitude", 1.0), "packets.amplitude"),
-            center=tuple(raw.get("center", (0.0, 0.0))),
-            width=float(raw.get("width", 1.0)),
-            wavevector=tuple(raw.get("wavevector", (0.0, 0.0))),
+            amplitude=_complex_value(raw.get("amplitude", 1.0), f"{where}.amplitude"),
+            center=_float_pair(raw.get("center", [0.0, 0.0]), f"{where}.center"),
+            width=_float_value(raw.get("width", 1.0), f"{where}.width"),
+            wavevector=_float_pair(raw.get("wavevector", [0.0, 0.0]), f"{where}.wavevector"),
         )
     except ValueError as exc:
         raise ConfigError(f"field '{where}': {exc}") from exc
@@ -165,9 +194,9 @@ def build_kernel(config: dict):
     if kind == "gibbs-oscillator":
         try:
             kernel = gibbs_oscillator_kernel(
-                float(raw.get("mass", 1.0)),
-                float(raw.get("frequency", 1.0)),
-                float(raw.get("temperature", 1.0)),
+                _float_value(raw.get("mass", 1.0), "kernel.mass"),
+                _float_value(raw.get("frequency", 1.0), "kernel.frequency"),
+                _float_value(raw.get("temperature", 1.0), "kernel.temperature"),
             )
         except ValueError as exc:
             raise ConfigError(f"field 'kernel': {exc}") from exc
@@ -175,10 +204,10 @@ def build_kernel(config: dict):
     beta = raw.get("beta")
     try:
         spec = FieldKernelSpec(
-            mass=float(raw.get("mass", 1.0)),
-            hbar=float(raw.get("hbar", 1.0)),
-            beta=float("inf") if beta is None else float(beta),
-            rest_frame=tuple(raw.get("rest_frame", (1.0, 0.0))),
+            mass=_float_value(raw.get("mass", 1.0), "kernel.mass"),
+            hbar=_float_value(raw.get("hbar", 1.0), "kernel.hbar"),
+            beta=math.inf if beta is None else _float_value(beta, "kernel.beta"),
+            rest_frame=_float_pair(raw.get("rest_frame", [1.0, 0.0]), "kernel.rest_frame"),
         )
     except ValueError as exc:
         raise ConfigError(f"field 'kernel': {exc}") from exc
@@ -265,10 +294,7 @@ def run_moments_mode(config: dict, out: str | None, seed: int, tolerance: float)
 
 def run_gram_mode(config: dict, out: str | None, seed: int, tolerance: float) -> int:
     kernel, _, _ = build_kernel(config)
-    degree = int(config.get("degree", 2))
-    if 2 * degree > MATCHING_CAP:
-        raise ConfigError(f"field 'degree' must be at most {MATCHING_CAP // 2}")
-    basis = build_basis(kernel.indices, degree)
+    basis = build_basis(kernel.indices, config.get("degree", 2))
     report = gram(basis, GaussianState(kernel), tolerance=tolerance)
     logger.info(
         "gram: dimension=%d null=%d min-eigenvalue=%.3e",
@@ -323,8 +349,7 @@ def run_witness_mode(config: dict, out: str | None, seed: int, tolerance: float)
         raise ConfigError("field 'pair' must name two indices")
     i = _resolve_index(kernel, pair[0], spec is not None)
     j = _resolve_index(kernel, pair[1], spec is not None)
-    between = extended_word_expect(state, ((i,), (j,)))
-    in_front = extended_word_expect(state, ((), (i, j)))
+    between, in_front = commutation_witness(state, i, j)
     factor_residual = abs(
         between - state.word_expect((i,)) * state.word_expect((j,))
     ) + abs(in_front - state.word_expect((i, j)))
@@ -378,10 +403,9 @@ def main(argv=None) -> int:
         config = load_config(args.config, args.mode)
         validate_config(config, args.mode)
         seed = args.seed if args.seed is not None else int(config.get("seed", 0))
-        tolerance = (
-            args.tolerance
-            if args.tolerance is not None
-            else float(config.get("tolerance", 1e-10))
+        tolerance = _float_value(
+            args.tolerance if args.tolerance is not None else config.get("tolerance", 1e-10),
+            "tolerance",
         )
         out = args.out if args.out is not None else config.get("out")
         return _RUNNERS[args.mode](config, out, seed, tolerance)
@@ -390,6 +414,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except QuadratureError as exc:
         print(f"numerical failure: {exc} {exc.diagnostics}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except OverflowError as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
 

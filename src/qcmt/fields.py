@@ -233,11 +233,6 @@ class PoincareElement:
     def translate(cls, a_t, a_x) -> "PoincareElement":
         return cls(translation=(float(a_t), float(a_x)))
 
-    def matrix(self) -> np.ndarray:
-        ch = math.cosh(self.rapidity)
-        sh = math.sinh(self.rapidity)
-        return np.array([[ch, sh], [sh, ch]])
-
     def apply_point(self, point):
         t, x = point
         ch = math.cosh(self.rapidity)

@@ -348,13 +348,9 @@ class State:
     def indices(self) -> tuple:
         raise NotImplementedError
 
-    def expect(self, element) -> complex:
+    def expect(self, element: AlgebraElement) -> complex:
         """Linear extension of the word evaluator to algebra elements."""
-        if isinstance(element, AlgebraElement):
-            return sum(
-                (c * self.word_expect(w) for w, c in element.terms.items()), 0j
-            )
-        return self.word_expect(tuple(element))
+        return sum((c * self.word_expect(w) for w, c in element.terms.items()), 0j)
 
 
 class GaussianState(State):

@@ -12,14 +12,14 @@ expectations reproduce the state.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from itertools import product
 
 import numpy as np
 
-from .algebra import AlgebraElement, Index, Word, word_adjoint
+from .algebra import Index, Word, word_adjoint
 from .gaussian import State
+from .vacuum import _probe
 
 
 @dataclass(frozen=True)
@@ -115,20 +115,25 @@ def gram(basis: MonomialBasis, state: State, tolerance: float = 1e-10) -> GramRe
 class Representation:
     """Left multiplication on the null-space quotients of the Gram matrices.
 
-    For each degree j <= d the span of words of length <= j is quotiented
-    by its Gram null space; generators act as rectangular degree-raising
-    matrices between consecutive quotients.  ``maps`` holds the top-level
-    (degree d to degree d+1) map per generator index; ``cyclic_vector``
-    holds the quotient coordinates of the identity word at degree d.
+    For each degree j <= d + 1 the span of words of length <= j is
+    quotiented by its Gram null space; generators act as rectangular
+    degree-raising matrices between consecutive quotients.
     """
 
-    def __init__(self, basis, maps, cyclic_vector, level_maps, isometries, bases):
+    def __init__(self, basis, level_maps, isometries):
         self.basis = basis
-        self.maps = maps
-        self.cyclic_vector = cyclic_vector
         self._level_maps = level_maps
         self._isometries = isometries
-        self._bases = bases
+
+    @property
+    def maps(self) -> dict:
+        """The top-level (degree d to degree d+1) map per generator index."""
+        return {i: per_level[self.basis.degree] for i, per_level in self._level_maps.items()}
+
+    @property
+    def cyclic_vector(self) -> np.ndarray:
+        """Quotient coordinates of the identity word at degree d."""
+        return self.vacuum_vector(self.basis.degree)
 
     @property
     def dimension(self) -> int:
@@ -167,20 +172,24 @@ def represent(basis: MonomialBasis, state: State, tolerance: float = 1e-10) -> R
     Gram matrix is indefinite beyond tolerance, signaling a non-state.
     """
     d = basis.degree
-    bases = [build_basis(basis.indices, j) for j in range(d + 2)]
+    top = build_basis(basis.indices, d + 1)
+    top_gram = _gram_matrix(top, state)
+    # graded-lex order puts the words of length <= j first, so the degree-j
+    # Gram matrix is the leading block of the top one
+    n = len(basis.indices)
+    sizes = [sum(n**length for length in range(j + 1)) for j in range(d + 2)]
     isometries = []
     pseudo_inverses = []
-    for level_basis in bases:
-        g = _gram_matrix(level_basis, state)
+    for j, size in enumerate(sizes):
+        g = top_gram[:size, :size]
         g = 0.5 * (g + g.conj().T)
         eig, vectors = np.linalg.eigh(g)
-        top = float(eig[-1]) if eig.size else 0.0
-        if eig.size and float(eig[0]) < -tolerance * max(1.0, top):
+        top_eig = float(eig[-1]) if eig.size else 0.0
+        if eig.size and float(eig[0]) < -tolerance * max(1.0, top_eig):
             raise ValueError(
-                f"Gram matrix at degree {level_basis.degree} has eigenvalue "
-                f"{float(eig[0]):.3e}; not a state"
+                f"Gram matrix at degree {j} has eigenvalue {float(eig[0]):.3e}; not a state"
             )
-        cut = tolerance * max(top, 0.0)
+        cut = tolerance * max(top_eig, 0.0)
         keep = eig > cut
         lam = eig[keep]
         u = vectors[:, keep]
@@ -190,50 +199,25 @@ def represent(basis: MonomialBasis, state: State, tolerance: float = 1e-10) -> R
         isometries.append(t)
         pseudo_inverses.append(t_plus)
 
+    # left multiplication by i sends word w at degree j to word (i,) + w at
+    # degree j + 1: a gather of isometry columns
+    row_of = {w: r for r, w in enumerate(top.words)}
     level_maps = {}
     for i in basis.indices:
         per_level = []
         for j in range(d + 1):
-            lower, upper = bases[j], bases[j + 1]
-            row_of = {w: r for r, w in enumerate(upper.words)}
-            lift = np.zeros((len(upper), len(lower)))
-            for col, w in enumerate(lower.words):
-                lift[row_of[(i,) + w], col] = 1.0
-            per_level.append(isometries[j + 1] @ lift @ pseudo_inverses[j])
+            rows = [row_of[(i,) + w] for w in top.words[: sizes[j]]]
+            per_level.append(isometries[j + 1][:, rows] @ pseudo_inverses[j])
         level_maps[i] = per_level
-
-    maps = {i: level_maps[i][d] for i in basis.indices}
-    cyclic = isometries[d][:, 0].copy()
-    return Representation(basis, maps, cyclic, level_maps, isometries, bases)
+    return Representation(basis, level_maps, isometries)
 
 
-def positivity_probe(
-    state: State,
-    trials: int,
-    max_len: int,
-    seed: int = 0,
-    indices=None,
-) -> float:
+def positivity_probe(state: State, trials: int, max_len: int, seed: int = 0) -> float:
     """Worst case of Re rho(A^dagger A) over randomized elements A.
 
-    Genuine states stay above -1e-10; a clearly negative value certifies a
-    non-state.  With ``trials`` = 0 there is no evidence and +inf returns.
+    Each A sums one to four words of length at most ``max_len``; it is the
+    extended probe with one segment per word.  Genuine states stay above
+    -1e-10; a clearly negative value certifies a non-state.  With
+    ``trials`` = 0 there is no evidence and +inf returns.
     """
-    if trials <= 0:
-        return math.inf
-    pool = tuple(indices if indices is not None else state.indices)
-    if not pool:
-        raise ValueError("no indices available to build probe elements")
-    rng = np.random.default_rng(seed)
-    worst = math.inf
-    for _ in range(trials):
-        terms = {}
-        for _ in range(int(rng.integers(1, 5))):
-            length = int(rng.integers(0, max_len + 1))
-            w = tuple(pool[int(k)] for k in rng.integers(0, len(pool), size=length))
-            coeff = complex(rng.standard_normal(), rng.standard_normal())
-            terms[w] = terms.get(w, 0j) + coeff
-        element = AlgebraElement(terms)
-        value = state.expect(element.adjoint() * element).real
-        worst = min(worst, value)
-    return worst
+    return _probe(state, trials, seed, max_words=4, max_segments=1, max_len=max_len)

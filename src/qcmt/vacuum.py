@@ -99,13 +99,9 @@ def extended_word_expect(state: State, segments) -> complex:
     return total
 
 
-def extended_expect(state: State, x) -> complex:
-    """Expectation of an extended word or extended element under the base state."""
-    if isinstance(x, ExtendedElement):
-        return sum(
-            (c * extended_word_expect(state, w) for w, c in x.terms.items()), 0j
-        )
-    return extended_word_expect(state, x)
+def extended_expect(state: State, x: ExtendedElement) -> complex:
+    """Expectation of an extended element under the base state."""
+    return sum((c * extended_word_expect(state, w) for w, c in x.terms.items()), 0j)
 
 
 class ProjectorExtendedState:
@@ -122,9 +118,10 @@ class ProjectorExtendedState:
         return self.base.word_expect(w)
 
     def expect(self, element) -> complex:
-        if isinstance(element, ExtendedElement):
-            return extended_expect(self.base, element)
-        return self.base.expect(element)
+        """Expectation of an extended element; a plain element is embedded."""
+        if not isinstance(element, ExtendedElement):
+            element = ExtendedElement.embed(element)
+        return extended_expect(self.base, element)
 
 
 def commutation_witness(state: State, i, j) -> tuple:
@@ -167,23 +164,28 @@ def condition(state: State, conditioner: AlgebraElement, tol: float = 1e-12) -> 
     return ConditionedState(state, conditioner, tol=tol)
 
 
-def extended_positivity_probe(
-    state: State,
-    trials: int,
-    seed: int = 0,
-    max_words: int = 3,
-    max_segment_len: int = 2,
-    indices=None,
-) -> float:
+def extended_positivity_probe(state: State, trials: int, seed: int = 0) -> float:
     """Worst case of Re rho(E^dagger E) over randomized extended elements E.
 
-    Each element sums at most ``max_words`` extended words whose segments
-    have length at most ``max_segment_len``.  Positivity of the extension
-    keeps the value above -1e-10 for genuine states; +inf means no trials.
+    Each element sums at most three extended words of at most three
+    segments, each segment of length at most two.  Positivity of the
+    extension keeps the value above -1e-10 for genuine states; +inf means
+    no trials.
+    """
+    return _probe(state, trials, seed, max_words=3, max_segments=3, max_len=2)
+
+
+def _probe(state: State, trials: int, seed: int, max_words: int, max_segments: int, max_len: int) -> float:
+    """Worst Re rho(E^dagger E) over ``trials`` seeded random extended elements.
+
+    Shared by the plain and the extended probe: a plain word is an extended
+    word of one segment, and ``rng.integers(1, 2)`` consumes no draw, so
+    with one segment per word a seed draws exactly the elements of a loop
+    over plain words.
     """
     if trials <= 0:
         return math.inf
-    pool = tuple(indices if indices is not None else state.indices)
+    pool = tuple(state.indices)
     if not pool:
         raise ValueError("no indices available to build probe elements")
     rng = np.random.default_rng(seed)
@@ -191,10 +193,9 @@ def extended_positivity_probe(
     for _ in range(trials):
         terms = {}
         for _ in range(int(rng.integers(1, max_words + 1))):
-            n_segments = int(rng.integers(1, 4))
             segments = []
-            for _ in range(n_segments):
-                length = int(rng.integers(0, max_segment_len + 1))
+            for _ in range(int(rng.integers(1, max_segments + 1))):
+                length = int(rng.integers(0, max_len + 1))
                 segments.append(
                     tuple(pool[int(k)] for k in rng.integers(0, len(pool), size=length))
                 )

@@ -271,3 +271,83 @@ def test_cli_entry_point_subprocess(tmp_path):
         env=env,
     )
     assert result.returncode == 0
+
+
+FIELD_KERNEL = {
+    "type": "field",
+    "mass": 1.0,
+    "beta": 1.0,
+    "packets": [{"center": [0.0, 0.0]}, {"center": [0.0, 0.5]}],
+}
+GIBBS_KERNEL = {"type": "gibbs-oscillator", "mass": 1.0, "frequency": 1.0, "temperature": 1.0}
+NAN = float("nan")
+INF = float("inf")
+
+
+def _field(**changes):
+    return {**FIELD_KERNEL, **changes}
+
+
+def _packet(**changes):
+    return _field(packets=[{"center": [0.0, 0.0], **changes}, {"center": [0.0, 0.5]}])
+
+
+MALFORMED = {
+    "gram-matrix-nan": ("gram", {"kernel": {**K2_KERNEL, "matrix": [[1, NAN], [NAN, 1]]}}, 2),
+    "gram-matrix-complex-inf": ("gram", {"kernel": {**K2_KERNEL, "matrix": [[1, [0.5, INF]], [0.5, 1]]}}, 2),
+    "moments-matrix-inf": ("moments", {"kernel": {**K2_KERNEL, "matrix": [[INF, 0.5], [0.5, 1]]}, "words": [[1, 1]]}, 2),
+    "gibbs-mass-nan": ("gram", {"kernel": {**GIBBS_KERNEL, "mass": NAN}}, 2),
+    "gibbs-frequency-inf": ("gram", {"kernel": {**GIBBS_KERNEL, "frequency": INF}}, 2),
+    "gibbs-temperature-nan": ("verify", {"kernel": {**GIBBS_KERNEL, "temperature": NAN}}, 2),
+    "packet-amplitude-nan": ("boost-scan", {"kernel": _packet(amplitude=NAN), "rapidities": [0.0]}, 2),
+    "packet-amplitude-pair-inf": ("boost-scan", {"kernel": _packet(amplitude=[1.0, -INF]), "rapidities": [0.0]}, 2),
+    "packet-center-nan": ("boost-scan", {"kernel": _packet(center=[NAN, 0.0]), "rapidities": [0.0]}, 2),
+    "packet-center-short": ("boost-scan", {"kernel": _packet(center=[0.0]), "rapidities": [0.0]}, 2),
+    "packet-wavevector-inf": ("boost-scan", {"kernel": _packet(wavevector=[INF, 0.0]), "rapidities": [0.0]}, 2),
+    "packet-width-string": ("boost-scan", {"kernel": _packet(width="1"), "rapidities": [0.0]}, 2),
+    "field-mass-nan": ("moments", {"kernel": _field(mass=NAN), "words": [[0, 1]]}, 2),
+    "field-hbar-inf": ("moments", {"kernel": _field(hbar=INF), "words": [[0, 1]]}, 2),
+    "field-rest-frame-nan": ("boost-scan", {"kernel": _field(rest_frame=[NAN, 0.0]), "rapidities": [0.0]}, 2),
+    "field-beta-inf": ("moments", {"kernel": _field(beta=INF), "words": [[0, 1]]}, 2),
+    "field-beta-nan": ("boost-scan", {"kernel": _field(beta=NAN), "rapidities": [0.0]}, 2),
+    "field-beta-string": ("boost-scan", {"kernel": _field(beta="1"), "rapidities": [0.0]}, 2),
+    "field-huge-integer-mass": ("moments", {"kernel": _field(mass=10**400), "words": [[0, 1]]}, 2),
+    "rapidities-string": ("boost-scan", {"kernel": FIELD_KERNEL, "rapidities": ["a"]}, 2),
+    "rapidities-not-list": ("boost-scan", {"kernel": FIELD_KERNEL, "rapidities": 5}, 2),
+    "rapidities-nan": ("boost-scan", {"kernel": FIELD_KERNEL, "rapidities": [0.0, NAN]}, 2),
+    "rapidities-overflow": ("boost-scan", {"kernel": FIELD_KERNEL, "rapidities": [800.0]}, 3),
+    "degree-negative": ("gram", {"kernel": K2_KERNEL, "degree": -1}, 2),
+    "degree-string": ("gram", {"kernel": K2_KERNEL, "degree": "x"}, 2),
+    "degree-bool": ("gram", {"kernel": K2_KERNEL, "degree": True}, 2),
+    "degree-float": ("gram", {"kernel": K2_KERNEL, "degree": 2.0}, 2),
+    "degree-over-cap": ("gram", {"kernel": K2_KERNEL, "degree": 7}, 2),
+    "tolerance-nan": ("gram", {"kernel": K2_KERNEL, "tolerance": NAN}, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_config_exit_code(tmp_path, capsys, name):
+    mode, payload, code = MALFORMED[name]
+    # json.dumps writes NaN and Infinity, which Python's json.load accepts
+    config = write_config(tmp_path, payload)
+    assert main([mode, "--config", config]) == code
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    expected = "config error" if code == 2 else "numerical failure"
+    assert expected in captured.err
+    assert "nan" not in captured.out.lower() and "inf" not in captured.out.lower()
+
+
+def test_gram_degree_at_cap_is_accepted(tmp_path):
+    config = write_config(
+        tmp_path,
+        {"kernel": {"type": "matrix", "indices": [1], "matrix": [[1.0]]}, "degree": 6},
+    )
+    assert main(["gram", "--config", config, "--out", str(tmp_path / "g.json")]) == 0
+
+
+def test_non_finite_tolerance_flag_is_a_config_error(tmp_path, capsys):
+    config = write_config(tmp_path, {"kernel": K2_KERNEL, "degree": 1})
+    assert main(["gram", "--config", config, "--tolerance", "nan"]) == 2
+    captured = capsys.readouterr()
+    assert "tolerance" in captured.err and captured.out == ""

@@ -5,7 +5,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from qcmt.algebra import AlgebraElement, Index, generator
+from qcmt.algebra import AlgebraElement, Index, generator, paired_indices
 from qcmt.gaussian import GaussianKernel, GaussianState
 from qcmt.gns import build_basis, gram, positivity_probe, represent
 
@@ -165,3 +165,30 @@ def test_probe_detects_non_state():
 
 def test_probe_with_no_trials_is_vacuous(k2):
     assert positivity_probe(GaussianState(k2), 0, 3) == math.inf
+
+
+# ------------------------------------------------- leading blocks of the Gram matrix
+
+
+def _seeded_kernel(kind, seed=11):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((3, 3))
+    if kind != "real":
+        a = a + 1j * rng.standard_normal((3, 3))
+    indices = [*paired_indices(1, 2), Index(3)] if kind == "paired" else [Index(t) for t in (1, 2, 3)]
+    return indices, a @ a.conj().T / 3 + 0.1 * np.eye(3)
+
+
+@pytest.mark.parametrize("kind", ["real", "hermitian", "paired"])
+@pytest.mark.parametrize("degree", [0, 1, 2])
+def test_lower_gram_is_leading_block_of_top_gram(kind, degree):
+    # represent() slices every level's Gram matrix out of the degree + 1 one
+    indices, matrix = _seeded_kernel(kind)
+    top_basis = build_basis(indices, degree + 1)
+    top = gram(top_basis, GaussianState(GaussianKernel.from_matrix(indices, matrix))).gram
+    for j in range(degree + 2):
+        basis = build_basis(indices, j)
+        n = len(basis)
+        assert basis.words == top_basis.words[:n]
+        fresh = GaussianState(GaussianKernel.from_matrix(indices, matrix))
+        assert gram(basis, fresh).gram.tobytes() == top[:n, :n].tobytes()
