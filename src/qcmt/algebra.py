@@ -84,7 +84,10 @@ class LinearCombination:
 
     Subclasses provide the word product and word adjoint; addition, scalar
     action, products, and the adjoint are shared.  Coefficients of magnitude
-    at most ``tol`` are pruned so canonical forms stay comparable.
+    at most ``tol`` are pruned so canonical forms stay comparable; a ring
+    that must cancel exactly sets ``tol = 0.0`` and prunes exact zeros
+    only.  Every result is built through ``_like(terms)``, which a subclass
+    overrides when its constructor needs more than the terms.
     """
 
     tol = 1e-14
@@ -96,11 +99,14 @@ class LinearCombination:
         if terms:
             for w, c in terms.items():
                 c = complex(c)
-                if abs(c) > self.tol:
+                if not abs(c) <= self.tol:  # a NaN is kept, never pruned as small
                     clean[w] = c
         object.__setattr__(self, "terms", clean)
 
     # hooks -----------------------------------------------------------
+    def _like(self, terms):
+        return type(self)(terms)
+
     @staticmethod
     def _word_product(left, right):
         raise NotImplementedError
@@ -116,7 +122,7 @@ class LinearCombination:
         out = dict(self.terms)
         for w, c in other.terms.items():
             out[w] = out.get(w, 0j) + c
-        return type(self)(out)
+        return self._like(out)
 
     def __sub__(self, other):
         if not isinstance(other, type(self)):
@@ -124,7 +130,7 @@ class LinearCombination:
         return self + (-other)
 
     def __neg__(self):
-        return type(self)({w: -c for w, c in self.terms.items()})
+        return self._like({w: -c for w, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, type(self)):
@@ -133,9 +139,9 @@ class LinearCombination:
                 for wb, cb in other.terms.items():
                     w = self._word_product(wa, wb)
                     out[w] = out.get(w, 0j) + ca * cb
-            return type(self)(out)
+            return self._like(out)
         if isinstance(other, (int, float, complex)):
-            return type(self)({w: c * other for w, c in self.terms.items()})
+            return self._like({w: c * other for w, c in self.terms.items()})
         return NotImplemented
 
     def __rmul__(self, other):
@@ -145,7 +151,7 @@ class LinearCombination:
 
     def adjoint(self):
         """Complex anti-linear involution: conjugate coefficients, adjoint words."""
-        return type(self)(
+        return self._like(
             {self._word_adjoint(w): c.conjugate() for w, c in self.terms.items()}
         )
 

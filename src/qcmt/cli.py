@@ -17,9 +17,9 @@ import os
 import sys
 import time
 
-from .algebra import Index, word_label
+from .algebra import Index
 from .fields import FieldKernelSpec, PoincareElement, QuadratureError, Wavepacket, kernel_as_gaussian, poincare_act, thermal_kernel, vacuum_kernel
-from .gaussian import MATCHING_CAP, GaussianKernel, GaussianState, wick_expect
+from .gaussian import MATCHING_CAP, GaussianKernel, GaussianState
 from .gns import build_basis, gram
 from .koopman import gibbs_oscillator_kernel
 from .vacuum import commutation_witness, extended_word_expect
@@ -134,6 +134,21 @@ def validate_config(config: dict, mode: str):
     for key in kernel:
         if key not in KERNEL_FIELDS[kind]:
             raise ConfigError(f"unknown field 'kernel.{key}' for kernel type '{kind}'")
+    if kind == "matrix":
+        tags = kernel.get("indices")
+        matrix = kernel.get("matrix")
+        if not isinstance(tags, list) or not isinstance(matrix, list):
+            raise ConfigError("matrix kernels need lists 'kernel.indices' and 'kernel.matrix'")
+        if not all(isinstance(row, list) for row in matrix):
+            raise ConfigError("field 'kernel.matrix' must be a list of rows")
+        involution = kernel.get("involution", [])
+        if not isinstance(involution, list) or not all(
+            isinstance(pair, list) and len(pair) == 2 for pair in involution
+        ):
+            raise ConfigError("field 'kernel.involution' must list [tag, conjugate-tag] pairs")
+        for tag in tags + [t for pair in involution for t in pair]:
+            if isinstance(tag, (list, dict)):
+                raise ConfigError(f"index tag {tag!r} must not be a list or an object")
     if kind == "field":
         packets = kernel.get("packets")
         if not isinstance(packets, list) or not packets:
@@ -144,6 +159,27 @@ def validate_config(config: dict, mode: str):
             for key in packet:
                 if key not in PACKET_FIELDS:
                     raise ConfigError(f"unknown field 'kernel.packets[{pos}].{key}'")
+    out = config.get("out")
+    if out is not None and not isinstance(out, str):
+        raise ConfigError("field 'out' must be a path string")
+    if mode == "moments":
+        words = config["words"]
+        if not isinstance(words, list) or not all(isinstance(w, list) for w in words):
+            raise ConfigError("field 'words' must be a list of lists")
+    if "pair" in config or mode == "boost-scan":
+        pair = config.get("pair", [0, 1])
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise ConfigError("field 'pair' must name two indices or packets")
+        if kind == "field" and mode != "witness":
+            for ref in pair:
+                if type(ref) is not int or not 0 <= ref < len(kernel["packets"]):
+                    raise ConfigError(f"field 'pair': {ref!r} is not a packet position")
+    if mode == "verify" and config.get("separations") is not None:
+        separations = config["separations"]
+        if not isinstance(separations, list):
+            raise ConfigError("field 'separations' must be a list of numbers")
+        for pos, sep in enumerate(separations):
+            _float_value(sep, f"separations[{pos}]")
     if mode == "gram":
         degree = config.get("degree", 2)
         if type(degree) is not int or not 0 <= degree <= MATCHING_CAP // 2:
@@ -173,18 +209,12 @@ def build_kernel(config: dict):
     raw = config.get("kernel", DEFAULT_VERIFY_CONFIG["kernel"])
     kind = raw["type"]
     if kind == "matrix":
-        tags = raw.get("indices")
-        matrix = raw.get("matrix")
-        if tags is None or matrix is None:
-            raise ConfigError("matrix kernels need fields 'kernel.indices' and 'kernel.matrix'")
         partner = {}
-        for pair in raw.get("involution", []):
-            if not isinstance(pair, list) or len(pair) != 2:
-                raise ConfigError("field 'kernel.involution' must list [tag, conjugate-tag] pairs")
-            partner[pair[0]] = pair[1]
-            partner[pair[1]] = pair[0]
-        indices = [Index(t, partner.get(t)) for t in tags]
-        rows = [[_complex_value(v, "kernel.matrix") for v in row] for row in matrix]
+        for tag, ctag in raw.get("involution", []):
+            partner[tag] = ctag
+            partner[ctag] = tag
+        indices = [Index(t, partner.get(t)) for t in raw["indices"]]
+        rows = [[_complex_value(v, "kernel.matrix") for v in row] for row in raw["matrix"]]
         try:
             # deliberately unvalidated: the gram check reports non-states
             kernel = GaussianKernel.from_matrix(indices, rows, validate=False)
@@ -234,9 +264,12 @@ def _float_repr(value: float) -> str:
 def _write_text(path: str | None, text: str):
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output file: {exc}") from exc
 
 
 def _echo_config(config: dict) -> dict:
@@ -268,8 +301,6 @@ def run_moments_mode(config: dict, out: str | None, seed: int, tolerance: float)
     lines = ["word,re,im"]
     status = EXIT_OK
     for raw_word in config["words"]:
-        if not isinstance(raw_word, list):
-            raise ConfigError("field 'words' must be a list of lists")
         label_parts = []
         segments = [[]]
         for ref in raw_word:
@@ -312,14 +343,8 @@ def run_boost_scan_mode(config: dict, out: str | None, seed: int, tolerance: flo
         raise ConfigError("mode 'boost-scan' requires a field kernel")
     if not spec.is_thermal:
         raise ConfigError("field 'kernel.beta' must be finite for boost scans")
-    pair = config.get("pair", [0, 1])
-    if len(pair) != 2:
-        raise ConfigError("field 'pair' must name two packets")
-    try:
-        f = packets[pair[0]]
-        g = packets[pair[1]]
-    except (IndexError, TypeError) as exc:
-        raise ConfigError(f"field 'pair': {exc}") from exc
+    first, second = config.get("pair", [0, 1])
+    f, g = packets[first], packets[second]
     vacuum_base = vacuum_kernel(spec, f, g)
     thermal_base = thermal_kernel(spec, f, g)
     lines = ["rapidity,vacuum_deviation,thermal_deviation"]
@@ -345,8 +370,6 @@ def run_witness_mode(config: dict, out: str | None, seed: int, tolerance: float)
     kernel, spec, _ = build_kernel(config)
     state = GaussianState(kernel)
     pair = config["pair"]
-    if not isinstance(pair, list) or len(pair) != 2:
-        raise ConfigError("field 'pair' must name two indices")
     i = _resolve_index(kernel, pair[0], spec is not None)
     j = _resolve_index(kernel, pair[1], spec is not None)
     between, in_front = commutation_witness(state, i, j)
@@ -402,7 +425,9 @@ def main(argv=None) -> int:
     try:
         config = load_config(args.config, args.mode)
         validate_config(config, args.mode)
-        seed = args.seed if args.seed is not None else int(config.get("seed", 0))
+        seed = args.seed if args.seed is not None else config.get("seed", 0)
+        if type(seed) is not int or seed < 0:
+            raise ConfigError(f"field 'seed' must be a non-negative integer, not {seed!r}")
         tolerance = _float_value(
             args.tolerance if args.tolerance is not None else config.get("tolerance", 1e-10),
             "tolerance",

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .algebra import Index
+from .algebra import Index, LinearCombination
 from .gaussian import GaussianKernel
 
 MULTIPLICATION = "multiplication"
@@ -24,22 +24,25 @@ LIOUVILLE = "liouville"
 DEFAULT_FLOW_STEP = 1e-3
 
 
-class PhaseSpacePolynomial:
+class PhaseSpacePolynomial(LinearCombination):
     """Complex-coefficient polynomial in canonical coordinates q_1..q_n, p_1..p_n.
 
     Terms map exponent tuples ``(a_1..a_n, b_1..b_n)`` for ``q^a p^b`` to
-    coefficients.  Only exact zeros are pruned, so integer-coefficient
-    arithmetic cancels exactly and residual checks can demand literal zero.
+    coefficients.  The ring operations are the algebra's, with exponent
+    addition as the word product.  Only exact zeros are pruned, so
+    integer-coefficient arithmetic cancels exactly and residual checks can
+    demand literal zero.
     """
 
-    __slots__ = ("dimension", "terms")
+    __slots__ = ("dimension",)
+
+    tol = 0.0
 
     def __init__(self, dimension: int, terms=None):
         if dimension < 1:
             raise ValueError("phase space needs at least one degree of freedom")
-        self.dimension = int(dimension)
-        width = 2 * self.dimension
-        clean = {}
+        width = 2 * int(dimension)
+        merged = {}
         if terms:
             for exps, c in terms.items():
                 exps = tuple(int(e) for e in exps)
@@ -47,12 +50,20 @@ class PhaseSpacePolynomial:
                     raise ValueError(f"exponent tuple {exps} does not have length {width}")
                 if any(e < 0 for e in exps):
                     raise ValueError(f"negative exponent in {exps}")
-                c = complex(c)
-                if c != 0:
-                    clean[exps] = clean.get(exps, 0j) + c
-                    if clean[exps] == 0:
-                        del clean[exps]
-        self.terms = clean
+                merged[exps] = merged.get(exps, 0j) + complex(c)
+        super().__init__(merged)
+        self.dimension = int(dimension)
+
+    def _like(self, terms):
+        return PhaseSpacePolynomial(self.dimension, terms)
+
+    @staticmethod
+    def _word_product(left, right):
+        return tuple(x + y for x, y in zip(left, right))
+
+    @staticmethod
+    def _word_adjoint(w):
+        return w
 
     # constructors -------------------------------------------------------
     @classmethod
@@ -76,47 +87,23 @@ class PhaseSpacePolynomial:
 
     # ring structure -------------------------------------------------------
     def _check_dimension(self, other):
-        if self.dimension != other.dimension:
+        if isinstance(other, PhaseSpacePolynomial) and self.dimension != other.dimension:
             raise ValueError(
                 f"dimension mismatch: {self.dimension} vs {other.dimension}"
             )
 
     def __add__(self, other):
-        if not isinstance(other, PhaseSpacePolynomial):
-            return NotImplemented
         self._check_dimension(other)
-        out = dict(self.terms)
-        for exps, c in other.terms.items():
-            out[exps] = out.get(exps, 0j) + c
-        return PhaseSpacePolynomial(self.dimension, out)
-
-    def __sub__(self, other):
-        if not isinstance(other, PhaseSpacePolynomial):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self):
-        return PhaseSpacePolynomial(self.dimension, {e: -c for e, c in self.terms.items()})
+        return super().__add__(other)
 
     def __mul__(self, other):
-        if isinstance(other, PhaseSpacePolynomial):
-            self._check_dimension(other)
-            out = {}
-            for ea, ca in self.terms.items():
-                for eb, cb in other.terms.items():
-                    exps = tuple(x + y for x, y in zip(ea, eb))
-                    out[exps] = out.get(exps, 0j) + ca * cb
-            return PhaseSpacePolynomial(self.dimension, out)
-        if isinstance(other, (int, float, complex)):
-            return PhaseSpacePolynomial(
-                self.dimension, {e: c * other for e, c in self.terms.items()}
-            )
-        return NotImplemented
+        self._check_dimension(other)
+        return super().__mul__(other)
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, float, complex)):
-            return self * other
-        return NotImplemented
+    def __eq__(self, other):
+        if isinstance(other, PhaseSpacePolynomial) and self.dimension != other.dimension:
+            return False
+        return super().__eq__(other)
 
     # calculus -------------------------------------------------------------
     def diff(self, var: int) -> "PhaseSpacePolynomial":
@@ -152,23 +139,10 @@ class PhaseSpacePolynomial:
             return 0
         return max(sum(e) for e in self.terms)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def max_abs_coeff(self) -> float:
-        if not self.terms:
-            return 0.0
-        return max(abs(c) for c in self.terms.values())
-
     def max_imag_coeff(self) -> float:
         if not self.terms:
             return 0.0
         return max(abs(c.imag) for c in self.terms.values())
-
-    def __eq__(self, other):
-        if not isinstance(other, PhaseSpacePolynomial):
-            return NotImplemented
-        return self.dimension == other.dimension and self.terms == other.terms
 
     def __repr__(self):
         if not self.terms:
@@ -189,13 +163,27 @@ class PhaseSpacePolynomial:
 
 
 def poisson(u: PhaseSpacePolynomial, v: PhaseSpacePolynomial) -> PhaseSpacePolynomial:
-    """Canonical Poisson bracket {u, v} = sum_i du/dq_i dv/dp_i - du/dp_i dv/dq_i."""
+    """Canonical Poisson bracket {u, v} = sum_i du/dq_i dv/dp_i - du/dp_i dv/dq_i.
+
+    One pass over term pairs: for ``q^a p^b`` with ``q^c p^d``, axis i adds
+    ``(a_i d_i - b_i c_i)`` times both coefficients to the term with
+    exponent ``(a + c - e_i, b + d - e_i)``.
+    """
     u._check_dimension(v)
     n = u.dimension
-    out = PhaseSpacePolynomial.zero(n)
-    for i in range(n):
-        out = out + u.diff(i) * v.diff(n + i) - u.diff(n + i) * v.diff(i)
-    return out
+    out = {}
+    for ea, ca in u.terms.items():
+        for eb, cb in v.terms.items():
+            product = [x + y for x, y in zip(ea, eb)]
+            for i in range(n):
+                weight = ea[i] * eb[n + i] - ea[n + i] * eb[i]
+                if weight:
+                    lowered = list(product)
+                    lowered[i] -= 1
+                    lowered[n + i] -= 1
+                    key = tuple(lowered)
+                    out[key] = out.get(key, 0j) + weight * (ca * cb)
+    return PhaseSpacePolynomial(n, out)
 
 
 class KoopmanOperator:

@@ -77,13 +77,17 @@ class RunReport:
         return json.dumps(self.as_dict(), sort_keys=True, indent=2) + "\n"
 
 
-def _random_element(rng, pool, max_terms=3, max_len=3) -> AlgebraElement:
+def _integer_coeff(rng) -> complex:
+    return complex(int(rng.integers(-3, 4)), int(rng.integers(-3, 4)))
+
+
+def _random_element(rng, pool, max_terms=3, max_len=3, draw_coeff=_integer_coeff) -> AlgebraElement:
+    """Random element over ``pool``; integer coefficients keep cancellations exact."""
     terms = {}
     for _ in range(int(rng.integers(1, max_terms + 1))):
         length = int(rng.integers(0, max_len + 1))
         w = tuple(pool[int(t)] for t in rng.integers(0, len(pool), size=length))
-        coeff = complex(int(rng.integers(-3, 4)), int(rng.integers(-3, 4)))
-        terms[w] = terms.get(w, 0j) + coeff
+        terms[w] = terms.get(w, 0j) + draw_coeff(rng)
     return AlgebraElement(terms)
 
 
@@ -97,8 +101,8 @@ def check_algebra_laws(seed: int = 0, trials: int = 40, tolerance: float = 1e-12
         a = _random_element(rng, pool)
         b = _random_element(rng, pool)
         c = _random_element(rng, pool)
-        lam = complex(int(rng.integers(-3, 4)), int(rng.integers(-3, 4)))
-        mu = complex(int(rng.integers(-3, 4)), int(rng.integers(-3, 4)))
+        lam = _integer_coeff(rng)
+        mu = _integer_coeff(rng)
         worst = max(worst, ((a * b) * c - a * (b * c)).max_abs_coeff())
         worst = max(worst, ((a * b).adjoint() - b.adjoint() * a.adjoint()).max_abs_coeff())
         anti = (lam * a + mu * b).adjoint() - (

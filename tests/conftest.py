@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from qcmt.algebra import AlgebraElement, Index, paired_indices
+from qcmt.algebra import Index, paired_indices
 from qcmt.gaussian import GaussianKernel
+from qcmt.verify import _integer_coeff, _random_element
 
 K2 = [[1.0, 0.5], [0.5, 1.0]]
 K3 = [[1.0, 0.5, 0.2], [0.5, 1.0, 0.3], [0.2, 0.3, 1.0]]
@@ -30,18 +31,14 @@ def rng():
     return np.random.default_rng(20220815)
 
 
+def _normal_coeff(rng):
+    return complex(rng.standard_normal(), rng.standard_normal())
+
+
 def random_element(rng, pool, max_terms=3, max_len=3, integer=True):
     """Random algebra element; integer coefficients keep cancellations exact."""
-    terms = {}
-    for _ in range(int(rng.integers(1, max_terms + 1))):
-        length = int(rng.integers(0, max_len + 1))
-        w = tuple(pool[int(t)] for t in rng.integers(0, len(pool), size=length))
-        if integer:
-            coeff = complex(int(rng.integers(-3, 4)), int(rng.integers(-3, 4)))
-        else:
-            coeff = complex(rng.standard_normal(), rng.standard_normal())
-        terms[w] = terms.get(w, 0j) + coeff
-    return AlgebraElement(terms)
+    draw = _integer_coeff if integer else _normal_coeff
+    return _random_element(rng, pool, max_terms, max_len, draw)
 
 
 def index_pool():

@@ -3,9 +3,10 @@
 Each helper recomputes a quantity along a different route than the
 implementation under test: explicit perfect-matching enumeration for Wick
 moments, the generating series over exponent tuples and finite
-differences of the generating function, sympy symbolic brackets, matrix
-exponentials for quadratic flows, direct position-space packet evaluation
-for Fourier conventions, and two momentum-space routes for field kernels:
+differences of the generating function, sympy symbolic brackets and
+brackets assembled from derivative polynomials, matrix exponentials for
+quadratic flows, direct position-space packet evaluation for Fourier
+conventions, and two momentum-space routes for field kernels:
 a fixed Simpson grid in k and adaptive ``quad`` in k, one pair at a time.
 The production kernels integrate over the rapidity theta instead
 (k = m sinh theta), with the trapezoid rule on a halved uniform grid, so
@@ -157,6 +158,19 @@ def sympy_poisson(u, v):
     if poly is not None:
         for exps, coeff in poly.terms():
             out[tuple(int(e) for e in exps)] = complex(coeff)
+    return out
+
+
+def poisson_by_derivatives(u, v):
+    """Poisson bracket as sum_i du/dq_i * dv/dp_i - du/dp_i * dv/dq_i.
+
+    Builds the 4n derivative polynomials with ``diff`` and combines them
+    with the ring's ``*``, ``+`` and ``-``, one axis at a time.
+    """
+    n = u.dimension
+    out = type(u).zero(n)
+    for i in range(n):
+        out = out + u.diff(i) * v.diff(n + i) - u.diff(n + i) * v.diff(i)
     return out
 
 

@@ -322,6 +322,24 @@ MALFORMED = {
     "degree-float": ("gram", {"kernel": K2_KERNEL, "degree": 2.0}, 2),
     "degree-over-cap": ("gram", {"kernel": K2_KERNEL, "degree": 7}, 2),
     "tolerance-nan": ("gram", {"kernel": K2_KERNEL, "tolerance": NAN}, 2),
+    "matrix-not-list": ("gram", {"kernel": {**K2_KERNEL, "matrix": 5}}, 2),
+    "matrix-row-not-list": ("gram", {"kernel": {**K2_KERNEL, "matrix": [1, 0.5]}}, 2),
+    "indices-not-list": ("gram", {"kernel": {**K2_KERNEL, "indices": 3}}, 2),
+    "involution-list-tag": ("gram", {"kernel": {**K2_KERNEL, "involution": [[[1], 2]]}}, 2),
+    "involution-not-list": ("gram", {"kernel": {**K2_KERNEL, "involution": 5}}, 2),
+    "words-not-list": ("moments", {"kernel": K2_KERNEL, "words": 5}, 2),
+    "boost-scan-pair-number": ("boost-scan", {"kernel": FIELD_KERNEL, "rapidities": [0.0], "pair": 5}, 2),
+    "boost-scan-pair-missing-packet": ("boost-scan", {"kernel": FIELD_KERNEL, "rapidities": [0.0], "pair": [0, 2]}, 2),
+    "verify-pair-missing-packet": ("verify", {"kernel": FIELD_KERNEL, "pair": [0, 7]}, 2),
+    "verify-pair-number": ("verify", {"kernel": K2_KERNEL, "pair": 5}, 2),
+    "separations-string": ("verify", {"kernel": FIELD_KERNEL, "separations": "x"}, 2),
+    "separations-list-string": ("verify", {"kernel": FIELD_KERNEL, "separations": ["x"]}, 2),
+    "seed-string": ("verify", {"kernel": K2_KERNEL, "seed": "x"}, 2),
+    "seed-float": ("verify", {"kernel": K2_KERNEL, "seed": 1.5}, 2),
+    "seed-negative": ("verify", {"kernel": K2_KERNEL, "seed": -1}, 2),
+    "out-number": ("gram", {"kernel": K2_KERNEL, "out": 5}, 2),
+    "out-stdout-descriptor": ("gram", {"kernel": K2_KERNEL, "out": 1}, 2),
+    "out-empty-path": ("gram", {"kernel": K2_KERNEL, "out": ""}, 2),
 }
 
 
@@ -351,3 +369,9 @@ def test_non_finite_tolerance_flag_is_a_config_error(tmp_path, capsys):
     assert main(["gram", "--config", config, "--tolerance", "nan"]) == 2
     captured = capsys.readouterr()
     assert "tolerance" in captured.err and captured.out == ""
+
+
+def test_negative_seed_flag_is_a_config_error(capsys):
+    assert main(["verify", "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert "seed" in captured.err and "Traceback" not in captured.err and captured.out == ""

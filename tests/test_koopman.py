@@ -1,10 +1,14 @@
 import math
+import operator
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
-from oracles import exact_quadratic_flow, sympy_poisson
+from oracles import exact_quadratic_flow, poisson_by_derivatives, sympy_poisson
+from qcmt.algebra import AlgebraElement, Index
 from qcmt.gaussian import GaussianState, commutator_factor, wick_expect
 from qcmt.koopman import (
     FlowSpec,
@@ -15,23 +19,13 @@ from qcmt.koopman import (
     gibbs_oscillator_kernel,
     poisson,
 )
+from qcmt.verify import _random_polynomial as random_polynomial
 
 
 def coords(n=1):
     q = [PhaseSpacePolynomial.coordinate(n, "q", i) for i in range(n)]
     p = [PhaseSpacePolynomial.coordinate(n, "p", i) for i in range(n)]
     return q, p
-
-
-def random_polynomial(rng, dimension, degree=3):
-    terms = {}
-    for _ in range(int(rng.integers(1, 5))):
-        while True:
-            exps = tuple(int(e) for e in rng.integers(0, degree + 1, size=2 * dimension))
-            if sum(exps) <= degree:
-                break
-        terms[exps] = terms.get(exps, 0) + int(rng.integers(-3, 4))
-    return PhaseSpacePolynomial(dimension, terms)
 
 
 # ------------------------------------------------------------- polynomials
@@ -61,6 +55,44 @@ def test_dimension_mismatch_rejected():
         poisson(q1, q2)
 
 
+def _multiply(u, f):
+    return KoopmanOperator.multiplication(u).apply(f)
+
+
+def _derive(u, f):
+    return KoopmanOperator.liouville(u).apply(f)
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, _multiply, _derive])
+def test_ring_operations_reject_mixed_dimensions(op):
+    (q1,), _ = coords(1)
+    q2 = PhaseSpacePolynomial.coordinate(2, "q", 0)
+    for u, f in ((q1, q2), (q2, q1), (PhaseSpacePolynomial.zero(1), PhaseSpacePolynomial.zero(2))):
+        with pytest.raises(ValueError, match="dimension"):
+            op(u, f)
+
+
+def test_results_keep_their_dimension():
+    q2 = PhaseSpacePolynomial.coordinate(2, "q", 1)
+    for result in (q2 - q2, 0 * q2, -q2 + q2, q2 * PhaseSpacePolynomial.zero(2)):
+        assert result.is_zero() and result.dimension == 2
+        assert result == PhaseSpacePolynomial.zero(2)
+        assert result != PhaseSpacePolynomial.zero(1)
+
+
+def test_only_exact_zeros_are_pruned():
+    # the polynomial ring sets tol = 0.0; the algebra prunes below 1e-14
+    tiny = 1e-20
+    (q,), _ = coords()
+    assert PhaseSpacePolynomial(1, {(1, 0): tiny}).terms == {(1, 0): tiny}
+    assert (q * tiny).terms == {(1, 0): tiny}
+    assert (q * tiny - q * tiny).is_zero()
+    assert AlgebraElement({(Index(1),): tiny}).is_zero()
+    nan = float("nan")
+    assert math.isnan(PhaseSpacePolynomial(1, {(1, 0): nan}).max_abs_coeff())
+    assert math.isnan(AlgebraElement({(Index(1),): nan}).max_abs_coeff())
+
+
 # ------------------------------------------------------------- poisson bracket
 
 
@@ -88,6 +120,47 @@ def test_poisson_matches_sympy(rng):
         ours = poisson(u, v)
         reference = sympy_poisson(u, v)
         assert ours.terms == pytest.approx(reference)
+
+
+INTEGER_COEFFS = st.builds(complex, st.integers(-5, 5), st.integers(-5, 5))
+FLOAT_COEFFS = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def polynomial_pairs(draw, coeffs, max_degree=4):
+    """Two polynomials of one dimension 1..3 with total degree <= max_degree."""
+    n = draw(st.integers(1, 3))
+
+    def polynomial():
+        terms = {}
+        for _ in range(draw(st.integers(0, 5))):
+            left = draw(st.integers(0, max_degree))
+            exps = []
+            for _ in range(2 * n):
+                exps.append(draw(st.integers(0, left)))
+                left -= exps[-1]
+            terms[tuple(draw(st.permutations(exps)))] = draw(coeffs)
+        return PhaseSpacePolynomial(n, terms)
+
+    return polynomial(), polynomial()
+
+
+@settings(max_examples=80, deadline=None)
+@given(polynomial_pairs(INTEGER_COEFFS))
+def test_one_pass_bracket_is_the_derivative_route_exactly(pair):
+    u, v = pair
+    assert poisson(u, v).terms == poisson_by_derivatives(u, v).terms
+
+
+@settings(max_examples=80, deadline=None)
+@given(polynomial_pairs(FLOAT_COEFFS))
+def test_one_pass_bracket_matches_the_derivative_route_in_floats(pair):
+    u, v = pair
+    ours = poisson(u, v).terms
+    oracle = poisson_by_derivatives(u, v).terms
+    scale = max([1.0] + [abs(c) for c in ours.values()] + [abs(c) for c in oracle.values()])
+    for exps in set(ours) | set(oracle):
+        assert abs(ours.get(exps, 0j) - oracle.get(exps, 0j)) <= 1e-12 * scale
 
 
 def test_jacobi_identity_exact(rng):
