@@ -17,8 +17,10 @@ import os
 import sys
 import time
 
+from numpy.linalg import LinAlgError
+
 from .algebra import Index
-from .fields import FieldKernelSpec, PoincareElement, QuadratureError, Wavepacket, kernel_as_gaussian, poincare_act, thermal_kernel, vacuum_kernel
+from .fields import FieldKernelSpec, PoincareElement, QuadratureError, Wavepacket, kernel_as_gaussian, packet_index, poincare_act, thermal_kernel, vacuum_kernel
 from .gaussian import MATCHING_CAP, GaussianKernel, GaussianState
 from .gns import build_basis, gram
 from .koopman import gibbs_oscillator_kernel
@@ -115,7 +117,143 @@ def load_config(path: str | None, mode: str) -> dict:
     return config
 
 
-def validate_config(config: dict, mode: str):
+def _float_list(raw, where: str) -> list:
+    if not isinstance(raw, list):
+        raise ConfigError(f"field '{where}' must be a list of numbers")
+    return [_float_value(value, f"{where}[{pos}]") for pos, value in enumerate(raw)]
+
+
+def parse_kernel(config: dict):
+    """The config's kernel as ``(kernel, spec, packets)``, checked in one walk.
+
+    No quadrature runs here: a field kernel comes back as its spec and
+    packets with kernel None, a matrix or Gibbs kernel built.
+    """
+    raw = config.get("kernel", DEFAULT_VERIFY_CONFIG["kernel"])
+    if not isinstance(raw, dict):
+        raise ConfigError("field 'kernel' must be an object")
+    kind = raw.get("type")
+    if not isinstance(kind, str) or kind not in KERNEL_FIELDS:
+        raise ConfigError(f"field 'kernel.type' must be one of {sorted(KERNEL_FIELDS)}")
+    for key in raw:
+        if key not in KERNEL_FIELDS[kind]:
+            raise ConfigError(f"unknown field 'kernel.{key}' for kernel type '{kind}'")
+    if kind == "matrix":
+        tags, rows, involution = raw.get("indices"), raw.get("matrix"), raw.get("involution", [])
+        if not isinstance(tags, list) or not isinstance(rows, list):
+            raise ConfigError("matrix kernels need lists 'kernel.indices' and 'kernel.matrix'")
+        if not all(isinstance(row, list) for row in rows):
+            raise ConfigError("field 'kernel.matrix' must be a list of rows")
+        if not isinstance(involution, list) or not all(
+            isinstance(pair, list) and len(pair) == 2 for pair in involution
+        ):
+            raise ConfigError("field 'kernel.involution' must list [tag, conjugate-tag] pairs")
+        for tag in tags + [t for pair in involution for t in pair]:
+            if isinstance(tag, (list, dict)) or isinstance(tag, float) and not math.isfinite(tag):
+                raise ConfigError(f"index tag {tag!r} is a list, an object or not finite")
+        if len(set(tags)) != len(tags):
+            raise ConfigError(f"field 'kernel.indices' repeats a tag: {tags!r}")
+        partner = {}
+        for a, b in involution:
+            if not {a, b} <= set(tags) or a in partner or b in partner:
+                raise ConfigError(f"involution pair {[a, b]!r} must pair tags of 'kernel.indices', "
+                                  "each in one pair")
+            partner[a], partner[b] = b, a
+        rows = [[_complex_value(v, "kernel.matrix") for v in row] for row in rows]
+        try:
+            # Hermitian, deliberately not positive: gram and verify report non-states
+            indices = [Index(t, partner.get(t)) for t in tags]
+            kernel = GaussianKernel.from_matrix(indices, rows, validate=False)
+            kernel.check_hermitian()
+        except ValueError as exc:
+            raise ConfigError(f"field 'kernel.matrix': {exc}") from exc
+        return kernel, None, None
+    mass = _float_value(raw.get("mass", 1.0), "kernel.mass")
+    try:
+        if kind == "gibbs-oscillator":
+            frequency = _float_value(raw.get("frequency", 1.0), "kernel.frequency")
+            temperature = _float_value(raw.get("temperature", 1.0), "kernel.temperature")
+            return gibbs_oscillator_kernel(mass, frequency, temperature), None, None
+        beta = raw.get("beta")
+        spec = FieldKernelSpec(
+            mass=mass,
+            hbar=_float_value(raw.get("hbar", 1.0), "kernel.hbar"),
+            beta=math.inf if beta is None else _float_value(beta, "kernel.beta"),
+            rest_frame=_float_pair(raw.get("rest_frame", [1.0, 0.0]), "kernel.rest_frame"),
+        )
+    except ValueError as exc:
+        raise ConfigError(f"field 'kernel': {exc}") from exc
+    packets = raw.get("packets")
+    if not isinstance(packets, list) or not packets:
+        raise ConfigError("field 'kernel.packets' must be a non-empty list")
+    parsed = []
+    for pos, packet in enumerate(packets):
+        where = f"kernel.packets[{pos}]"
+        if not isinstance(packet, dict):
+            raise ConfigError(f"field '{where}' must be an object")
+        for key in packet:
+            if key not in PACKET_FIELDS:
+                raise ConfigError(f"unknown field '{where}.{key}'")
+        try:
+            packet = Wavepacket.gaussian(
+                amplitude=_complex_value(packet.get("amplitude", 1.0), f"{where}.amplitude"),
+                center=_float_pair(packet.get("center", [0.0, 0.0]), f"{where}.center"),
+                width=_float_value(packet.get("width", 1.0), f"{where}.width"),
+                wavevector=_float_pair(packet.get("wavevector", [0.0, 0.0]), f"{where}.wavevector"),
+            )
+        except ValueError as exc:
+            raise ConfigError(f"field '{where}': {exc}") from exc
+        parsed.append(packet)
+    return None, spec, parsed
+
+
+def _gaussian(kernel, spec, packets) -> GaussianKernel:
+    """The parsed kernel as a Gaussian kernel; a field kernel's quadrature runs here."""
+    return kernel if spec is None else kernel_as_gaussian(spec, packets, tol=1e-8)
+
+
+def build_kernel(config: dict):
+    """Kernel plus the optional field context (spec, packets) behind it."""
+    kernel, spec, packets = parse_kernel(config)
+    return _gaussian(kernel, spec, packets), spec, packets
+
+
+def _position(ref, packets: list, where: str) -> int:
+    if type(ref) is not int or not 0 <= ref < len(packets):
+        raise ConfigError(f"field '{where}': {ref!r} is not a packet position")
+    return ref
+
+
+def _reference(ref, kernel, packets, where: str) -> Index:
+    """A matrix or Gibbs index by its tag; a field packet by its position in 'packets'."""
+    if packets is not None:
+        return packet_index(packets[_position(ref, packets, where)])
+    for ix in kernel.indices:
+        if ix.tag == ref:
+            return ix
+    raise ConfigError(f"field '{where}': index tag {ref!r} is not in the kernel")
+
+
+def _word(raw: list, kernel, packets) -> tuple:
+    """A moments word as its CSV label and its segments between "V" symbols."""
+    labels, segments = [], [[]]
+    for ref in raw:
+        if ref == "V":
+            labels.append("V")
+            segments.append([])
+        else:
+            ix = _reference(ref, kernel, packets, "words")
+            labels.append(f"M{ref}" if packets is not None else f"M{ix.tag}")
+            segments[-1].append(ix)
+    return "*".join(labels) if labels else "1", tuple(tuple(s) for s in segments)
+
+
+def parse_config(config: dict, mode: str, flags) -> dict:
+    """The config and the flags that override it, as keyword arguments of the mode's runner.
+
+    Every field is read and checked here, once, so each config error
+    (exit 2) is raised before any numerical work starts.
+    """
     declared = config.get("mode")
     if declared is not None and declared != mode:
         raise ConfigError(f"field 'mode' is '{declared}' but the command is '{mode}'")
@@ -125,139 +263,57 @@ def validate_config(config: dict, mode: str):
     for key in REQUIRED_FIELDS[mode]:
         if key not in config:
             raise ConfigError(f"mode '{mode}' requires field '{key}'")
-    kernel = config.get("kernel", DEFAULT_VERIFY_CONFIG["kernel"])
-    if not isinstance(kernel, dict):
-        raise ConfigError("field 'kernel' must be an object")
-    kind = kernel.get("type")
-    if kind not in KERNEL_FIELDS:
-        raise ConfigError(f"field 'kernel.type' must be one of {sorted(KERNEL_FIELDS)}")
-    for key in kernel:
-        if key not in KERNEL_FIELDS[kind]:
-            raise ConfigError(f"unknown field 'kernel.{key}' for kernel type '{kind}'")
-    if kind == "matrix":
-        tags = kernel.get("indices")
-        matrix = kernel.get("matrix")
-        if not isinstance(tags, list) or not isinstance(matrix, list):
-            raise ConfigError("matrix kernels need lists 'kernel.indices' and 'kernel.matrix'")
-        if not all(isinstance(row, list) for row in matrix):
-            raise ConfigError("field 'kernel.matrix' must be a list of rows")
-        involution = kernel.get("involution", [])
-        if not isinstance(involution, list) or not all(
-            isinstance(pair, list) and len(pair) == 2 for pair in involution
-        ):
-            raise ConfigError("field 'kernel.involution' must list [tag, conjugate-tag] pairs")
-        for tag in tags + [t for pair in involution for t in pair]:
-            if isinstance(tag, (list, dict)):
-                raise ConfigError(f"index tag {tag!r} must not be a list or an object")
-    if kind == "field":
-        packets = kernel.get("packets")
-        if not isinstance(packets, list) or not packets:
-            raise ConfigError("field 'kernel.packets' must be a non-empty list")
-        for pos, packet in enumerate(packets):
-            if not isinstance(packet, dict):
-                raise ConfigError(f"field 'kernel.packets[{pos}]' must be an object")
-            for key in packet:
-                if key not in PACKET_FIELDS:
-                    raise ConfigError(f"unknown field 'kernel.packets[{pos}].{key}'")
-    out = config.get("out")
-    if out is not None and not isinstance(out, str):
-        raise ConfigError("field 'out' must be a path string")
+    overrides = {key: getattr(flags, key) for key in ("seed", "tolerance", "out")}
+    # the config's own values are checked too where a flag overrides them: verify echoes them
+    for values in (config, {**config, **{k: v for k, v in overrides.items() if v is not None}}):
+        seed = values.get("seed", 0)
+        if type(seed) is not int or seed < 0:
+            raise ConfigError(f"field 'seed' must be a non-negative integer, not {seed!r}")
+        tolerance = _float_value(values.get("tolerance", 1e-10), "tolerance")
+        if tolerance < 0:
+            raise ConfigError(f"field 'tolerance' must not be negative, not {tolerance!r}")
+        out = values.get("out")
+        if out is not None and not isinstance(out, str):
+            raise ConfigError("field 'out' must be a path string")
+    kernel, spec, packets = parse_kernel(config)
+    common = {"out": out, "kernel": kernel, "spec": spec, "packets": packets}
+    pair = config.get("pair", [0, 1])
+    if not isinstance(pair, list) or len(pair) != 2:
+        raise ConfigError("field 'pair' must name two indices or packets")
+    if mode == "verify":
+        if "pair" in config:  # the default pair is read only for field kernels
+            for ref in pair:
+                _reference(ref, kernel, packets, "pair")
+        separations = config.get("separations")
+        if separations is not None:
+            separations = _float_list(separations, "separations")
+        return dict(common, seed=seed, tolerance=tolerance, pair=tuple(pair),
+                    separations=separations, config_echo=config)
     if mode == "moments":
         words = config["words"]
         if not isinstance(words, list) or not all(isinstance(w, list) for w in words):
             raise ConfigError("field 'words' must be a list of lists")
-    if "pair" in config or mode == "boost-scan":
-        pair = config.get("pair", [0, 1])
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise ConfigError("field 'pair' must name two indices or packets")
-        if kind == "field" and mode != "witness":
-            for ref in pair:
-                if type(ref) is not int or not 0 <= ref < len(kernel["packets"]):
-                    raise ConfigError(f"field 'pair': {ref!r} is not a packet position")
-    if mode == "verify" and config.get("separations") is not None:
-        separations = config["separations"]
-        if not isinstance(separations, list):
-            raise ConfigError("field 'separations' must be a list of numbers")
-        for pos, sep in enumerate(separations):
-            _float_value(sep, f"separations[{pos}]")
+        return dict(common, words=[_word(w, kernel, packets) for w in words])
     if mode == "gram":
         degree = config.get("degree", 2)
         if type(degree) is not int or not 0 <= degree <= MATCHING_CAP // 2:
             raise ConfigError(f"field 'degree' must be an integer from 0 to {MATCHING_CAP // 2}")
-    if mode == "boost-scan":
-        rapidities = config["rapidities"]
-        if not isinstance(rapidities, list):
-            raise ConfigError("field 'rapidities' must be a list of numbers")
-        for pos, chi in enumerate(rapidities):
-            _float_value(chi, f"rapidities[{pos}]")
-
-
-def build_packet(raw: dict, where: str) -> Wavepacket:
-    try:
-        return Wavepacket.gaussian(
-            amplitude=_complex_value(raw.get("amplitude", 1.0), f"{where}.amplitude"),
-            center=_float_pair(raw.get("center", [0.0, 0.0]), f"{where}.center"),
-            width=_float_value(raw.get("width", 1.0), f"{where}.width"),
-            wavevector=_float_pair(raw.get("wavevector", [0.0, 0.0]), f"{where}.wavevector"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"field '{where}': {exc}") from exc
-
-
-def build_kernel(config: dict):
-    """Kernel plus the optional field context (spec, packets) behind it."""
-    raw = config.get("kernel", DEFAULT_VERIFY_CONFIG["kernel"])
-    kind = raw["type"]
-    if kind == "matrix":
-        partner = {}
-        for tag, ctag in raw.get("involution", []):
-            partner[tag] = ctag
-            partner[ctag] = tag
-        indices = [Index(t, partner.get(t)) for t in raw["indices"]]
-        rows = [[_complex_value(v, "kernel.matrix") for v in row] for row in raw["matrix"]]
-        try:
-            # deliberately unvalidated: the gram check reports non-states
-            kernel = GaussianKernel.from_matrix(indices, rows, validate=False)
-        except ValueError as exc:
-            raise ConfigError(f"field 'kernel.matrix': {exc}") from exc
-        return kernel, None, None
-    if kind == "gibbs-oscillator":
-        try:
-            kernel = gibbs_oscillator_kernel(
-                _float_value(raw.get("mass", 1.0), "kernel.mass"),
-                _float_value(raw.get("frequency", 1.0), "kernel.frequency"),
-                _float_value(raw.get("temperature", 1.0), "kernel.temperature"),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"field 'kernel': {exc}") from exc
-        return kernel, None, None
-    beta = raw.get("beta")
-    try:
-        spec = FieldKernelSpec(
-            mass=_float_value(raw.get("mass", 1.0), "kernel.mass"),
-            hbar=_float_value(raw.get("hbar", 1.0), "kernel.hbar"),
-            beta=math.inf if beta is None else _float_value(beta, "kernel.beta"),
-            rest_frame=_float_pair(raw.get("rest_frame", [1.0, 0.0]), "kernel.rest_frame"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"field 'kernel': {exc}") from exc
-    packets = [build_packet(p, f"kernel.packets[{pos}]") for pos, p in enumerate(raw["packets"])]
-    kernel = kernel_as_gaussian(spec, packets, tol=1e-8)
-    return kernel, spec, packets
-
-
-def _resolve_index(kernel: GaussianKernel, ref, field_kernel: bool) -> Index:
-    if field_kernel:
-        if not isinstance(ref, int) or not 0 <= ref < len(kernel.indices):
-            raise ConfigError(f"packet reference {ref!r} is not a valid position")
-        return kernel.indices[ref]
-    for ix in kernel.indices:
-        if ix.tag == ref:
-            return ix
-    raise ConfigError(f"index tag {ref!r} is not in the kernel")
+        return dict(common, tolerance=tolerance, degree=degree)
+    if mode == "witness":
+        i, j = (_reference(ref, kernel, packets, "pair") for ref in pair)
+        return dict(common, tolerance=tolerance, pair=pair, i=i, j=j)
+    if spec is None:
+        raise ConfigError("mode 'boost-scan' requires a field kernel")
+    if not spec.is_thermal:
+        raise ConfigError("field 'kernel.beta' must be finite for boost scans")
+    f, g = (packets[_position(ref, packets, "pair")] for ref in pair)
+    return {"out": out, "spec": spec, "f": f, "g": g,
+            "rapidities": _float_list(config["rapidities"], "rapidities")}
 
 
 def _float_repr(value: float) -> str:
+    if not math.isfinite(value):
+        raise FloatingPointError(f"non-finite value {value!r} in the table")
     return repr(float(value))
 
 
@@ -272,60 +328,42 @@ def _write_text(path: str | None, text: str):
         raise ConfigError(f"cannot write output file: {exc}") from exc
 
 
-def _echo_config(config: dict) -> dict:
-    return json.loads(json.dumps(config))
+def _write_json(path: str | None, payload: dict):
+    """Write strict JSON; a NaN or an infinity in a report is a numerical failure."""
+    try:
+        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise FloatingPointError(f"non-finite value in the report: {exc}") from exc
+    _write_text(path, text + "\n")
 
 
-def run_verify_mode(config: dict, out: str | None, seed: int, tolerance: float) -> int:
-    kernel, spec, packets = build_kernel(config)
+def run_verify_mode(out, kernel, spec, packets, **settings) -> int:
+    kernel = _gaussian(kernel, spec, packets)
     started = time.perf_counter()
-    report = run_verify(
-        kernel,
-        seed=seed,
-        tolerance=tolerance,
-        field_spec=spec,
-        packets=packets,
-        pair=tuple(config.get("pair", (0, 1))),
-        separations=config.get("separations"),
-        config_echo=_echo_config(config),
-    )
+    report = run_verify(kernel, field_spec=spec, packets=packets, **settings)
     logger.info("verify finished in %.2fs", time.perf_counter() - started)
-    _write_text(out, report.to_json())
+    _write_json(out, report.as_dict())
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
-def run_moments_mode(config: dict, out: str | None, seed: int, tolerance: float) -> int:
-    kernel, spec, _ = build_kernel(config)
-    state = GaussianState(kernel)
-    field_kernel = spec is not None
+def run_moments_mode(out, kernel, spec, packets, words) -> int:
+    state = GaussianState(_gaussian(kernel, spec, packets))
     lines = ["word,re,im"]
     status = EXIT_OK
-    for raw_word in config["words"]:
-        label_parts = []
-        segments = [[]]
-        for ref in raw_word:
-            if ref == "V":
-                label_parts.append("V")
-                segments.append([])
-            else:
-                ix = _resolve_index(kernel, ref, field_kernel)
-                label_parts.append(f"M{ref}" if field_kernel else f"M{ix.tag}")
-                segments[-1].append(ix)
-        label = "*".join(label_parts) if label_parts else "1"
-        total_length = sum(len(s) for s in segments)
-        if total_length > MATCHING_CAP:
+    for label, segments in words:
+        if sum(len(s) for s in segments) > MATCHING_CAP:
             lines.append(f"{label},ERROR,ERROR")
             status = EXIT_CHECK_FAILED
             continue
-        value = extended_word_expect(state, tuple(tuple(s) for s in segments))
+        value = extended_word_expect(state, segments)
         lines.append(f"{label},{_float_repr(value.real)},{_float_repr(value.imag)}")
     _write_text(out, "\n".join(lines) + "\n")
     return status
 
 
-def run_gram_mode(config: dict, out: str | None, seed: int, tolerance: float) -> int:
-    kernel, _, _ = build_kernel(config)
-    basis = build_basis(kernel.indices, config.get("degree", 2))
+def run_gram_mode(out, tolerance, kernel, spec, packets, degree) -> int:
+    kernel = _gaussian(kernel, spec, packets)
+    basis = build_basis(kernel.indices, degree)
     report = gram(basis, GaussianState(kernel), tolerance=tolerance)
     logger.info(
         "gram: dimension=%d null=%d min-eigenvalue=%.3e",
@@ -333,24 +371,17 @@ def run_gram_mode(config: dict, out: str | None, seed: int, tolerance: float) ->
         report.null_dimension,
         report.min_eigenvalue,
     )
-    _write_text(out, report.to_json() + "\n")
+    _write_json(out, report.as_dict())
     return EXIT_OK if report.is_positive() else EXIT_CHECK_FAILED
 
 
-def run_boost_scan_mode(config: dict, out: str | None, seed: int, tolerance: float) -> int:
-    kernel, spec, packets = build_kernel(config)
-    if spec is None:
-        raise ConfigError("mode 'boost-scan' requires a field kernel")
-    if not spec.is_thermal:
-        raise ConfigError("field 'kernel.beta' must be finite for boost scans")
-    first, second = config.get("pair", [0, 1])
-    f, g = packets[first], packets[second]
+def run_boost_scan_mode(out, spec, f, g, rapidities) -> int:
     vacuum_base = vacuum_kernel(spec, f, g)
     thermal_base = thermal_kernel(spec, f, g)
     lines = ["rapidity,vacuum_deviation,thermal_deviation"]
     status = EXIT_OK
-    for chi in config["rapidities"]:
-        move = PoincareElement.boost(float(chi))
+    for chi in rapidities:
+        move = PoincareElement.boost(chi)
         fb, gb = poincare_act(move, f), poincare_act(move, g)
         try:
             vacuum_dev = abs(vacuum_kernel(spec, fb, gb) - vacuum_base)
@@ -366,12 +397,8 @@ def run_boost_scan_mode(config: dict, out: str | None, seed: int, tolerance: flo
     return status
 
 
-def run_witness_mode(config: dict, out: str | None, seed: int, tolerance: float) -> int:
-    kernel, spec, _ = build_kernel(config)
-    state = GaussianState(kernel)
-    pair = config["pair"]
-    i = _resolve_index(kernel, pair[0], spec is not None)
-    j = _resolve_index(kernel, pair[1], spec is not None)
+def run_witness_mode(out, tolerance, kernel, spec, packets, pair, i, j) -> int:
+    state = GaussianState(_gaussian(kernel, spec, packets))
     between, in_front = commutation_witness(state, i, j)
     factor_residual = abs(
         between - state.word_expect((i,)) * state.word_expect((j,))
@@ -387,7 +414,7 @@ def run_witness_mode(config: dict, out: str | None, seed: int, tolerance: float)
         "factorization_residual": factor_residual,
         "passed": factor_residual <= tolerance,
     }
-    _write_text(out, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    _write_json(out, payload)
     return EXIT_OK if factor_residual <= tolerance else EXIT_CHECK_FAILED
 
 
@@ -424,23 +451,14 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = load_config(args.config, args.mode)
-        validate_config(config, args.mode)
-        seed = args.seed if args.seed is not None else config.get("seed", 0)
-        if type(seed) is not int or seed < 0:
-            raise ConfigError(f"field 'seed' must be a non-negative integer, not {seed!r}")
-        tolerance = _float_value(
-            args.tolerance if args.tolerance is not None else config.get("tolerance", 1e-10),
-            "tolerance",
-        )
-        out = args.out if args.out is not None else config.get("out")
-        return _RUNNERS[args.mode](config, out, seed, tolerance)
+        return _RUNNERS[args.mode](**parse_config(config, args.mode, args))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except QuadratureError as exc:
         print(f"numerical failure: {exc} {exc.diagnostics}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except OverflowError as exc:
+    except (OverflowError, FloatingPointError, LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -204,13 +204,18 @@ class GaussianKernel:
         eig = self.eigenvalues()
         return float(eig[0]) if eig.size else 0.0
 
-    def validate(self):
+    def check_hermitian(self) -> float:
+        """Refuse a Hermiticity defect over tol * scale; return the scale, max(1, max |entry|)."""
         m = self.matrix()
         scale = max(1.0, float(np.max(np.abs(m)))) if m.size else 1.0
         defect = self.hermiticity_defect()
         if defect > self.tol * scale:
             raise ValueError(f"kernel is not Hermitian: defect {defect:.3e}")
-        if m.size:
+        return scale
+
+    def validate(self):
+        scale = self.check_hermitian()
+        if self._indices:
             lo = self.min_eigenvalue()
             if lo < -self.tol * scale:
                 raise ValueError(f"kernel is not positive semi-definite: min eigenvalue {lo:.3e}")

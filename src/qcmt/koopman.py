@@ -318,11 +318,16 @@ def gibbs_oscillator_kernel(mass: float, frequency: float, temperature: float) -
     """
     if mass <= 0 or frequency <= 0 or temperature <= 0:
         raise ValueError("mass, frequency, and temperature must be positive")
+    stiffness = mass * frequency**2
+    qq = temperature / stiffness if stiffness else math.inf
+    pp = mass * temperature
+    if not (0 < qq < math.inf and 0 < pp < math.inf):
+        raise ValueError("the variances kT/(m w^2) and m kT must be finite and positive")
     q = Index("q")
     p = Index("p")
     entries = {
-        (q, q): temperature / (mass * frequency**2),
-        (p, p): mass * temperature,
+        (q, q): qq,
+        (p, p): pp,
         (q, p): 0.0,
         (p, q): 0.0,
     }

@@ -7,7 +7,6 @@ data so identical configurations produce byte-identical output.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, field
 from itertools import product
@@ -72,9 +71,6 @@ class RunReport:
             "checks": [c.as_dict() for c in self.checks],
             "config": self.config,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True, indent=2) + "\n"
 
 
 def _integer_coeff(rng) -> complex:

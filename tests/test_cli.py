@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcmt.cli import main
 
@@ -340,6 +344,25 @@ MALFORMED = {
     "out-number": ("gram", {"kernel": K2_KERNEL, "out": 5}, 2),
     "out-stdout-descriptor": ("gram", {"kernel": K2_KERNEL, "out": 1}, 2),
     "out-empty-path": ("gram", {"kernel": K2_KERNEL, "out": ""}, 2),
+    "tolerance-negative": ("gram", {"kernel": K2_KERNEL, "tolerance": -1}, 2),
+    "verify-tolerance-negative": ("verify", {"kernel": K2_KERNEL, "tolerance": -1}, 2),
+    "indices-repeated": ("gram", {"kernel": {**K2_KERNEL, "indices": [1, 1]}, "degree": 1}, 2),
+    "indices-equal-int-float": ("gram", {"kernel": {**K2_KERNEL, "indices": [1, 1.0]}, "degree": 1}, 2),
+    "indices-equal-int-bool": ("gram", {"kernel": {**K2_KERNEL, "indices": [1, True]}, "degree": 1}, 2),
+    "indices-infinite": ("verify", {"kernel": {**K2_KERNEL, "indices": [INF, 2]}}, 2),
+    "involution-unknown-tag": ("gram", {"kernel": {**K2_KERNEL, "indices": [2, "b"], "involution": [["a", "b"]]}}, 2),
+    "involution-unknown-partner": ("gram", {"kernel": {**K2_KERNEL, "involution": [[1, 9]]}}, 2),
+    "involution-tag-in-two-pairs": ("gram", {"kernel": {"type": "matrix", "indices": [1, 2, 3], "matrix": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "involution": [[1, 2], [2, 3]]}}, 2),
+    "kernel-type-unhashable": ("gram", {"kernel": {**K2_KERNEL, "type": []}}, 2),
+    "matrix-non-hermitian": ("gram", {"kernel": {**K2_KERNEL, "matrix": [[1, 0.5], [0.7, 1]]}, "degree": 1}, 2),
+    "gram-matrix-huge": ("gram", {"kernel": {**K2_KERNEL, "matrix": [[1e308, 0.5], [0.5, 1]]}}, 3),
+    "verify-matrix-huge": ("verify", {"kernel": {**K2_KERNEL, "matrix": [[1e308, 0.5], [0.5, 1]]}}, 3),
+    "gibbs-temperature-huge": ("verify", {"kernel": {**GIBBS_KERNEL, "temperature": 1e308}}, 3),
+    "gibbs-frequency-underflow": ("gram", {"kernel": {**GIBBS_KERNEL, "frequency": 1e-300}}, 2),
+    "gram-gibbs-nan-eigenvalues": ("gram", {"kernel": {**GIBBS_KERNEL, "mass": 1e308}, "degree": 1}, 3),
+    "moments-infinite-value": ("moments", {"kernel": {**K2_KERNEL, "matrix": [[1e308, 0.5], [0.5, 1]]}, "words": [[1, 1, 1, 1]]}, 3),
+    "witness-pair-conjugate-packet": ("witness", {"kernel": _packet(wavevector=[0.3, 0.2]), "pair": [0, 2]}, 2),
+    "moments-word-conjugate-packet": ("moments", {"kernel": _packet(wavevector=[0.3, 0.2]), "words": [[2, 2]]}, 2),
 }
 
 
@@ -371,7 +394,117 @@ def test_non_finite_tolerance_flag_is_a_config_error(tmp_path, capsys):
     assert "tolerance" in captured.err and captured.out == ""
 
 
+def test_negative_tolerance_flag_is_a_config_error(tmp_path, capsys):
+    config = write_config(tmp_path, {"kernel": K2_KERNEL, "degree": 1})
+    assert main(["gram", "--config", config, "--tolerance", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert "tolerance" in captured.err and captured.out == ""
+
+
+def test_field_moments_index_the_config_packets(tmp_path):
+    a = {"center": [0.0, 0.0], "wavevector": [0.3, 0.2]}
+    b = {"center": [0.0, 0.5], "wavevector": [-0.1, 0.4]}
+    tables = []
+    for packets, word in (([a, a, b], [2, 2]), ([a, b], [1, 1])):
+        config = write_config(tmp_path, {"kernel": _field(packets=packets), "words": [word]})
+        out = tmp_path / "m.csv"
+        assert main(["moments", "--config", config, "--out", str(out)]) == 0
+        tables.append(out.read_text().splitlines()[1].split(",")[1:])
+    assert tables[0] == tables[1]
+
+
+def test_config_value_under_a_flag_is_still_checked(tmp_path, capsys):
+    config = write_config(tmp_path, {"kernel": K2_KERNEL, "seed": NAN})
+    assert main(["verify", "--config", config, "--seed", "1"]) == 2
+    captured = capsys.readouterr()
+    assert "seed" in captured.err and captured.out == ""
+
+
 def test_negative_seed_flag_is_a_config_error(capsys):
     assert main(["verify", "--seed", "-1"]) == 2
     captured = capsys.readouterr()
     assert "seed" in captured.err and "Traceback" not in captured.err and captured.out == ""
+
+
+PAIRED_KERNEL = {
+    "type": "matrix",
+    "indices": ["a", "b", 3],
+    "matrix": [[1, [0.2, 0.3], 0.1], [[0.2, -0.3], 1, 0], [0.1, 0, 1]],
+    "involution": [["a", "b"]],
+}
+# A valid config of every mode and kernel kind; the fuzz below breaks them.
+VALID = [
+    ("verify", {"kernel": K2_KERNEL, "seed": 1, "tolerance": 1e-9, "pair": [1, 2]}),
+    ("verify", {"kernel": GIBBS_KERNEL}),
+    ("verify", {"kernel": FIELD_KERNEL, "pair": [1, 0], "separations": [10.0, 12]}),
+    ("moments", {"kernel": PAIRED_KERNEL, "words": [["a", "b"], ["V", 3, 3, "V", "a", "b"]]}),
+    ("moments", {"kernel": GIBBS_KERNEL, "words": [["q", "q", "p", "p"]]}),
+    ("moments", {"kernel": FIELD_KERNEL, "words": [[0, 1], [1, "V", 0, 1, 1]]}),
+    ("gram", {"kernel": PAIRED_KERNEL, "degree": 2}),
+    ("gram", {"kernel": GIBBS_KERNEL, "degree": 1}),
+    ("gram", {"kernel": FIELD_KERNEL, "degree": 1}),
+    ("boost-scan", {"kernel": FIELD_KERNEL, "rapidities": [0.0, 0.5], "pair": [0, 1]}),
+    ("witness", {"kernel": K2_KERNEL, "pair": [1, 2], "tolerance": 1e-10}),
+    ("witness", {"kernel": GIBBS_KERNEL, "pair": ["q", "p"]}),
+    ("witness", {"kernel": FIELD_KERNEL, "pair": [1, 0]}),
+]
+DELETE = object()
+BAD_VALUES = [NAN, INF, -INF, 10**400, 1e308, 1e-300, -1, 0, 7, True, False, "x", "",
+              [], [[]], [1, [2, [3]]], {}, {"a": [1]}]
+
+
+def _paths(node, prefix=()):
+    """Every path into a JSON value, as a tuple of keys and positions."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+def _mutate(config, path, value):
+    config = json.loads(json.dumps(config))
+    parent = config
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return config
+
+
+@st.composite
+def broken_configs(draw):
+    mode, config = draw(st.sampled_from(VALID))
+    for _ in range(draw(st.integers(1, 2))):
+        paths = list(_paths(config))
+        if not paths:
+            break
+        path = draw(st.sampled_from(paths))
+        config = _mutate(config, path, draw(st.sampled_from([DELETE] + BAD_VALUES)))
+    return mode, config
+
+
+def test_valid_fuzz_bases_pass(tmp_path):
+    for mode, config in VALID:
+        assert main([mode, "--config", write_config(tmp_path, config)]) == 0, (mode, config)
+
+
+# derandomized: the suite runs the same 200 examples every time
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(broken_configs())
+def test_exit_code_contract_under_config_fuzz(tmp_path_factory, case):
+    mode, config = case
+    path = write_config(tmp_path_factory.mktemp("fuzz"), config)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([mode, "--config", path])
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    assert code != 1 or out.getvalue()
+    assert "nan" not in out.getvalue().lower() and "inf" not in out.getvalue().lower()
