@@ -52,13 +52,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import Index
-from .gaussian import GaussianKernel
+from .gaussian import GaussianKernel, tolerance_bound
 
 logger = logging.getLogger(__name__)
 
-# Tolerances on a kernel matrix, relative to max(1, largest |entry|): grid
-# halving stops once two successive grids agree to _HALVING_TOL, and a
-# kernel still off by more than QUADRATURE_TOL at _NODE_CAP nodes is refused.
+# Tolerances on a kernel matrix, scaled by ``tolerance_bound``: grid halving
+# stops once two successive grids agree to _HALVING_TOL, and a kernel still
+# off by more than QUADRATURE_TOL at _NODE_CAP nodes is refused.
 QUADRATURE_TOL = 1e-8
 _HALVING_TOL = 1e-10
 # The window keeps every component's envelope down to this fraction of its
@@ -432,12 +432,11 @@ def _kernel_matrix(spec: FieldKernelSpec, packets, thermal: bool) -> np.ndarray:
     while True:
         # Two grids coarser than the step can miss a narrow feature alike
         # and agree on a wrong value, so agreement counts only once h <= step.
-        bound = max(1.0, float(np.max(np.abs(value))))
         resolved = h <= step
-        if resolved and error <= _HALVING_TOL * bound:
+        if resolved and error <= tolerance_bound(_HALVING_TOL, value):
             break
         if 2 * intervals + 1 > _NODE_CAP:
-            if not (resolved and error <= QUADRATURE_TOL * bound):
+            if not (resolved and error <= tolerance_bound(QUADRATURE_TOL, value)):
                 raise QuadratureError(
                     f"kernel grid not converged at {intervals + 1} nodes: halving"
                     f" error {error:.3e}, tolerance {QUADRATURE_TOL:.0e}",

@@ -18,6 +18,10 @@ of the sub-words this recursion reaches, so the entries of a Gram matrix
 share their work.  ``moment_from_generating_series`` expands the
 generating function as a power series over bitmask monomials instead and
 is kept as a structurally independent cross-check of the same number.
+
+Every Hermiticity, positivity and null-space decision in the package cuts
+at ``tolerance_bound``, tol * max(1, scale): an eigensolver errs by
+O(n eps ||G||), so an absolute cut would fail valid states of large norm.
 """
 
 from __future__ import annotations
@@ -39,6 +43,26 @@ MATCHING_CAP = 12
 MEMO_CAP = 1 << 16
 
 
+def tolerance_bound(tol: float, values) -> float:
+    """The cut tol * max(1, max |v|) below which a defect or eigenvalue counts as zero."""
+    values = np.asarray(values)
+    return tol * max(1.0, float(np.max(np.abs(values)))) if values.size else tol
+
+
+def hermitian_spectrum(m, tol: float, vectors: bool = False) -> tuple:
+    """Ascending eigenvalues, eigenvectors (or None) and bound of the Hermitian part of ``m``.
+
+    The Hermitian part m/2 + m^H/2 cannot overflow; a non-finite entry
+    raises ``FloatingPointError``.  The bound is at the spectral scale.
+    """
+    m = np.asarray(m, dtype=complex)
+    if not np.all(np.isfinite(m)):
+        raise FloatingPointError("matrix has a non-finite entry")
+    sym = m / 2 + m.conj().T / 2
+    eig, vec = np.linalg.eigh(sym) if vectors else (np.linalg.eigvalsh(sym), None)
+    return eig, vec, tolerance_bound(tol, eig)
+
+
 class GaussianKernel:
     """Hermitian positive semi-definite sesquilinear pairing on an index set.
 
@@ -58,8 +82,8 @@ class GaussianKernel:
         over the known index set.  Disable only to build deliberate
         non-states for positivity detection tests.
     tol : float
-        Validation tolerance for the Hermiticity defect and for the most
-        negative admissible eigenvalue.
+        Validation tolerance: the Hermiticity defect may reach
+        tol * max(1, max |eigenvalue|), and the lowest eigenvalue its negative.
     """
 
     def __init__(self, entries, indices=None, validate=True, tol=1e-10):
@@ -188,37 +212,23 @@ class GaussianKernel:
                 out[a, b] = self.pairing(ia, ib)
         return out
 
-    def hermiticity_defect(self) -> float:
-        m = self.matrix()
-        if m.size == 0:
-            return 0.0
-        return float(np.max(np.abs(m - m.conj().T)))
-
-    def eigenvalues(self) -> np.ndarray:
-        m = self.matrix()
-        if m.size == 0:
-            return np.zeros(0)
-        return np.linalg.eigvalsh(0.5 * (m + m.conj().T))
-
     def min_eigenvalue(self) -> float:
-        eig = self.eigenvalues()
+        eig, _, _ = hermitian_spectrum(self.matrix(), self.tol)
         return float(eig[0]) if eig.size else 0.0
 
-    def check_hermitian(self) -> float:
-        """Refuse a Hermiticity defect over tol * scale; return the scale, max(1, max |entry|)."""
+    def check_hermitian(self) -> tuple:
+        """Refuse a Hermiticity defect over the spectral bound; return (eigenvalues, bound)."""
         m = self.matrix()
-        scale = max(1.0, float(np.max(np.abs(m)))) if m.size else 1.0
-        defect = self.hermiticity_defect()
-        if defect > self.tol * scale:
+        eig, _, bound = hermitian_spectrum(m, self.tol)
+        defect = 2 * float(np.max(np.abs(m / 2 - m.conj().T / 2))) if m.size else 0.0
+        if defect > bound:
             raise ValueError(f"kernel is not Hermitian: defect {defect:.3e}")
-        return scale
+        return eig, bound
 
     def validate(self):
-        scale = self.check_hermitian()
-        if self._indices:
-            lo = self.min_eigenvalue()
-            if lo < -self.tol * scale:
-                raise ValueError(f"kernel is not positive semi-definite: min eigenvalue {lo:.3e}")
+        eig, bound = self.check_hermitian()
+        if eig.size and eig[0] < -bound:
+            raise ValueError(f"kernel is not positive semi-definite: min eigenvalue {eig[0]:.3e}")
 
     def as_dict(self) -> dict:
         """JSON-ready form; complex matrix entries become [re, im] pairs."""

@@ -12,13 +12,13 @@ expectations reproduce the state.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 
 from .algebra import Index, Word, word_adjoint
-from .gaussian import State
+from .gaussian import State, hermitian_spectrum
 from .vacuum import _probe
 
 
@@ -53,13 +53,17 @@ def build_basis(indices, degree: int) -> MonomialBasis:
 
 @dataclass
 class GramReport:
-    """Gram matrix of a monomial basis under a state, with its spectrum."""
+    """Gram matrix of a monomial basis under a state, with its spectrum.
+
+    ``bound`` is tolerance * max(1, max |eigenvalue|): eigenvalues within it
+    of zero count in ``null_dimension``, and none may lie below -bound.
+    """
 
     gram: np.ndarray
     eigenvalues: np.ndarray
     null_dimension: int
     tolerance: float
-    hermiticity_defect: float = field(default=0.0)
+    bound: float
 
     @property
     def dimension(self) -> int:
@@ -69,9 +73,8 @@ class GramReport:
     def min_eigenvalue(self) -> float:
         return float(self.eigenvalues[0]) if self.eigenvalues.size else 0.0
 
-    def is_positive(self, tol: float | None = None) -> bool:
-        tol = self.tolerance if tol is None else tol
-        return self.min_eigenvalue >= -tol
+    def is_positive(self) -> bool:
+        return self.min_eigenvalue >= -self.bound
 
     def as_dict(self) -> dict:
         return {
@@ -99,17 +102,9 @@ def _gram_matrix(basis: MonomialBasis, state: State) -> np.ndarray:
 def gram(basis: MonomialBasis, state: State, tolerance: float = 1e-10) -> GramReport:
     """Gram matrix G_ab = rho(w_a^dagger w_b) with eigenvalues and null count."""
     g = _gram_matrix(basis, state)
-    defect = float(np.max(np.abs(g - g.conj().T))) if g.size else 0.0
-    sym = 0.5 * (g + g.conj().T)
-    eig = np.linalg.eigvalsh(sym) if g.size else np.zeros(0)
-    null = int(np.sum(np.abs(eig) <= tolerance))
-    return GramReport(
-        gram=g,
-        eigenvalues=eig,
-        null_dimension=null,
-        tolerance=tolerance,
-        hermiticity_defect=defect,
-    )
+    eig, _, bound = hermitian_spectrum(g, tolerance)
+    null = int(np.sum(np.abs(eig) <= bound))
+    return GramReport(gram=g, eigenvalues=eig, null_dimension=null, tolerance=tolerance, bound=bound)
 
 
 class Representation:
@@ -129,11 +124,6 @@ class Representation:
     def maps(self) -> dict:
         """The top-level (degree d to degree d+1) map per generator index."""
         return {i: per_level[self.basis.degree] for i, per_level in self._level_maps.items()}
-
-    @property
-    def cyclic_vector(self) -> np.ndarray:
-        """Quotient coordinates of the identity word at degree d."""
-        return self.vacuum_vector(self.basis.degree)
 
     @property
     def dimension(self) -> int:
@@ -168,8 +158,9 @@ class Representation:
 def represent(basis: MonomialBasis, state: State, tolerance: float = 1e-10) -> Representation:
     """GNS representation data for all degrees up to ``basis.degree`` + 1.
 
-    Needs the state on words up to length 2*degree + 2.  Raises if any
-    Gram matrix is indefinite beyond tolerance, signaling a non-state.
+    Needs the state on words up to length 2*degree + 2.  Each Gram matrix's
+    bound from ``hermitian_spectrum`` refuses an eigenvalue below -bound as
+    a non-state and cuts the null space at +bound.
     """
     d = basis.degree
     top = build_basis(basis.indices, d + 1)
@@ -181,16 +172,10 @@ def represent(basis: MonomialBasis, state: State, tolerance: float = 1e-10) -> R
     isometries = []
     pseudo_inverses = []
     for j, size in enumerate(sizes):
-        g = top_gram[:size, :size]
-        g = 0.5 * (g + g.conj().T)
-        eig, vectors = np.linalg.eigh(g)
-        top_eig = float(eig[-1]) if eig.size else 0.0
-        if eig.size and float(eig[0]) < -tolerance * max(1.0, top_eig):
-            raise ValueError(
-                f"Gram matrix at degree {j} has eigenvalue {float(eig[0]):.3e}; not a state"
-            )
-        cut = tolerance * max(top_eig, 0.0)
-        keep = eig > cut
+        eig, vectors, bound = hermitian_spectrum(top_gram[:size, :size], tolerance, vectors=True)
+        if eig[0] < -bound:
+            raise ValueError(f"Gram matrix at degree {j} has eigenvalue {eig[0]:.3e}; not a state")
+        keep = eig > bound
         lam = eig[keep]
         u = vectors[:, keep]
         # coordinates h = T x turn the Gram pairing into the flat inner product

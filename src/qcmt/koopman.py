@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .algebra import Index, LinearCombination
-from .gaussian import GaussianKernel
+from .gaussian import GaussianKernel, tolerance_bound
 
 MULTIPLICATION = "multiplication"
 LIOUVILLE = "liouville"
@@ -247,8 +247,7 @@ class FlowSpec:
 
 
 def _require_real_symbol(symbol: PhaseSpacePolynomial):
-    scale = max(1.0, symbol.max_abs_coeff())
-    if symbol.max_imag_coeff() > 1e-12 * scale:
+    if symbol.max_imag_coeff() > tolerance_bound(1e-12, symbol.max_abs_coeff()):
         raise ValueError("flow generators must have real-valued symbols")
 
 

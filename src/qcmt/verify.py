@@ -27,6 +27,7 @@ from .gaussian import (
     GaussianKernel,
     GaussianState,
     moment_from_generating_series,
+    tolerance_bound,
     wick_expect,
 )
 from .gns import build_basis, gram
@@ -157,11 +158,15 @@ def check_bracket_relations(seed: int = 0, trials: int = 100) -> CheckResult:
 
 
 def check_gram_psd(kernel: GaussianKernel, degree: int = 2, tolerance: float = 1e-10) -> CheckResult:
-    """Gram matrix of the monomial basis is positive semi-definite."""
+    """Gram matrix of the monomial basis is positive semi-definite.
+
+    ``worst`` is -min eigenvalue / max(1, max |eigenvalue|), the scale
+    ``gram`` judges at, so the check passes when it is at most tolerance.
+    """
     state = GaussianState(kernel)
     basis = build_basis(kernel.indices, degree)
     report = gram(basis, state, tolerance=tolerance)
-    worst = -report.min_eigenvalue
+    worst = -report.min_eigenvalue / tolerance_bound(1.0, report.eigenvalues)
     return CheckResult("gram-psd", report.is_positive(), worst, tolerance)
 
 

@@ -359,13 +359,13 @@ MALFORMED = {
     "verify-matrix-huge": ("verify", {"kernel": {**K2_KERNEL, "matrix": [[1e308, 0.5], [0.5, 1]]}}, 3),
     "gibbs-temperature-huge": ("verify", {"kernel": {**GIBBS_KERNEL, "temperature": 1e308}}, 3),
     "gibbs-frequency-underflow": ("gram", {"kernel": {**GIBBS_KERNEL, "frequency": 1e-300}}, 2),
-    "gram-gibbs-nan-eigenvalues": ("gram", {"kernel": {**GIBBS_KERNEL, "mass": 1e308}, "degree": 1}, 3),
     "moments-infinite-value": ("moments", {"kernel": {**K2_KERNEL, "matrix": [[1e308, 0.5], [0.5, 1]]}, "words": [[1, 1, 1, 1]]}, 3),
     "witness-pair-conjugate-packet": ("witness", {"kernel": _packet(wavevector=[0.3, 0.2]), "pair": [0, 2]}, 2),
     "moments-word-conjugate-packet": ("moments", {"kernel": _packet(wavevector=[0.3, 0.2]), "words": [[2, 2]]}, 2),
 }
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("name", sorted(MALFORMED))
 def test_malformed_config_exit_code(tmp_path, capsys, name):
     mode, payload, code = MALFORMED[name]
@@ -377,6 +377,43 @@ def test_malformed_config_exit_code(tmp_path, capsys, name):
     expected = "config error" if code == 2 else "numerical failure"
     assert expected in captured.err
     assert "nan" not in captured.out.lower() and "inf" not in captured.out.lower()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_gram_of_huge_gibbs_mass_is_a_state(tmp_path):
+    # variances 1e-308 and 1e308: the Hermitian part m/2 + m^H/2 stays finite
+    config = write_config(tmp_path, {"kernel": {**GIBBS_KERNEL, "mass": 1e308}, "degree": 1})
+    out = tmp_path / "g.json"
+    assert main(["gram", "--config", config, "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["eigenvalues"] == [0.0, 1.0, 1e308]
+    assert payload["null_dimension"] == 2
+
+
+# Degree 5 on two real indices: the Gram matrix has largest eigenvalue
+# about 7.9e7 and, in float64, lowest about -1.6e-8, round-off at 2e-16 of
+# the scale; an absolute cut at the tolerance 1e-8 failed this state.
+LARGE_SCALE_GRAM = {
+    "kernel": {
+        "type": "matrix",
+        "indices": [1, 2],
+        "matrix": [
+            [[6.314561423782434, -0.0], [-4.282069796748778, 0.0]],
+            [[-4.282069796748778, -0.0], [4.16617378131004, -0.0]],
+        ],
+    },
+    "degree": 5,
+    "tolerance": 1e-08,
+}
+
+
+def test_gram_judges_round_off_at_the_spectral_scale(tmp_path):
+    config = write_config(tmp_path, LARGE_SCALE_GRAM)
+    out = tmp_path / "g.json"
+    assert main(["gram", "--config", config, "--out", str(out)]) == 0
+    eigenvalues = json.loads(out.read_text())["eigenvalues"]
+    assert min(eigenvalues) >= -1e-8 * max(1.0, max(eigenvalues))
+    assert max(eigenvalues) > 1e7
 
 
 def test_gram_degree_at_cap_is_accepted(tmp_path):
@@ -496,6 +533,7 @@ def test_valid_fuzz_bases_pass(tmp_path):
 
 
 # derandomized: the suite runs the same 200 examples every time
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(broken_configs())
 def test_exit_code_contract_under_config_fuzz(tmp_path_factory, case):

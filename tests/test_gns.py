@@ -8,6 +8,7 @@ import pytest
 from qcmt.algebra import AlgebraElement, Index, generator, paired_indices
 from qcmt.gaussian import GaussianKernel, GaussianState
 from qcmt.gns import build_basis, gram, positivity_probe, represent
+from qcmt.verify import check_gram_psd
 
 
 def degenerate_kernel():
@@ -55,7 +56,7 @@ def test_gram_matches_two_point_table(k2):
     expected = np.array([[1, 0, 0], [0, 1, 0.5], [0, 0.5, 1]], dtype=complex)
     assert np.allclose(report.gram, expected)
     assert report.null_dimension == 0
-    assert report.hermiticity_defect <= 1e-12
+    assert np.max(np.abs(report.gram - report.gram.conj().T)) <= 1e-12
 
 
 def test_gram_of_identity_basis(k2):
@@ -75,7 +76,36 @@ def test_gram_psd_for_gaussian_states(k3):
     for degree in (1, 2, 3):
         report = gram(build_basis(k3.indices, degree), state)
         assert report.min_eigenvalue >= -1e-10
-        assert report.hermiticity_defect <= 1e-12
+        assert np.max(np.abs(report.gram - report.gram.conj().T)) <= 1e-12
+
+
+@pytest.mark.parametrize("depth, positive", [(0.5, True), (2.0, False)])
+def test_one_positivity_verdict_at_the_tolerance_bound(depth, positive):
+    # spectrum {-depth * bound, 4}, bound = tol * max(1, 4); the degree-1
+    # Gram matrix of self-conjugate tags has spectrum {1} and the kernel's
+    tol = 1e-10
+    lowest = -depth * tol * 4.0
+    c, s = math.cos(0.3), math.sin(0.3)
+    rotation = np.array([[c, -s], [s, c]])
+    matrix = rotation @ np.diag([lowest, 4.0]) @ rotation.T
+    kernel = GaussianKernel.from_matrix([1, 2], matrix, validate=False, tol=tol)
+    state = GaussianState(kernel)
+    verdicts = {}
+    try:
+        kernel.validate()
+        verdicts["validate"] = True
+    except ValueError:
+        verdicts["validate"] = False
+    report = gram(build_basis(kernel.indices, 1), state, tolerance=tol)
+    verdicts["gram"] = report.is_positive()
+    verdicts["check_gram_psd"] = check_gram_psd(kernel, degree=1, tolerance=tol).passed
+    try:
+        represent(build_basis(kernel.indices, 0), state, tolerance=tol)
+        verdicts["represent"] = True
+    except ValueError:
+        verdicts["represent"] = False
+    assert verdicts == dict.fromkeys(verdicts, positive)
+    assert report.eigenvalues[0] == pytest.approx(lowest, rel=1e-3)
 
 
 def test_gram_report_serializes():
