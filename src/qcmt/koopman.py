@@ -13,7 +13,10 @@ non-canonical transformation.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+
+import numpy as np
 
 from .algebra import Index, LinearCombination
 from .gaussian import GaussianKernel, tolerance_bound
@@ -24,6 +27,10 @@ LIOUVILLE = "liouville"
 DEFAULT_FLOW_STEP = 1e-3
 
 
+def _is_integer(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 class PhaseSpacePolynomial(LinearCombination):
     """Complex-coefficient polynomial in canonical coordinates q_1..q_n, p_1..p_n.
 
@@ -31,7 +38,10 @@ class PhaseSpacePolynomial(LinearCombination):
     coefficients.  The ring operations are the algebra's, with exponent
     addition as the word product.  Only exact zeros are pruned, so
     integer-coefficient arithmetic cancels exactly and residual checks can
-    demand literal zero.
+    demand literal zero.  The constructor validates its input once: the
+    dimension must be a positive integer and every exponent a non-negative
+    one (Python or numpy, never bool).  Ring results are built without
+    re-validation.
     """
 
     __slots__ = ("dimension",)
@@ -39,27 +49,34 @@ class PhaseSpacePolynomial(LinearCombination):
     tol = 0.0
 
     def __init__(self, dimension: int, terms=None):
-        if dimension < 1:
-            raise ValueError("phase space needs at least one degree of freedom")
+        if not _is_integer(dimension) or dimension < 1:
+            raise ValueError(f"phase space dimension must be a positive integer, not {dimension!r}")
         width = 2 * int(dimension)
         merged = {}
         if terms:
             for exps, c in terms.items():
-                exps = tuple(int(e) for e in exps)
-                if len(exps) != width:
-                    raise ValueError(f"exponent tuple {exps} does not have length {width}")
-                if any(e < 0 for e in exps):
-                    raise ValueError(f"negative exponent in {exps}")
+                if not (
+                    isinstance(exps, tuple)
+                    and len(exps) == width
+                    and all(_is_integer(e) and e >= 0 for e in exps)
+                ):
+                    raise ValueError(f"exponent key {exps!r} is not {width} non-negative integers")
+                exps = tuple(map(int, exps))
                 merged[exps] = merged.get(exps, 0j) + complex(c)
         super().__init__(merged)
         self.dimension = int(dimension)
 
     def _like(self, terms):
-        return PhaseSpacePolynomial(self.dimension, terms)
+        # Ring results are valid by construction: sums of valid exponent
+        # tuples, or tuples lowered only where both entries are >= 1.
+        result = object.__new__(PhaseSpacePolynomial)
+        LinearCombination.__init__(result, terms)
+        result.dimension = self.dimension
+        return result
 
     @staticmethod
     def _word_product(left, right):
-        return tuple(x + y for x, y in zip(left, right))
+        return tuple(map(operator.add, left, right))
 
     @staticmethod
     def _word_adjoint(w):
@@ -117,7 +134,7 @@ class PhaseSpacePolynomial(LinearCombination):
                 continue
             lowered = tuple(x - 1 if s == var else x for s, x in enumerate(exps))
             out[lowered] = out.get(lowered, 0j) + e * c
-        return PhaseSpacePolynomial(self.dimension, out)
+        return self._like(out)
 
     def __call__(self, point) -> complex:
         """Evaluate at a flat point (q_1..q_n, p_1..p_n)."""
@@ -183,7 +200,7 @@ def poisson(u: PhaseSpacePolynomial, v: PhaseSpacePolynomial) -> PhaseSpacePolyn
                     lowered[n + i] -= 1
                     key = tuple(lowered)
                     out[key] = out.get(key, 0j) + weight * (ca * cb)
-    return PhaseSpacePolynomial(n, out)
+    return u._like(out)
 
 
 class KoopmanOperator:
@@ -258,14 +275,32 @@ def flow_sample(spec: FlowSpec, points, steps: int | None = None):
     (dq/dt = du/dp, dp/dt = -du/dq) with fixed-step RK4 and return the
     mapped points; for quadratic symbols this reproduces the exact linear
     symplectic map to integrator accuracy.  Multiplication flows return the
-    pointwise multipliers exp(t*u).
+    pointwise multipliers exp(t*u).  A non-finite time or coordinate, a
+    ``steps`` that is not a positive integer, and a flow that leaves the
+    floats raise ``ValueError``.
     """
     op = spec.generator
     _require_real_symbol(op.symbol)
     n = op.symbol.dimension
+    t = float(spec.time)
+    if not math.isfinite(t):
+        raise ValueError(f"flow time must be finite, not {spec.time!r}")
+    if steps is None:
+        steps = max(1, math.ceil(abs(t) / DEFAULT_FLOW_STEP))
+    elif not _is_integer(steps) or steps < 1:
+        raise ValueError(f"steps must be a positive integer, not {steps!r}")
+    points = [[float(c) for c in point] for point in points]
+    for x in points:
+        if len(x) != 2 * n:
+            raise ValueError(f"point has length {len(x)}, expected {2 * n}")
+        if not all(map(math.isfinite, x)):
+            raise ValueError(f"point {tuple(x)} has a non-finite coordinate")
 
     if op.kind == MULTIPLICATION:
-        return [_bounded_exp(spec.time * op.symbol(point).real) for point in points]
+        try:
+            return [_bounded_exp(t * op.symbol(x).real) for x in points]
+        except OverflowError as exc:
+            raise ValueError("multiplication flow overflows the floats") from exc
 
     dq = [op.symbol.diff(n + i) for i in range(n)]  # du/dp_i
     dp = [op.symbol.diff(i) for i in range(n)]  # du/dq_i
@@ -273,18 +308,9 @@ def flow_sample(spec: FlowSpec, points, steps: int | None = None):
     def velocity(x):
         return [d(x).real for d in dq] + [-d(x).real for d in dp]
 
-    t = float(spec.time)
-    if steps is None:
-        steps = max(1, math.ceil(abs(t) / DEFAULT_FLOW_STEP))
-    if steps < 1:
-        raise ValueError("steps must be positive")
     h = t / steps
-
     mapped = []
-    for point in points:
-        x = [float(c) for c in point]
-        if len(x) != 2 * n:
-            raise ValueError(f"point has length {len(x)}, expected {2 * n}")
+    for x in points:
         for _ in range(steps):
             try:
                 k1 = velocity(x)
@@ -304,7 +330,7 @@ def flow_sample(spec: FlowSpec, points, steps: int | None = None):
 
 
 def _bounded_exp(x: float) -> float:
-    if x > 700.0:
+    if not x <= 700.0:  # also refuses NaN
         raise ValueError("multiplication flow overflows the exponential")
     return math.exp(x)
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import product
 
 import numpy as np
@@ -130,13 +131,23 @@ def check_wick_oracle(kernel: GaussianKernel, max_len: int = 4, tolerance: float
     return CheckResult("wick-oracle", worst <= tolerance, worst, tolerance)
 
 
-def _random_polynomial(rng, dimension, degree=3) -> PhaseSpacePolynomial:
+RANDOM_DEGREE = 3
+
+
+@cache
+def _monomials(dimension: int) -> tuple:
+    """Exponent vectors of total degree at most ``RANDOM_DEGREE``, in a fixed order."""
+    return tuple(
+        e for e in product(range(RANDOM_DEGREE + 1), repeat=2 * dimension) if sum(e) <= RANDOM_DEGREE
+    )
+
+
+def _random_polynomial(rng, dimension) -> PhaseSpacePolynomial:
+    """1-4 terms on uniform monomials of degree <= 3, integer coefficients in -3..3."""
+    monomials = _monomials(dimension)
     terms = {}
     for _ in range(int(rng.integers(1, 5))):
-        while True:
-            exps = tuple(int(e) for e in rng.integers(0, degree + 1, size=2 * dimension))
-            if sum(exps) <= degree:
-                break
+        exps = monomials[int(rng.integers(len(monomials)))]
         terms[exps] = terms.get(exps, 0) + int(rng.integers(-3, 4))
     return PhaseSpacePolynomial(dimension, terms)
 

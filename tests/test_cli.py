@@ -268,7 +268,8 @@ def test_bad_packet_width_is_a_config_error(tmp_path, capsys, width):
 
 
 def test_cli_entry_point_subprocess(tmp_path):
-    env = dict(os.environ, QCMT_LOG="warning")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, QCMT_LOG="warning", PYTHONPATH=src)
     result = subprocess.run(
         [sys.executable, "-m", "qcmt", "verify", "--out", str(tmp_path / "r.json")],
         capture_output=True,

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from oracles import exact_quadratic_flow, poisson_by_derivatives, sympy_poisson
+from qcmt import koopman, verify
 from qcmt.algebra import AlgebraElement, Index
 from qcmt.gaussian import GaussianState, commutator_factor, wick_expect
 from qcmt.koopman import (
@@ -19,6 +20,7 @@ from qcmt.koopman import (
     gibbs_oscillator_kernel,
     poisson,
 )
+from qcmt.verify import _monomials, check_bracket_relations
 from qcmt.verify import _random_polynomial as random_polynomial
 
 
@@ -32,12 +34,30 @@ def coords(n=1):
 
 
 def test_polynomial_validation():
-    with pytest.raises(ValueError):
-        PhaseSpacePolynomial(1, {(1,): 1.0})
-    with pytest.raises(ValueError):
-        PhaseSpacePolynomial(1, {(-1, 0): 1.0})
-    with pytest.raises(ValueError):
-        PhaseSpacePolynomial(0)
+    for dimension, terms in (
+        (1, {(1,): 1.0}),
+        (1, {(-1, 0): 1.0}),
+        (0, None),
+        (1, {(1.7, 0): 1}),
+        (1, {(np.float64(1.0), 0): 1}),
+        (1, {("2", 0): 1}),
+        (1, {(True, 0): 1}),
+        (1, {(math.inf, 0): 1}),
+        (1, {5: 1}),
+        (1.5, None),
+        (True, None),
+        ("1", None),
+        (np.int64(-1), None),
+    ):
+        with pytest.raises(ValueError):
+            PhaseSpacePolynomial(dimension, terms)
+
+
+def test_numpy_integers_become_python_ints():
+    u = PhaseSpacePolynomial(np.int64(1), {(np.int64(2), np.uint8(0)): 1})
+    assert type(u.dimension) is int
+    assert [type(e) for e in next(iter(u.terms))] == [int, int]
+    assert u == PhaseSpacePolynomial(1, {(2, 0): 1})
 
 
 def test_polynomial_arithmetic_and_evaluation():
@@ -145,6 +165,27 @@ def polynomial_pairs(draw, coeffs, max_degree=4):
     return polynomial(), polynomial()
 
 
+def assert_validated(result, n):
+    """``result`` is what the validating constructor builds from its terms."""
+    assert result.dimension == n
+    rebuilt = PhaseSpacePolynomial(n, result.terms)
+    assert list(result.terms.items()) == list(rebuilt.terms.items())
+    for exps in result.terms:
+        assert type(exps) is tuple and len(exps) == 2 * n
+        assert all(type(e) is int and e >= 0 for e in exps)
+
+
+@settings(max_examples=80, deadline=None)
+@given(polynomial_pairs(INTEGER_COEFFS), INTEGER_COEFFS)
+def test_ring_results_are_valid_without_revalidation(pair, scalar):
+    u, v = pair
+    n = u.dimension
+    results = [u + v, u - v, -u, u * v, scalar * u, u * 2, poisson(u, v)]
+    results += [u.diff(var) for var in range(2 * n)]
+    for result in results:
+        assert_validated(result, n)
+
+
 @settings(max_examples=80, deadline=None)
 @given(polynomial_pairs(INTEGER_COEFFS))
 def test_one_pass_bracket_is_the_derivative_route_exactly(pair):
@@ -161,6 +202,53 @@ def test_one_pass_bracket_matches_the_derivative_route_in_floats(pair):
     scale = max([1.0] + [abs(c) for c in ours.values()] + [abs(c) for c in oracle.values()])
     for exps in set(ours) | set(oracle):
         assert abs(ours.get(exps, 0j) - oracle.get(exps, 0j)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("n,count", [(1, 10), (2, 35)])
+def test_monomial_list_is_every_exponent_of_degree_at_most_three(n, count):
+    # C(2n + 3, 3) exponent vectors of width 2n have total degree <= 3
+    monomials = _monomials(n)
+    assert len(monomials) == len(set(monomials)) == count == math.comb(2 * n + 3, 3)
+    for exps in monomials:
+        assert len(exps) == 2 * n and min(exps) >= 0 and sum(exps) <= 3
+
+
+def test_random_polynomial_draws_from_the_monomial_list(rng):
+    for n in (1, 2):
+        allowed = set(_monomials(n))
+        seen = set()
+        for _ in range(400):
+            u = random_polynomial(rng, n)
+            assert u.dimension == n and len(u) <= 4
+            # up to four draws in -3..3; a repeated monomial adds its draws
+            assert sum(abs(c) for c in u.terms.values()) <= 12
+            for exps, c in u.terms.items():
+                assert exps in allowed
+                assert c.imag == 0 and c.real == int(c.real)
+            seen.update(u.terms)
+        assert seen == allowed
+
+
+def _bracket_without_second_term(u, v):
+    """{u, v} with the -du/dp_i dv/dq_i half dropped: not a Poisson bracket."""
+    n = u.dimension
+    out = {}
+    for ea, ca in u.terms.items():
+        for eb, cb in v.terms.items():
+            for i in range(n):
+                weight = ea[i] * eb[n + i]
+                if weight:
+                    key = tuple(x + y - (s in (i, n + i)) for s, (x, y) in enumerate(zip(ea, eb)))
+                    out[key] = out.get(key, 0j) + weight * (ca * cb)
+    return PhaseSpacePolynomial(n, out)
+
+
+def test_bracket_check_fails_on_a_broken_bracket(monkeypatch):
+    assert check_bracket_relations(seed=0).passed
+    monkeypatch.setattr(koopman, "poisson", _bracket_without_second_term)
+    monkeypatch.setattr(verify, "poisson", _bracket_without_second_term)
+    result = check_bracket_relations(seed=0)
+    assert not result.passed and result.worst > 0
 
 
 def test_jacobi_identity_exact(rng):
@@ -250,7 +338,9 @@ def test_multiplication_flow_is_pointwise_exponential():
 def test_quadratic_flow_matches_matrix_exponential(rng):
     for _ in range(10):
         n = int(rng.integers(1, 3))
-        u = random_polynomial(rng, n, degree=2)
+        quadratic = [e for e in _monomials(n) if sum(e) <= 2]
+        picks = rng.integers(len(quadratic), size=int(rng.integers(1, 5)))
+        u = PhaseSpacePolynomial(n, {quadratic[int(i)]: int(rng.integers(-3, 4)) for i in picks})
         t = float(rng.uniform(-1.5, 1.5))
         point = tuple(float(c) for c in rng.uniform(-1, 1, size=2 * n))
         spec = FlowSpec(KoopmanOperator.liouville(u), t)
@@ -312,10 +402,41 @@ def test_complex_symbol_rejected():
 def test_flow_sample_steps_argument():
     (q,), (p,) = coords()
     spec = FlowSpec(KoopmanOperator.liouville(p), 1.0)
-    (moved,) = flow_sample(spec, [(0.0, 0.0)], steps=7)
-    assert np.allclose(moved, (1.0, 0.0), atol=1e-12)
+    for steps in (7, np.int64(7)):
+        (moved,) = flow_sample(spec, [(0.0, 0.0)], steps=steps)
+        assert np.allclose(moved, (1.0, 0.0), atol=1e-12)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("kind", [KoopmanOperator.multiplication, KoopmanOperator.liouville])
+@pytest.mark.parametrize(
+    "time,point,steps",
+    [
+        (NAN, (0.0, 0.0), None),
+        (INF, (0.0, 0.0), None),
+        (-INF, (0.0, 0.0), None),
+        (1.0, (NAN, 0.0), None),
+        (1.0, (0.0, INF), None),
+        (1.0, (0.0, 0.0), 0),
+        (1.0, (0.0, 0.0), -3),
+        (1.0, (0.0, 0.0), True),
+        (1.0, (0.0, 0.0), 2.0),
+    ],
+)
+def test_flow_sample_refuses_bad_input(kind, time, point, steps):
+    (q,), (p,) = coords()
+    spec = FlowSpec(kind(q * q + p), time)
     with pytest.raises(ValueError):
-        flow_sample(spec, [(0.0, 0.0)], steps=0)
+        flow_sample(spec, [point], steps=steps)
+
+
+def test_multiplication_flow_never_returns_non_finite_values():
+    (q,), _ = coords()
+    for symbol, time, point in ((q * q * q, 1.0, (1e200, 0.0)), (q, 1.0, (800.0, 0.0))):
+        with pytest.raises(ValueError):
+            flow_sample(FlowSpec(KoopmanOperator.multiplication(symbol), time), [point])
 
 
 # ------------------------------------------------------------- gibbs kernel
