@@ -8,7 +8,7 @@ state fixed by a 2x2 kernel.
 from qcmt import AlgebraElement, GaussianKernel, GaussianState, generator, paired_indices
 
 # A kernel over two self-conjugate indices: real, symmetric, "classical".
-kernel = GaussianKernel.from_matrix([1, 2], [[1.0, 0.5], [0.5, 1.0]])
+kernel = GaussianKernel([1, 2], [[1.0, 0.5], [0.5, 1.0]])
 i1, i2 = kernel.indices
 m1, m2 = generator(i1), generator(i2)
 

@@ -18,7 +18,7 @@ from qcmt import (
     wick_expect,
 )
 
-kernel = GaussianKernel.from_matrix([1, 2], [[1.0, 0.5], [0.5, 1.0]])
+kernel = GaussianKernel([1, 2], [[1.0, 0.5], [0.5, 1.0]])
 i1, i2 = kernel.indices
 
 print("moments from perfect matchings")
@@ -34,7 +34,7 @@ print("  G(1,1)  =", value, " exp(-3/2) =", math.exp(-1.5))
 
 print("\ncommutators live in the state, not the algebra")
 print("  real symmetric kernel:  c =", commutator_factor(kernel, i1, i2))
-quantum = GaussianKernel.from_matrix([1, 2], [[1.0, 0.5j], [-0.5j, 1.0]])
+quantum = GaussianKernel([1, 2], [[1.0, 0.5j], [-0.5j, 1.0]])
 j1, j2 = quantum.indices
 print("  imaginary off-diagonal: c =", commutator_factor(quantum, j1, j2))
 print("  two_point (i^c, j)        =", two_point(quantum, j1, j2))

@@ -10,7 +10,7 @@ import numpy as np
 
 from qcmt import GaussianKernel, GaussianState, build_basis, gram, positivity_probe, represent
 
-kernel = GaussianKernel.from_matrix([1, 2], [[1.0, 0.5], [0.5, 1.0]])
+kernel = GaussianKernel([1, 2], [[1.0, 0.5], [0.5, 1.0]])
 state = GaussianState(kernel)
 i1, i2 = kernel.indices
 
@@ -19,7 +19,7 @@ print("basis words:", ["*".join(f"M{i.tag}" for i in w) or "1" for w in basis.wo
 report = gram(basis, state)
 print("gram matrix:\n", np.round(report.gram.real, 3))
 print("eigenvalues:", np.round(report.eigenvalues, 4), " null dimension:", report.null_dimension)
-print("JSON form:  ", report.to_json().replace("\n", " "))
+print("report:     ", report.as_dict())
 
 print("\ndegree-2 representation")
 rep = represent(build_basis(kernel.indices, 2), state)
@@ -33,5 +33,5 @@ for word in [(i1,), (i1, i2), (i2, i2)]:
 
 print("\npositivity probes")
 print("  genuine state, 200 trials:  ", positivity_probe(state, 200, 3, seed=1))
-bad = GaussianKernel.from_matrix([1, 2], [[1.0, 2.0], [2.0, 1.0]], validate=False)
+bad = GaussianKernel([1, 2], [[1.0, 2.0], [2.0, 1.0]], validate=False)
 print("  defective kernel, 200 trials:", positivity_probe(GaussianState(bad), 200, 1, seed=1))

@@ -17,7 +17,7 @@ from qcmt import (
     generator,
 )
 
-kernel = GaussianKernel.from_matrix([1, 2], [[1.0, 0.5], [0.5, 1.0]])
+kernel = GaussianKernel([1, 2], [[1.0, 0.5], [0.5, 1.0]])
 state = GaussianState(kernel)
 i1, i2 = kernel.indices
 

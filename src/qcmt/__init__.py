@@ -40,7 +40,6 @@ from .koopman import (
 from .vacuum import (
     ConditionedState,
     ExtendedElement,
-    ProjectorExtendedState,
     commutation_witness,
     condition,
     extended_expect,

@@ -151,8 +151,6 @@ def parse_kernel(config: dict):
         for tag in tags + [t for pair in involution for t in pair]:
             if isinstance(tag, (list, dict)) or isinstance(tag, float) and not math.isfinite(tag):
                 raise ConfigError(f"index tag {tag!r} is a list, an object or not finite")
-        if len(set(tags)) != len(tags):
-            raise ConfigError(f"field 'kernel.indices' repeats a tag: {tags!r}")
         partner = {}
         for a, b in involution:
             if not {a, b} <= set(tags) or a in partner or b in partner:
@@ -163,10 +161,10 @@ def parse_kernel(config: dict):
         try:
             # Hermitian, deliberately not positive: gram and verify report non-states
             indices = [Index(t, partner.get(t)) for t in tags]
-            kernel = GaussianKernel.from_matrix(indices, rows, validate=False)
+            kernel = GaussianKernel(indices, rows, validate=False)
             kernel.check_hermitian()
         except ValueError as exc:
-            raise ConfigError(f"field 'kernel.matrix': {exc}") from exc
+            raise ConfigError(f"field 'kernel': {exc}") from exc
         return kernel, None, None
     mass = _float_value(raw.get("mass", 1.0), "kernel.mass")
     try:

@@ -519,4 +519,4 @@ def kernel_as_gaussian(spec: FieldKernelSpec, packets, tol: float = 1e-10) -> Ga
             seen.add(fc.key())
             family.append(fc)
     matrix = _kernel_matrix(spec, family, thermal=spec.is_thermal)
-    return GaussianKernel.from_matrix([packet_index(f) for f in family], matrix, tol=tol)
+    return GaussianKernel([packet_index(f) for f in family], matrix, tol=tol)

@@ -71,39 +71,38 @@ class GaussianKernel:
 
     Parameters
     ----------
-    entries : dict
-        Map from ``(Index, Index)`` pairs to complex pairing values.
-        A missing ``(i, j)`` falls back to the conjugate of ``(j, i)``.
-    indices : sequence of Index, optional
-        Presentation order of the index set; defaults to first appearance
-        in ``entries``.
+    indices : sequence of Index or tags
+        The index set in presentation order.  Plain tags are promoted to
+        self-conjugate indices, so a real symmetric matrix over integer
+        tags gives the trivial involution.  Tags may not repeat.
+    matrix : array_like
+        The pairing matrix, entry (a, b) = (indices[a], indices[b]).
     validate : bool
-        Check Hermiticity and positive semi-definiteness of the matrix
-        over the known index set.  Disable only to build deliberate
-        non-states for positivity detection tests.
+        Check Hermiticity and positive semi-definiteness of the matrix.
+        Disable only to build deliberate non-states for positivity
+        detection tests.
     tol : float
         Validation tolerance: the Hermiticity defect may reach
         tol * max(1, max |eigenvalue|), and the lowest eigenvalue its negative.
     """
 
-    def __init__(self, entries, indices=None, validate=True, tol=1e-10):
-        self._pair = {}
-        order = []
-        seen = set()
-
-        def note(ix):
-            if ix.tag not in seen:
-                seen.add(ix.tag)
-                order.append(ix)
-
-        if indices is not None:
-            for ix in indices:
-                note(ix)
-        for (a, b), value in entries.items():
-            self._pair[(a.tag, b.tag)] = complex(value)
-            note(a)
-            note(b)
-        self._indices = tuple(order)
+    def __init__(self, indices, matrix, validate=True, tol=1e-10):
+        idx = tuple(i if isinstance(i, Index) else Index(i) for i in indices)
+        self._position = {ix.tag: a for a, ix in enumerate(idx)}
+        if len(self._position) != len(idx):
+            raise ValueError(f"index tags repeat: {[ix.tag for ix in idx]!r}")
+        matrix = np.array(matrix, dtype=complex)
+        try:
+            matrix = matrix.reshape(len(idx), len(idx))
+        except ValueError as exc:
+            raise ValueError(
+                f"matrix shape {matrix.shape} does not match {len(idx)} indices"
+            ) from exc
+        self._indices = idx
+        self._matrix = matrix
+        # Python complex entries: numpy's complex multiply is not bitwise
+        # Python's, and the moment engine multiplies these.
+        self._entries = matrix.tolist()
         self.tol = float(tol)
         # Moment engine state: a code per distinct (tag, ctag) pair, the
         # contraction (a^c, b) for every pair of codes (None when the kernel
@@ -116,40 +115,16 @@ class GaussianKernel:
         if validate:
             self.validate()
 
-    @classmethod
-    def from_matrix(cls, indices, matrix, validate=True, tol=1e-10):
-        """Build a kernel from an index list and the full pairing matrix.
-
-        Plain tags are promoted to self-conjugate indices, so a real
-        symmetric matrix over integer tags gives the trivial involution.
-        """
-        idx = [i if isinstance(i, Index) else Index(i) for i in indices]
-        matrix = np.asarray(matrix, dtype=complex)
-        try:
-            matrix = matrix.reshape(len(idx), len(idx))
-        except ValueError as exc:
-            raise ValueError(
-                f"matrix shape {matrix.shape} does not match {len(idx)} indices"
-            ) from exc
-        entries = {}
-        for a, ia in enumerate(idx):
-            for b, ib in enumerate(idx):
-                entries[(ia, ib)] = matrix[a, b]
-        return cls(entries, indices=idx, validate=validate, tol=tol)
-
     @property
     def indices(self) -> tuple:
         return self._indices
 
     def pairing(self, i: Index, j: Index) -> complex:
-        """The pairing (i, j); Hermiticity fills entries stored transposed."""
-        key = (i.tag, j.tag)
-        if key in self._pair:
-            return self._pair[key]
-        swapped = (j.tag, i.tag)
-        if swapped in self._pair:
-            return self._pair[swapped].conjugate()
-        raise KeyError(f"kernel has no entry for pair ({i!r}, {j!r})")
+        """The pairing (i, j); a tag outside the index set raises ``KeyError``."""
+        try:
+            return self._entries[self._position[i.tag]][self._position[j.tag]]
+        except KeyError:
+            raise KeyError(f"kernel has no entry for pair ({i!r}, {j!r})") from None
 
     def _encode(self, w: Word) -> tuple:
         """The word as a tuple of codes; the code of an index covers its ctag."""
@@ -203,22 +178,16 @@ class GaussianKernel:
             total += factor * value
         return total
 
-    def matrix(self, indices=None) -> np.ndarray:
-        indices = self._indices if indices is None else list(indices)
-        n = len(indices)
-        out = np.zeros((n, n), dtype=complex)
-        for a, ia in enumerate(indices):
-            for b, ib in enumerate(indices):
-                out[a, b] = self.pairing(ia, ib)
-        return out
+    def matrix(self) -> np.ndarray:
+        return self._matrix.copy()
 
     def min_eigenvalue(self) -> float:
-        eig, _, _ = hermitian_spectrum(self.matrix(), self.tol)
+        eig, _, _ = hermitian_spectrum(self._matrix, self.tol)
         return float(eig[0]) if eig.size else 0.0
 
     def check_hermitian(self) -> tuple:
         """Refuse a Hermiticity defect over the spectral bound; return (eigenvalues, bound)."""
-        m = self.matrix()
+        m = self._matrix
         eig, _, bound = hermitian_spectrum(m, self.tol)
         defect = 2 * float(np.max(np.abs(m / 2 - m.conj().T / 2))) if m.size else 0.0
         if defect > bound:
@@ -229,20 +198,6 @@ class GaussianKernel:
         eig, bound = self.check_hermitian()
         if eig.size and eig[0] < -bound:
             raise ValueError(f"kernel is not positive semi-definite: min eigenvalue {eig[0]:.3e}")
-
-    def as_dict(self) -> dict:
-        """JSON-ready form; complex matrix entries become [re, im] pairs."""
-        m = self.matrix()
-        return {
-            "indices": [str(i.tag) for i in self._indices],
-            "matrix": [[[v.real, v.imag] for v in row] for row in m.tolist()],
-        }
-
-    def to_json(self, **kwargs) -> str:
-        import json
-
-        kwargs.setdefault("sort_keys", True)
-        return json.dumps(self.as_dict(), **kwargs)
 
     def __repr__(self):
         tags = [i.tag for i in self._indices]

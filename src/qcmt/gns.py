@@ -11,7 +11,6 @@ expectations reproduce the state.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import product
 
@@ -83,11 +82,6 @@ class GramReport:
             "null_dimension": self.null_dimension,
             "tolerance": self.tolerance,
         }
-
-    def to_json(self, **kwargs) -> str:
-        kwargs.setdefault("sort_keys", True)
-        kwargs.setdefault("indent", 2)
-        return json.dumps(self.as_dict(), **kwargs)
 
 
 def _gram_matrix(basis: MonomialBasis, state: State) -> np.ndarray:

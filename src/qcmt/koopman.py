@@ -18,17 +18,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Index, LinearCombination
+from .algebra import LinearCombination
 from .gaussian import GaussianKernel, tolerance_bound
 
 MULTIPLICATION = "multiplication"
 LIOUVILLE = "liouville"
 
 DEFAULT_FLOW_STEP = 1e-3
+# Most RK4 steps ``flow_sample`` takes per point, default or explicit; at the
+# default step it bounds the flow time by 1000.
+MAX_FLOW_STEPS = 10**6
 
 
 def _is_integer(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _dimension(value) -> int:
+    """A phase-space dimension as a Python int; anything but a positive integer raises."""
+    if not _is_integer(value) or value < 1:
+        raise ValueError(f"phase space dimension must be a positive integer, not {value!r}")
+    return int(value)
 
 
 class PhaseSpacePolynomial(LinearCombination):
@@ -49,9 +59,8 @@ class PhaseSpacePolynomial(LinearCombination):
     tol = 0.0
 
     def __init__(self, dimension: int, terms=None):
-        if not _is_integer(dimension) or dimension < 1:
-            raise ValueError(f"phase space dimension must be a positive integer, not {dimension!r}")
-        width = 2 * int(dimension)
+        dimension = _dimension(dimension)
+        width = 2 * dimension
         merged = {}
         if terms:
             for exps, c in terms.items():
@@ -64,7 +73,7 @@ class PhaseSpacePolynomial(LinearCombination):
                 exps = tuple(map(int, exps))
                 merged[exps] = merged.get(exps, 0j) + complex(c)
         super().__init__(merged)
-        self.dimension = int(dimension)
+        self.dimension = dimension
 
     def _like(self, terms):
         # Ring results are valid by construction: sums of valid exponent
@@ -89,14 +98,16 @@ class PhaseSpacePolynomial(LinearCombination):
 
     @classmethod
     def constant(cls, dimension: int, value: complex) -> "PhaseSpacePolynomial":
+        dimension = _dimension(dimension)
         return cls(dimension, {(0,) * (2 * dimension): value})
 
     @classmethod
     def coordinate(cls, dimension: int, kind: str, axis: int = 0) -> "PhaseSpacePolynomial":
         """The coordinate function q_axis or p_axis."""
+        dimension = _dimension(dimension)
         if kind not in ("q", "p"):
             raise ValueError("kind must be 'q' or 'p'")
-        if not 0 <= axis < dimension:
+        if not (_is_integer(axis) and 0 <= axis < dimension):
             raise ValueError(f"axis {axis} out of range for dimension {dimension}")
         pos = axis if kind == "q" else dimension + axis
         exps = tuple(1 if s == pos else 0 for s in range(2 * dimension))
@@ -137,17 +148,20 @@ class PhaseSpacePolynomial(LinearCombination):
         return self._like(out)
 
     def __call__(self, point) -> complex:
-        """Evaluate at a flat point (q_1..q_n, p_1..p_n)."""
+        """Evaluate at a flat point (q_1..q_n, p_1..p_n); an overflow raises ``ValueError``."""
         point = tuple(point)
         if len(point) != 2 * self.dimension:
             raise ValueError(f"point has length {len(point)}, expected {2 * self.dimension}")
         total = 0j
-        for exps, c in self.terms.items():
-            value = c
-            for x, e in zip(point, exps):
-                if e:
-                    value *= x**e
-            total += value
+        try:
+            for exps, c in self.terms.items():
+                value = c
+                for x, e in zip(point, exps):
+                    if e:
+                        value *= x**e
+                total += value
+        except OverflowError as exc:
+            raise ValueError(f"evaluation at {point} overflows the floats") from exc
         return total
 
     # inspection -------------------------------------------------------------
@@ -276,8 +290,9 @@ def flow_sample(spec: FlowSpec, points, steps: int | None = None):
     mapped points; for quadratic symbols this reproduces the exact linear
     symplectic map to integrator accuracy.  Multiplication flows return the
     pointwise multipliers exp(t*u).  A non-finite time or coordinate, a
-    ``steps`` that is not a positive integer, and a flow that leaves the
-    floats raise ``ValueError``.
+    step count (``steps``, or ``|t| / DEFAULT_FLOW_STEP`` rounded up) that
+    is not an integer from 1 to ``MAX_FLOW_STEPS``, and a flow that leaves
+    the floats raise ``ValueError``.
     """
     op = spec.generator
     _require_real_symbol(op.symbol)
@@ -286,9 +301,12 @@ def flow_sample(spec: FlowSpec, points, steps: int | None = None):
     if not math.isfinite(t):
         raise ValueError(f"flow time must be finite, not {spec.time!r}")
     if steps is None:
-        steps = max(1, math.ceil(abs(t) / DEFAULT_FLOW_STEP))
-    elif not _is_integer(steps) or steps < 1:
-        raise ValueError(f"steps must be a positive integer, not {steps!r}")
+        span = abs(t) / DEFAULT_FLOW_STEP
+        if span > MAX_FLOW_STEPS:
+            raise ValueError(f"flow time {t!r} needs over {MAX_FLOW_STEPS} steps of {DEFAULT_FLOW_STEP}")
+        steps = max(1, math.ceil(span))
+    elif not (_is_integer(steps) and 1 <= steps <= MAX_FLOW_STEPS):
+        raise ValueError(f"steps must be an integer from 1 to {MAX_FLOW_STEPS}, not {steps!r}")
     points = [[float(c) for c in point] for point in points]
     for x in points:
         if len(x) != 2 * n:
@@ -297,10 +315,7 @@ def flow_sample(spec: FlowSpec, points, steps: int | None = None):
             raise ValueError(f"point {tuple(x)} has a non-finite coordinate")
 
     if op.kind == MULTIPLICATION:
-        try:
-            return [_bounded_exp(t * op.symbol(x).real) for x in points]
-        except OverflowError as exc:
-            raise ValueError("multiplication flow overflows the floats") from exc
+        return [_bounded_exp(t * op.symbol(x).real) for x in points]
 
     dq = [op.symbol.diff(n + i) for i in range(n)]  # du/dp_i
     dp = [op.symbol.diff(i) for i in range(n)]  # du/dq_i
@@ -312,17 +327,14 @@ def flow_sample(spec: FlowSpec, points, steps: int | None = None):
     mapped = []
     for x in points:
         for _ in range(steps):
-            try:
-                k1 = velocity(x)
-                k2 = velocity([a + 0.5 * h * b for a, b in zip(x, k1)])
-                k3 = velocity([a + 0.5 * h * b for a, b in zip(x, k2)])
-                k4 = velocity([a + h * b for a, b in zip(x, k3)])
-                x = [
-                    a + h * (b1 + 2 * b2 + 2 * b3 + b4) / 6
-                    for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)
-                ]
-            except OverflowError as exc:
-                raise ValueError("flow integration produced non-finite values") from exc
+            k1 = velocity(x)
+            k2 = velocity([a + 0.5 * h * b for a, b in zip(x, k1)])
+            k3 = velocity([a + 0.5 * h * b for a, b in zip(x, k2)])
+            k4 = velocity([a + h * b for a, b in zip(x, k3)])
+            x = [
+                a + h * (b1 + 2 * b2 + 2 * b3 + b4) / 6
+                for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)
+            ]
             if not all(math.isfinite(c) for c in x):
                 raise ValueError("flow integration produced non-finite values")
         mapped.append(tuple(x))
@@ -348,12 +360,4 @@ def gibbs_oscillator_kernel(mass: float, frequency: float, temperature: float) -
     pp = mass * temperature
     if not (0 < qq < math.inf and 0 < pp < math.inf):
         raise ValueError("the variances kT/(m w^2) and m kT must be finite and positive")
-    q = Index("q")
-    p = Index("p")
-    entries = {
-        (q, q): qq,
-        (p, p): pp,
-        (q, p): 0.0,
-        (p, q): 0.0,
-    }
-    return GaussianKernel(entries, indices=(q, p))
+    return GaussianKernel(["q", "p"], [[qq, 0.0], [0.0, pp]])

@@ -104,26 +104,6 @@ def extended_expect(state: State, x: ExtendedElement) -> complex:
     return sum((c * extended_word_expect(state, w) for w, c in x.terms.items()), 0j)
 
 
-class ProjectorExtendedState:
-    """The base state extended to the projector algebra by factorization."""
-
-    def __init__(self, base: State):
-        self.base = base
-
-    @property
-    def indices(self):
-        return self.base.indices
-
-    def word_expect(self, w: Word) -> complex:
-        return self.base.word_expect(w)
-
-    def expect(self, element) -> complex:
-        """Expectation of an extended element; a plain element is embedded."""
-        if not isinstance(element, ExtendedElement):
-            element = ExtendedElement.embed(element)
-        return extended_expect(self.base, element)
-
-
 def commutation_witness(state: State, i, j) -> tuple:
     """The pair (rho(M_i V M_j), rho(V M_i M_j)).
 

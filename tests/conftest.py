@@ -11,19 +11,19 @@ K3 = [[1.0, 0.5, 0.2], [0.5, 1.0, 0.3], [0.2, 0.3, 1.0]]
 
 @pytest.fixture
 def k2():
-    return GaussianKernel.from_matrix([1, 2], K2)
+    return GaussianKernel([1, 2], K2)
 
 
 @pytest.fixture
 def k3():
-    return GaussianKernel.from_matrix([1, 2, 3], K3)
+    return GaussianKernel([1, 2, 3], K3)
 
 
 @pytest.fixture
 def k_paired():
     """Complex Hermitian kernel over a conjugate index pair (a, a*)."""
     a, ac = paired_indices("a", "a*")
-    return GaussianKernel.from_matrix([a, ac], [[1.0, 0.3j], [-0.3j, 1.0]])
+    return GaussianKernel([a, ac], [[1.0, 0.3j], [-0.3j, 1.0]])
 
 
 @pytest.fixture

@@ -44,7 +44,7 @@ def report(number, name, passed, detail=""):
 
 def test_criterion_1_wick_oracle_equivalence():
     started = time.perf_counter()
-    kernel = GaussianKernel.from_matrix([1, 2, 3], K3)
+    kernel = GaussianKernel([1, 2, 3], K3)
     worst = 0.0
     count = 0
     for length in range(7):
@@ -107,7 +107,7 @@ def test_criterion_3_state_positivity():
     started = time.perf_counter()
     packets = field_packets()
     kernels = {
-        "gaussian": GaussianKernel.from_matrix([1, 2, 3], K3),
+        "gaussian": GaussianKernel([1, 2, 3], K3),
         "gibbs": gibbs_oscillator_kernel(1.0, 1.0, 1.0),
         "vacuum-field": kernel_as_gaussian(FieldKernelSpec(mass=1.0), packets),
         "thermal-field": kernel_as_gaussian(FieldKernelSpec(mass=1.0, beta=1.0), packets),
@@ -128,7 +128,7 @@ def test_criterion_3_state_positivity():
 
 
 def test_criterion_4_gns_reproduction():
-    kernel = GaussianKernel.from_matrix([1, 2, 3], K3)
+    kernel = GaussianKernel([1, 2, 3], K3)
     state = GaussianState(kernel)
     rep = represent(build_basis(kernel.indices, 2), state)
     worst = 0.0
@@ -139,7 +139,7 @@ def test_criterion_4_gns_reproduction():
 
 
 def test_criterion_5_vacuum_projector_witness():
-    kernel = GaussianKernel.from_matrix([1, 2], K2)
+    kernel = GaussianKernel([1, 2], K2)
     state = GaussianState(kernel)
     i1, i2 = kernel.indices
     between, in_front = commutation_witness(state, i1, i2)

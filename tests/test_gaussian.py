@@ -20,7 +20,7 @@ from qcmt.gaussian import (
 
 def imaginary_kernel():
     """Hermitian PSD kernel with (1,2) = i/2; a genuinely quantum pairing."""
-    return GaussianKernel.from_matrix([1, 2], [[1.0, 0.5j], [-0.5j, 1.0]])
+    return GaussianKernel([1, 2], [[1.0, 0.5j], [-0.5j, 1.0]])
 
 
 # ---------------------------------------------------------------- kernel type
@@ -28,38 +28,42 @@ def imaginary_kernel():
 
 def test_kernel_rejects_non_hermitian():
     with pytest.raises(ValueError, match="Hermitian"):
-        GaussianKernel.from_matrix([1, 2], [[1.0, 0.5], [0.4, 1.0]])
+        GaussianKernel([1, 2], [[1.0, 0.5], [0.4, 1.0]])
 
 
 def test_kernel_rejects_indefinite():
     with pytest.raises(ValueError, match="positive semi-definite"):
-        GaussianKernel.from_matrix([1, 2], [[1.0, 2.0], [2.0, 1.0]])
+        GaussianKernel([1, 2], [[1.0, 2.0], [2.0, 1.0]])
 
 
 def test_kernel_validate_can_be_disabled():
-    bad = GaussianKernel.from_matrix([1, 2], [[1.0, 2.0], [2.0, 1.0]], validate=False)
+    bad = GaussianKernel([1, 2], [[1.0, 2.0], [2.0, 1.0]], validate=False)
     assert bad.min_eigenvalue() < -0.5
 
 
-def test_kernel_pairing_fills_by_hermiticity():
-    i, j = Index(1), Index(2)
-    kernel = GaussianKernel({(i, i): 1.0, (j, j): 1.0, (i, j): 0.25j})
-    assert kernel.pairing(j, i) == -0.25j
-
-
 def test_kernel_unknown_pair_raises(k2):
-    with pytest.raises(KeyError):
+    with pytest.raises(KeyError, match="no entry"):
         k2.pairing(Index(1), Index(9))
 
 
-def test_kernel_serializes_complex_entries_as_pairs():
-    import json
+def test_kernel_rejects_repeated_tags_and_wrong_shape():
+    with pytest.raises(ValueError, match="repeat"):
+        GaussianKernel([1, Index(1, 2)], np.eye(2))
+    with pytest.raises(ValueError, match="does not match 2 indices"):
+        GaussianKernel([1, 2], np.eye(3))
 
-    kernel = imaginary_kernel()
-    payload = json.loads(kernel.to_json())
-    assert payload["indices"] == ["1", "2"]
-    assert payload["matrix"][0][1] == [0.0, 0.5]
-    assert payload["matrix"][1][0] == [0.0, -0.5]
+
+def test_kernel_stores_its_own_matrix():
+    source = np.array([[1.0, 0.5j], [-0.5j, 1.0]])
+    kernel = GaussianKernel([1, Index(2)], source)
+    source[0, 1] = 7.0
+    copy = kernel.matrix()
+    copy[0, 0] = 7.0
+    i, j = kernel.indices
+    assert (i.tag, j.tag) == (1, 2) and i.self_conjugate
+    assert kernel.pairing(i, j) == 0.5j and kernel.pairing(j, i) == -0.5j
+    assert type(kernel.pairing(i, i)) is complex
+    assert np.array_equal(kernel.matrix(), [[1.0, 0.5j], [-0.5j, 1.0]])
 
 
 # ---------------------------------------------------------------- two_point
@@ -101,7 +105,7 @@ def test_four_point_alternating(k2):
 
 
 def test_fourth_moment_single_index():
-    kernel = GaussianKernel.from_matrix([1], [[1.0]])
+    kernel = GaussianKernel([1], [[1.0]])
     (i,) = kernel.indices
     assert np.isclose(wick_expect(kernel, (i, i, i, i)), 3.0)
 
@@ -139,7 +143,7 @@ def test_generating_function_at_zero(k3):
 
 
 def test_generating_function_single_index():
-    kernel = GaussianKernel.from_matrix([1], [[1.0]])
+    kernel = GaussianKernel([1], [[1.0]])
     (i,) = kernel.indices
     assert np.isclose(generating_function(kernel, [i], [1.0]), math.exp(-0.5))
 

@@ -12,7 +12,7 @@ from qcmt.verify import check_gram_psd
 
 
 def degenerate_kernel():
-    return GaussianKernel.from_matrix([1, 2], [[1.0, 1.0], [1.0, 1.0]])
+    return GaussianKernel([1, 2], [[1.0, 1.0], [1.0, 1.0]])
 
 
 # ---------------------------------------------------------------- build_basis
@@ -88,7 +88,7 @@ def test_one_positivity_verdict_at_the_tolerance_bound(depth, positive):
     c, s = math.cos(0.3), math.sin(0.3)
     rotation = np.array([[c, -s], [s, c]])
     matrix = rotation @ np.diag([lowest, 4.0]) @ rotation.T
-    kernel = GaussianKernel.from_matrix([1, 2], matrix, validate=False, tol=tol)
+    kernel = GaussianKernel([1, 2], matrix, validate=False, tol=tol)
     state = GaussianState(kernel)
     verdicts = {}
     try:
@@ -110,7 +110,8 @@ def test_one_positivity_verdict_at_the_tolerance_bound(depth, positive):
 
 def test_gram_report_serializes():
     report = gram(build_basis([1, 2], 1), GaussianState(degenerate_kernel()))
-    payload = json.loads(report.to_json())
+    payload = report.as_dict()
+    assert json.loads(json.dumps(payload, allow_nan=False)) == payload
     assert set(payload) == {"dimension", "eigenvalues", "null_dimension", "tolerance"}
     assert payload["dimension"] == 3
     assert payload["eigenvalues"] == sorted(payload["eigenvalues"])
@@ -170,7 +171,7 @@ def test_representation_rejects_long_words(k2):
 
 
 def test_represent_rejects_indefinite_state():
-    bad = GaussianKernel.from_matrix([1, 2], [[1.0, 2.0], [2.0, 1.0]], validate=False)
+    bad = GaussianKernel([1, 2], [[1.0, 2.0], [2.0, 1.0]], validate=False)
     with pytest.raises(ValueError, match="not a state"):
         represent(build_basis(bad.indices, 1), GaussianState(bad))
 
@@ -183,7 +184,7 @@ def test_probe_on_gaussian_state(k3):
 
 
 def test_probe_detects_non_state():
-    bad = GaussianKernel.from_matrix([1, 2], [[1.0, 2.0], [2.0, 1.0]], validate=False)
+    bad = GaussianKernel([1, 2], [[1.0, 2.0], [2.0, 1.0]], validate=False)
     state = GaussianState(bad)
     # deliberate element along the negative eigenvector
     i1, i2 = bad.indices
@@ -215,10 +216,10 @@ def test_lower_gram_is_leading_block_of_top_gram(kind, degree):
     # represent() slices every level's Gram matrix out of the degree + 1 one
     indices, matrix = _seeded_kernel(kind)
     top_basis = build_basis(indices, degree + 1)
-    top = gram(top_basis, GaussianState(GaussianKernel.from_matrix(indices, matrix))).gram
+    top = gram(top_basis, GaussianState(GaussianKernel(indices, matrix))).gram
     for j in range(degree + 2):
         basis = build_basis(indices, j)
         n = len(basis)
         assert basis.words == top_basis.words[:n]
-        fresh = GaussianState(GaussianKernel.from_matrix(indices, matrix))
+        fresh = GaussianState(GaussianKernel(indices, matrix))
         assert gram(basis, fresh).gram.tobytes() == top[:n, :n].tobytes()

@@ -1,5 +1,6 @@
 import math
 import operator
+import time
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from qcmt import koopman, verify
 from qcmt.algebra import AlgebraElement, Index
 from qcmt.gaussian import GaussianState, commutator_factor, wick_expect
 from qcmt.koopman import (
+    MAX_FLOW_STEPS,
     FlowSpec,
     KoopmanOperator,
     PhaseSpacePolynomial,
@@ -51,6 +53,15 @@ def test_polynomial_validation():
     ):
         with pytest.raises(ValueError):
             PhaseSpacePolynomial(dimension, terms)
+    for build in (
+        lambda: PhaseSpacePolynomial.constant(1.5, 1),
+        lambda: PhaseSpacePolynomial.coordinate(1.5, "q"),
+        lambda: PhaseSpacePolynomial.coordinate(True, "p"),
+    ):
+        with pytest.raises(ValueError, match="dimension"):
+            build()
+    with pytest.raises(ValueError, match="axis"):
+        PhaseSpacePolynomial.coordinate(2, "q", 0.5)
 
 
 def test_numpy_integers_become_python_ints():
@@ -58,6 +69,12 @@ def test_numpy_integers_become_python_ints():
     assert type(u.dimension) is int
     assert [type(e) for e in next(iter(u.terms))] == [int, int]
     assert u == PhaseSpacePolynomial(1, {(2, 0): 1})
+
+
+def test_evaluation_overflow_raises_value_error():
+    (q,), _ = coords()
+    with pytest.raises(ValueError, match="overflow"):
+        (q * q)((1e200, 0.0))
 
 
 def test_polynomial_arithmetic_and_evaluation():
@@ -405,6 +422,16 @@ def test_flow_sample_steps_argument():
     for steps in (7, np.int64(7)):
         (moved,) = flow_sample(spec, [(0.0, 0.0)], steps=steps)
         assert np.allclose(moved, (1.0, 0.0), atol=1e-12)
+
+
+def test_flow_sample_refuses_step_counts_over_the_cap():
+    (q,), (p,) = coords()
+    for t, steps in ((1e9, None), (1e308, None), (1.0, MAX_FLOW_STEPS + 1)):
+        spec = FlowSpec(KoopmanOperator.liouville(p), t)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=str(MAX_FLOW_STEPS)):
+            flow_sample(spec, [(0.0, 0.0)], steps=steps)
+        assert time.perf_counter() - start < 1.0
 
 
 NAN, INF = float("nan"), float("inf")

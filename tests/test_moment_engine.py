@@ -52,7 +52,7 @@ def kernels_and_words(draw, max_words=3):
         b = np.array(draw(st.lists(unit, min_size=n * n, max_size=n * n))).reshape(n, n)
         a = a + 1j * b
     matrix = a @ a.conj().T / n + 0.1 * np.eye(n)
-    kernel = GaussianKernel.from_matrix(_indices(kind, n), matrix)
+    kernel = GaussianKernel(_indices(kind, n), matrix)
     position = st.integers(0, n - 1)
     words = draw(st.lists(st.lists(position, max_size=10), min_size=1, max_size=max_words))
     return kernel, [tuple(kernel.indices[p] for p in w) for w in words]
@@ -84,7 +84,7 @@ def test_bitmask_series_is_bitwise_the_tuple_series(case):
 def _complex_kernel():
     a, ac = paired_indices("a", "a*")
     matrix = [[1.0, 0.3j, 0.2], [-0.3j, 1.0, 0.1 - 0.2j], [0.2, 0.1 + 0.2j, 0.9]]
-    return GaussianKernel.from_matrix([a, ac, Index(3)], matrix)
+    return GaussianKernel([a, ac, Index(3)], matrix)
 
 
 def test_moments_do_not_depend_on_memo_history():
@@ -102,7 +102,7 @@ def test_moments_do_not_depend_on_memo_history():
 
 
 def test_memo_keeps_involution_partners_apart():
-    kernel = GaussianKernel.from_matrix([1, 2], [[1.0, 0.3 + 0.4j], [0.3 - 0.4j, 0.8]])
+    kernel = GaussianKernel([1, 2], [[1.0, 0.3 + 0.4j], [0.3 - 0.4j, 0.8]])
     plain, partnered = Index(1), Index(1, 2)
     # same tags, different ctag: a tag-keyed memo would return 3 for both
     assert wick_expect(kernel, (plain,) * 4) == 3
@@ -114,8 +114,8 @@ def test_memo_keeps_involution_partners_apart():
 
 
 def test_memo_is_bounded_per_kernel():
-    kernel = GaussianKernel.from_matrix([1, 2, 3], np.eye(3) + 0.1)
-    other = GaussianKernel.from_matrix([1, 2, 3], np.eye(3) + 0.1)
+    kernel = GaussianKernel([1, 2, 3], np.eye(3) + 0.1)
+    other = GaussianKernel([1, 2, 3], np.eye(3) + 0.1)
     gram(build_basis(kernel.indices, 4), GaussianState(kernel))
     assert 1 < len(kernel._memo) <= MEMO_CAP
     assert other._memo == {(): 1}
