@@ -11,14 +11,13 @@ the Gaussian-state machinery.
 import math
 
 from qcmt import (
-    FlowSpec,
     GaussianState,
-    KoopmanOperator,
     PhaseSpacePolynomial,
     bracket_residuals,
     commutator_factor,
-    flow_sample,
     gibbs_oscillator_kernel,
+    liouville_flow,
+    multiplication_flow,
     poisson,
 )
 
@@ -40,12 +39,9 @@ print("  ([Der_u, Der_v] - Der_{u,v})f =", r3)
 
 print("\nflows")
 energy = 0.5 * (q * q + p * p)
-spec = FlowSpec(KoopmanOperator.liouville(energy), 2 * math.pi)
-print("  harmonic flow, one period:", flow_sample(spec, [(1.0, 0.0)])[0])
-translate = FlowSpec(KoopmanOperator.liouville(p), 1.0)
-print("  momentum flow translates: ", flow_sample(translate, [(0.0, 0.0)])[0])
-rescale = FlowSpec(KoopmanOperator.multiplication(q), 1.0)
-print("  multiplication flow at q=2 multiplies by", flow_sample(rescale, [(2.0, 0.0)])[0])
+print("  harmonic flow, one period:", liouville_flow(energy, 2 * math.pi, [(1.0, 0.0)])[0])
+print("  momentum flow translates: ", liouville_flow(p, 1.0, [(0.0, 0.0)])[0])
+print("  multiplication flow at q=2 multiplies by", multiplication_flow(q, 1.0, [(2.0, 0.0)])[0])
 
 print("\nGibbs oscillator kernel (m = w = kT = 1)")
 kernel = gibbs_oscillator_kernel(1.0, 1.0, 1.0)

@@ -19,6 +19,7 @@ from qcmt import (
     thermal_kernel,
     vacuum_kernel,
 )
+from qcmt.gaussian import hermitian_spectrum
 
 vacuum = FieldKernelSpec(mass=1.0)
 thermal = FieldKernelSpec(mass=1.0, beta=1.0)
@@ -50,4 +51,5 @@ for dx in (1.0, 2.0, 4.0, 6.0, 10.0):
 
 print("\nmaterialized kernel matrix feeds the Gaussian-state machinery")
 kernel = kernel_as_gaussian(vacuum, [f, g])
-print("  indices:", len(kernel.indices), " min eigenvalue:", np.round(kernel.min_eigenvalue(), 12))
+lowest = hermitian_spectrum(kernel.matrix(), kernel.tol)[0][0]
+print("  indices:", len(kernel.indices), " min eigenvalue:", np.round(lowest, 12))

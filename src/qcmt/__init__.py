@@ -1,6 +1,6 @@
 """Measurement algebras, Gaussian states, Koopman operators, and field kernels."""
 
-from .algebra import AlgebraElement, Index, generator, paired_indices, word, word_adjoint, word_label
+from .algebra import AlgebraElement, Index, generator, paired_indices, word_adjoint, word_label
 from .fields import (
     FieldKernelSpec,
     PacketComponent,
@@ -29,12 +29,11 @@ from .gaussian import (
 )
 from .gns import GramReport, MonomialBasis, Representation, build_basis, gram, positivity_probe, represent
 from .koopman import (
-    FlowSpec,
-    KoopmanOperator,
     PhaseSpacePolynomial,
     bracket_residuals,
-    flow_sample,
     gibbs_oscillator_kernel,
+    liouville_flow,
+    multiplication_flow,
     poisson,
 )
 from .vacuum import (

@@ -61,22 +61,14 @@ def paired_indices(tag: Hashable, ctag: Hashable) -> tuple[Index, Index]:
 Word = tuple
 
 
-def word(*indices: Index) -> Word:
-    return tuple(indices)
-
-
 def word_adjoint(w: Word) -> Word:
     """Adjoint of an ordered product: reverse the order, involve each index."""
     return tuple(i.involve() for i in reversed(w))
 
 
-def word_label(w: Word, names: dict | None = None) -> str:
+def word_label(w: Word) -> str:
     """Human-readable product label, e.g. ``M1*M2``; the identity prints as ``1``."""
-    if not w:
-        return "1"
-    if names is None:
-        return "*".join(f"M{i.tag}" for i in w)
-    return "*".join(names[i] for i in w)
+    return "*".join(f"M{i.tag}" for i in w) if w else "1"
 
 
 class LinearCombination:

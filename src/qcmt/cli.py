@@ -75,8 +75,8 @@ class ConfigError(Exception):
 
 
 def _float_value(raw, where: str) -> float:
-    """A finite JSON number; NaN, infinities and overflowing integers are refused."""
-    if not isinstance(raw, (int, float)):
+    """A finite JSON number; booleans, NaN, infinities and overflowing integers are refused."""
+    if not isinstance(raw, (int, float)) or isinstance(raw, bool):
         raise ConfigError(f"field '{where}' must be a number")
     try:
         value = float(raw)
@@ -207,7 +207,7 @@ def parse_kernel(config: dict):
 
 def _gaussian(kernel, spec, packets) -> GaussianKernel:
     """The parsed kernel as a Gaussian kernel; a field kernel's quadrature runs here."""
-    return kernel if spec is None else kernel_as_gaussian(spec, packets, tol=1e-8)
+    return kernel if spec is None else kernel_as_gaussian(spec, packets)
 
 
 def build_kernel(config: dict):
@@ -282,9 +282,9 @@ def parse_config(config: dict, mode: str, flags) -> dict:
         if "pair" in config:  # the default pair is read only for field kernels
             for ref in pair:
                 _reference(ref, kernel, packets, "pair")
-        separations = config.get("separations")
-        if separations is not None:
-            separations = _float_list(separations, "separations")
+        separations = _float_list(config.get("separations", [10.0]), "separations")
+        if not separations:
+            raise ConfigError("field 'separations' must list at least one separation")
         return dict(common, seed=seed, tolerance=tolerance, pair=tuple(pair),
                     separations=separations, config_echo=config)
     if mode == "moments":

@@ -497,12 +497,13 @@ def packet_index(f: Wavepacket) -> Index:
     return Index(f.key(), f.conjugate().key())
 
 
-def kernel_as_gaussian(spec: FieldKernelSpec, packets, tol: float = 1e-10) -> GaussianKernel:
+def kernel_as_gaussian(spec: FieldKernelSpec, packets) -> GaussianKernel:
     """Materialize the pairwise kernel matrix as a Gaussian-state kernel.
 
     The index set is closed under the involution by appending conjugate
     packets, so downstream moment and Gram evaluations can contract any
-    word over the given packets.
+    word over the given packets.  The kernel is validated at
+    ``QUADRATURE_TOL``, the accuracy its entries are computed to.
     """
     packets = list(packets)
     if not packets:
@@ -519,4 +520,4 @@ def kernel_as_gaussian(spec: FieldKernelSpec, packets, tol: float = 1e-10) -> Ga
             seen.add(fc.key())
             family.append(fc)
     matrix = _kernel_matrix(spec, family, thermal=spec.is_thermal)
-    return GaussianKernel([packet_index(f) for f in family], matrix, tol=tol)
+    return GaussianKernel([packet_index(f) for f in family], matrix, tol=QUADRATURE_TOL)

@@ -181,10 +181,6 @@ class GaussianKernel:
     def matrix(self) -> np.ndarray:
         return self._matrix.copy()
 
-    def min_eigenvalue(self) -> float:
-        eig, _, _ = hermitian_spectrum(self._matrix, self.tol)
-        return float(eig[0]) if eig.size else 0.0
-
     def check_hermitian(self) -> tuple:
         """Refuse a Hermiticity defect over the spectral bound; return (eigenvalues, bound)."""
         m = self._matrix

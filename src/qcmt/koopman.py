@@ -1,31 +1,28 @@
 """Phase-space polynomials, Poisson brackets, and Koopman operator pairs.
 
 Two operator families act on functions over a 2n-dimensional phase space:
-multiplication operators (one per symbol u, acting f -> u*f) and Poisson
-derivations (acting f -> {u, f}).  Multiplication operators commute among
-themselves; the commutator of a derivation with a multiplication operator
-is the multiplication operator of the bracket, and derivations close under
-the bracket.  Exponentiating derivations gives canonical flows, while
+multiplication operators Mul_u f = u*f and Poisson derivations
+Der_u f = {u, f}, computed as ``u * f`` and ``poisson(u, f)``.
+Multiplication operators commute among themselves; the commutator of a
+derivation with a multiplication operator is the multiplication operator
+of the bracket, and derivations close under the bracket.  Exponentiating
+derivations gives canonical flows (``liouville_flow``), while
 exponentiating multiplication operators rescales pointwise, a
-non-canonical transformation.
+non-canonical transformation (``multiplication_flow``).
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 
 import numpy as np
 
 from .algebra import LinearCombination
 from .gaussian import GaussianKernel, tolerance_bound
 
-MULTIPLICATION = "multiplication"
-LIOUVILLE = "liouville"
-
 DEFAULT_FLOW_STEP = 1e-3
-# Most RK4 steps ``flow_sample`` takes per point, default or explicit; at the
+# Most RK4 steps ``liouville_flow`` takes per point, default or explicit; at the
 # default step it bounds the flow time by 1000.
 MAX_FLOW_STEPS = 10**6
 
@@ -217,89 +214,64 @@ def poisson(u: PhaseSpacePolynomial, v: PhaseSpacePolynomial) -> PhaseSpacePolyn
     return u._like(out)
 
 
-class KoopmanOperator:
-    """Multiplication operator or Poisson derivation with a polynomial symbol."""
-
-    __slots__ = ("kind", "symbol")
-
-    def __init__(self, kind: str, symbol: PhaseSpacePolynomial):
-        if kind not in (MULTIPLICATION, LIOUVILLE):
-            raise ValueError(f"unknown operator kind {kind!r}")
-        self.kind = kind
-        self.symbol = symbol
-
-    @classmethod
-    def multiplication(cls, symbol: PhaseSpacePolynomial) -> "KoopmanOperator":
-        """Operator acting by pointwise multiplication with the symbol."""
-        return cls(MULTIPLICATION, symbol)
-
-    @classmethod
-    def liouville(cls, symbol: PhaseSpacePolynomial) -> "KoopmanOperator":
-        """Derivation f -> {u, f} generated by the symbol u."""
-        return cls(LIOUVILLE, symbol)
-
-    def apply(self, f: PhaseSpacePolynomial) -> PhaseSpacePolynomial:
-        self.symbol._check_dimension(f)
-        if self.kind == MULTIPLICATION:
-            return self.symbol * f
-        return poisson(self.symbol, f)
-
-    def __repr__(self):
-        return f"KoopmanOperator({self.kind!r}, {self.symbol!r})"
-
-
 def bracket_residuals(u, v, f):
     """Residual polynomials of the three commutation relations, applied to f.
 
-    Returns ([Mul_u, Mul_v] f,
-             ([Der_u, Mul_v] - Mul_{u,v}) f,
-             ([Der_u, Der_v] - Der_{u,v}) f);
+    With Mul_u f = u*f and Der_u f = {u, f}, returns
+    ([Mul_u, Mul_v] f,
+     ([Der_u, Mul_v] - Mul_{u,v}) f,
+     ([Der_u, Der_v] - Der_{u,v}) f);
     all three must vanish identically.
     """
-    u._check_dimension(v)
-    u._check_dimension(f)
-    yu = KoopmanOperator.multiplication(u)
-    yv = KoopmanOperator.multiplication(v)
-    zu = KoopmanOperator.liouville(u)
-    zv = KoopmanOperator.liouville(v)
     uv = poisson(u, v)
-    r1 = yu.apply(yv.apply(f)) - yv.apply(yu.apply(f))
-    r2 = zu.apply(yv.apply(f)) - yv.apply(zu.apply(f)) - uv * f
-    r3 = zu.apply(zv.apply(f)) - zv.apply(zu.apply(f)) - poisson(uv, f)
+    r1 = u * (v * f) - v * (u * f)
+    r2 = poisson(u, v * f) - v * poisson(u, f) - uv * f
+    r3 = poisson(u, poisson(v, f)) - poisson(v, poisson(u, f)) - poisson(uv, f)
     return r1, r2, r3
 
 
-@dataclass(frozen=True)
-class FlowSpec:
-    """One-parameter flow generated by a Koopman operator for a given time."""
+def _flow_input(symbol: PhaseSpacePolynomial, time, points) -> tuple:
+    """The time as a float and the points as lists of floats, or ``ValueError``.
 
-    generator: KoopmanOperator
-    time: float
-
-
-def _require_real_symbol(symbol: PhaseSpacePolynomial):
+    The symbol must be real to ``tolerance_bound(1e-12, ...)`` of its
+    largest coefficient, the time finite, and every point 2n finite
+    coordinates.
+    """
     if symbol.max_imag_coeff() > tolerance_bound(1e-12, symbol.max_abs_coeff()):
         raise ValueError("flow generators must have real-valued symbols")
-
-
-def flow_sample(spec: FlowSpec, points, steps: int | None = None):
-    """Sample the exponentiated operator on phase-space points.
-
-    Derivation flows integrate Hamilton's equations of the symbol
-    (dq/dt = du/dp, dp/dt = -du/dq) with fixed-step RK4 and return the
-    mapped points; for quadratic symbols this reproduces the exact linear
-    symplectic map to integrator accuracy.  Multiplication flows return the
-    pointwise multipliers exp(t*u).  A non-finite time or coordinate, a
-    step count (``steps``, or ``|t| / DEFAULT_FLOW_STEP`` rounded up) that
-    is not an integer from 1 to ``MAX_FLOW_STEPS``, and a flow that leaves
-    the floats raise ``ValueError``.
-    """
-    op = spec.generator
-    _require_real_symbol(op.symbol)
-    n = op.symbol.dimension
-    t = float(spec.time)
+    t = float(time)
     if not math.isfinite(t):
-        raise ValueError(f"flow time must be finite, not {spec.time!r}")
+        raise ValueError(f"flow time must be finite, not {time!r}")
+    points = [[float(c) for c in point] for point in points]
+    for x in points:
+        if len(x) != 2 * symbol.dimension:
+            raise ValueError(f"point has length {len(x)}, expected {2 * symbol.dimension}")
+        if not all(map(math.isfinite, x)):
+            raise ValueError(f"point {tuple(x)} has a non-finite coordinate")
+    return t, points
+
+
+def multiplication_flow(symbol: PhaseSpacePolynomial, time, points) -> list:
+    """The multipliers exp(t*u(x)) of the flow exp(t Mul_u); bad input or an overflow raises ``ValueError``."""
+    t, points = _flow_input(symbol, time, points)
+    exponents = [t * symbol(x).real for x in points]
+    if not all(e <= 700.0 for e in exponents):  # also refuses NaN
+        raise ValueError("multiplication flow overflows the exponential")
+    return [math.exp(e) for e in exponents]
+
+
+def liouville_flow(symbol: PhaseSpacePolynomial, time, points, steps: int | None = None) -> list:
+    """The points moved by the flow exp(t Der_u), as tuples.
+
+    Integrates Hamilton's equations of the symbol (dq/dt = du/dp,
+    dp/dt = -du/dq) with fixed-step RK4; for quadratic symbols this
+    reproduces the exact linear symplectic map to integrator accuracy.
+    Bad input (see ``_flow_input``), a step count (``steps``, or
+    ``|t| / DEFAULT_FLOW_STEP`` rounded up) that is not an integer from 1
+    to ``MAX_FLOW_STEPS``, and a flow that leaves the floats raise
+    ``ValueError``.
+    """
+    t, points = _flow_input(symbol, time, points)
     if steps is None:
         span = abs(t) / DEFAULT_FLOW_STEP
         if span > MAX_FLOW_STEPS:
@@ -307,18 +279,9 @@ def flow_sample(spec: FlowSpec, points, steps: int | None = None):
         steps = max(1, math.ceil(span))
     elif not (_is_integer(steps) and 1 <= steps <= MAX_FLOW_STEPS):
         raise ValueError(f"steps must be an integer from 1 to {MAX_FLOW_STEPS}, not {steps!r}")
-    points = [[float(c) for c in point] for point in points]
-    for x in points:
-        if len(x) != 2 * n:
-            raise ValueError(f"point has length {len(x)}, expected {2 * n}")
-        if not all(map(math.isfinite, x)):
-            raise ValueError(f"point {tuple(x)} has a non-finite coordinate")
-
-    if op.kind == MULTIPLICATION:
-        return [_bounded_exp(t * op.symbol(x).real) for x in points]
-
-    dq = [op.symbol.diff(n + i) for i in range(n)]  # du/dp_i
-    dp = [op.symbol.diff(i) for i in range(n)]  # du/dq_i
+    n = symbol.dimension
+    dq = [symbol.diff(n + i) for i in range(n)]  # du/dp_i
+    dp = [symbol.diff(i) for i in range(n)]  # du/dq_i
 
     def velocity(x):
         return [d(x).real for d in dq] + [-d(x).real for d in dp]
@@ -339,12 +302,6 @@ def flow_sample(spec: FlowSpec, points, steps: int | None = None):
                 raise ValueError("flow integration produced non-finite values")
         mapped.append(tuple(x))
     return mapped
-
-
-def _bounded_exp(x: float) -> float:
-    if not x <= 700.0:  # also refuses NaN
-        raise ValueError("multiplication flow overflows the exponential")
-    return math.exp(x)
 
 
 def gibbs_oscillator_kernel(mass: float, frequency: float, temperature: float) -> GaussianKernel:

@@ -241,7 +241,7 @@ def check_microcausality(
     spec: FieldKernelSpec,
     f: Wavepacket,
     g: Wavepacket,
-    separations=(10.0,),
+    separations,
     tolerance: float = 1e-6,
     beta_tolerance: float = 1e-10,
 ) -> list:
@@ -281,7 +281,11 @@ def run_verify(
     separations=None,
     config_echo=None,
 ) -> RunReport:
-    """The full verification suite over one kernel configuration."""
+    """The full verification suite over one kernel configuration.
+
+    The field checks run when ``field_spec`` and ``packets`` are given, and
+    need ``separations``, the spacelike separations of the microcausality check.
+    """
     checks = [
         check_algebra_laws(seed=seed),
         check_wick_oracle(kernel),
@@ -296,11 +300,7 @@ def run_verify(
         if field_spec.is_thermal:
             checks.append(check_thermal_boost_discrimination(field_spec, f, g))
             checks.append(check_thermal_vacuum_limit(field_spec, f, g))
-        checks.extend(
-            check_microcausality(
-                field_spec, f, g, separations=separations or (10.0,)
-            )
-        )
+        checks.extend(check_microcausality(field_spec, f, g, separations))
     for c in checks:
         logger.info("check %-32s passed=%s worst=%.3e", c.name, c.passed, c.worst)
     return RunReport(mode="verify", seed=seed, checks=checks, config=config_echo or {})

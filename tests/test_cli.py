@@ -363,6 +363,12 @@ MALFORMED = {
     "moments-infinite-value": ("moments", {"kernel": {**K2_KERNEL, "matrix": [[1e308, 0.5], [0.5, 1]]}, "words": [[1, 1, 1, 1]]}, 3),
     "witness-pair-conjugate-packet": ("witness", {"kernel": _packet(wavevector=[0.3, 0.2]), "pair": [0, 2]}, 2),
     "moments-word-conjugate-packet": ("moments", {"kernel": _packet(wavevector=[0.3, 0.2]), "words": [[2, 2]]}, 2),
+    "gibbs-mass-bool": ("gram", {"kernel": {**GIBBS_KERNEL, "mass": True}}, 2),
+    "matrix-entry-bool": ("gram", {"kernel": {**K2_KERNEL, "matrix": [[True, 0.5], [0.5, 1]]}}, 2),
+    "tolerance-bool": ("gram", {"kernel": K2_KERNEL, "tolerance": True}, 2),
+    "packet-width-bool": ("boost-scan", {"kernel": _packet(width=True), "rapidities": [0.0]}, 2),
+    "rapidities-bool": ("boost-scan", {"kernel": FIELD_KERNEL, "rapidities": [0.0, False]}, 2),
+    "separations-empty": ("verify", {"kernel": FIELD_KERNEL, "separations": []}, 2),
 }
 
 

@@ -38,7 +38,8 @@ def test_kernel_rejects_indefinite():
 
 def test_kernel_validate_can_be_disabled():
     bad = GaussianKernel([1, 2], [[1.0, 2.0], [2.0, 1.0]], validate=False)
-    assert bad.min_eigenvalue() < -0.5
+    with pytest.raises(ValueError, match="min eigenvalue -1.000e"):
+        bad.validate()
 
 
 def test_kernel_unknown_pair_raises(k2):
