@@ -456,7 +456,7 @@ def main(argv=None) -> int:
     except QuadratureError as exc:
         print(f"numerical failure: {exc} {exc.diagnostics}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (OverflowError, FloatingPointError, LinAlgError) as exc:
+    except (OverflowError, FloatingPointError, LinAlgError, MemoryError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -122,26 +122,12 @@ class PacketComponent:
         )
 
     def conjugate(self) -> "PacketComponent":
-        return PacketComponent(
-            amplitude=complex(self.amplitude).conjugate(),
-            center=self.center,
-            width=self.width,
-            wavevector=(-self.wavevector[0], -self.wavevector[1]),
-            rapidity=self.rapidity,
-        )
+        w0, k0 = self.wavevector
+        return replace(self, amplitude=complex(self.amplitude).conjugate(), wavevector=(-w0, -k0))
 
     def key(self) -> tuple:
         a = complex(self.amplitude)
-        return (
-            a.real,
-            a.imag,
-            self.center[0],
-            self.center[1],
-            self.width,
-            self.wavevector[0],
-            self.wavevector[1],
-            self.rapidity,
-        )
+        return (a.real, a.imag, *self.center, self.width, *self.wavevector, self.rapidity)
 
 
 class Wavepacket:
@@ -178,18 +164,7 @@ class Wavepacket:
     def __mul__(self, scalar):
         if not isinstance(scalar, (int, float, complex)):
             return NotImplemented
-        return Wavepacket(
-            [
-                PacketComponent(
-                    amplitude=c.amplitude * scalar,
-                    center=c.center,
-                    width=c.width,
-                    wavevector=c.wavevector,
-                    rapidity=c.rapidity,
-                )
-                for c in self.components
-            ]
-        )
+        return Wavepacket(replace(c, amplitude=c.amplitude * scalar) for c in self.components)
 
     __rmul__ = __mul__
 
@@ -276,12 +251,12 @@ def poincare_act(g: PoincareElement, f: Wavepacket) -> Wavepacket:
         at = ch * g.translation[0] + sh * g.translation[1]
         ax = sh * g.translation[0] + ch * g.translation[1]
         w0, k0 = c.wavevector
+        phase = w0 * at - k0 * ax
         moved.append(
-            PacketComponent(
-                amplitude=c.amplitude * complex(math.cos(w0 * at - k0 * ax), math.sin(w0 * at - k0 * ax)),
+            replace(
+                c,
+                amplitude=c.amplitude * complex(math.cos(phase), math.sin(phase)),
                 center=(c.center[0] + at, c.center[1] + ax),
-                width=c.width,
-                wavevector=c.wavevector,
                 rapidity=eta,
             )
         )
@@ -290,18 +265,15 @@ def poincare_act(g: PoincareElement, f: Wavepacket) -> Wavepacket:
 
 def spatial_reflection(f: Wavepacket) -> Wavepacket:
     """The parity map x -> -x on packets; stabilizes any rest frame."""
-    flipped = []
-    for c in f.components:
-        flipped.append(
-            PacketComponent(
-                amplitude=c.amplitude,
-                center=(c.center[0], -c.center[1]),
-                width=c.width,
-                wavevector=(c.wavevector[0], -c.wavevector[1]),
-                rapidity=-c.rapidity,
-            )
+    return Wavepacket(
+        replace(
+            c,
+            center=(c.center[0], -c.center[1]),
+            wavevector=(c.wavevector[0], -c.wavevector[1]),
+            rapidity=-c.rapidity,
         )
-    return Wavepacket(flipped)
+        for c in f.components
+    )
 
 
 @dataclass(frozen=True)
@@ -487,9 +459,7 @@ def commutator_kernel(spec: FieldKernelSpec, f: Wavepacket, g: Wavepacket) -> co
     Vanishes up to Gaussian-tail leakage for spacelike-separated packets
     and does not depend on the temperature: the occupation terms cancel.
     """
-    fc = f.conjugate()
-    gc = g.conjugate()
-    return kernel_pairing(spec, fc, g) - kernel_pairing(spec, gc, f)
+    return kernel_pairing(spec, f.conjugate(), g) - kernel_pairing(spec, g.conjugate(), f)
 
 
 def packet_index(f: Wavepacket) -> Index:
@@ -508,16 +478,7 @@ def kernel_as_gaussian(spec: FieldKernelSpec, packets) -> GaussianKernel:
     packets = list(packets)
     if not packets:
         raise ValueError("need at least one packet")
-    family = []
-    seen = set()
-    for f in packets:
-        if f.key() not in seen:
-            seen.add(f.key())
-            family.append(f)
-    for f in list(family):
-        fc = f.conjugate()
-        if fc.key() not in seen:
-            seen.add(fc.key())
-            family.append(fc)
+    # packets are equal when their keys are, so this drops repeats in order
+    family = list(dict.fromkeys(packets + [f.conjugate() for f in packets]))
     matrix = _kernel_matrix(spec, family, thermal=spec.is_thermal)
     return GaussianKernel([packet_index(f) for f in family], matrix, tol=QUADRATURE_TOL)

@@ -10,6 +10,7 @@ from qcmt.algebra import (
     word_adjoint,
     word_label,
 )
+from qcmt.verify import check_algebra_laws
 
 
 def test_trivial_involution_fixes_index():
@@ -126,3 +127,11 @@ def test_word_adjoint_on_mixed_word():
 def test_word_label():
     assert word_label(()) == "1"
     assert word_label((Index(1), Index(2))) == "M1*M2"
+
+
+def test_algebra_laws_catch_an_involution_that_drops_the_partner(monkeypatch):
+    # Index equality ignores ctag, so the check must compare both tags
+    assert check_algebra_laws(seed=0).passed
+    monkeypatch.setattr(Index, "involve", lambda self: Index(self.tag))
+    result = check_algebra_laws(seed=0)
+    assert not result.passed and result.worst == 1.0

@@ -429,6 +429,19 @@ def test_gram_degree_at_cap_is_accepted(tmp_path):
     assert main(["gram", "--config", config, "--out", str(tmp_path / "g.json")]) == 0
 
 
+def test_memory_error_is_a_numerical_failure(tmp_path, capsys, monkeypatch):
+    # an 8-index kernel at degree 6 asks numpy for a 1.31 TiB Gram matrix
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 1.31 TiB for an array")
+
+    monkeypatch.setattr("qcmt.cli.gram", exhausted)
+    config = write_config(tmp_path, {"kernel": K2_KERNEL, "degree": 1})
+    assert main(["gram", "--config", config]) == 3
+    captured = capsys.readouterr()
+    assert "numerical failure" in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_non_finite_tolerance_flag_is_a_config_error(tmp_path, capsys):
     config = write_config(tmp_path, {"kernel": K2_KERNEL, "degree": 1})
     assert main(["gram", "--config", config, "--tolerance", "nan"]) == 2

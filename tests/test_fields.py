@@ -290,6 +290,15 @@ def test_thermal_kernel_stabilizer_invariance():
     assert abs(reflected - base) < 1e-8
 
 
+def test_reflection_is_pointwise_parity():
+    f, g = packet_pair()
+    boosted = poincare_act(PoincareElement(rapidity=0.6, translation=(0.3, -0.8)), f + 0.5j * g)
+    mirrored = spatial_reflection(boosted)
+    for t, x in [(0.0, 0.0), (0.7, -0.4), (-1.1, 1.5)]:
+        assert packet_value(mirrored, t, x) == packet_value(boosted, t, -x)
+    assert spatial_reflection(mirrored) == boosted
+
+
 def test_thermal_excess_scales_with_temperature():
     # high-temperature regime: excess is linear in kT within 5 percent
     f, g = packet_pair()
@@ -399,6 +408,15 @@ def test_field_kernel_supports_wick_and_gram():
     assert np.isfinite(value.real) and np.isfinite(value.imag)
     report = gram(build_basis([i_f, i_g], 2), state)
     assert report.min_eigenvalue >= -1e-10
+
+
+def test_family_keeps_first_occurrences_then_conjugates():
+    f, g = packet_pair()
+    real = Wavepacket.gaussian(center=(1.0, 0.0))  # its own conjugate
+    kernel = kernel_as_gaussian(VACUUM, [f, g, f, real, g.conjugate()])
+    family = [f, g, real, g.conjugate(), f.conjugate()]
+    assert [i.tag for i in kernel.indices] == [p.key() for p in family]
+    assert [i.ctag for i in kernel.indices] == [p.conjugate().key() for p in family]
 
 
 def test_spec_validation():

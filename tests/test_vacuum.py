@@ -118,6 +118,13 @@ def test_extended_positivity_probe_vacuous(k2):
     assert extended_positivity_probe(GaussianState(k2), 0) == math.inf
 
 
+def test_extended_probe_detects_non_state_at_most_seeds():
+    # seeds 3 and 4 miss today; a weaker redraw of the probe must not miss more
+    bad = GaussianState(GaussianKernel([1, 2], [[1.0, 2.0], [2.0, 1.0]], validate=False))
+    flagged = sum(extended_positivity_probe(bad, 200, seed=s) < -1e-6 for s in range(10))
+    assert flagged >= 8
+
+
 def test_extended_gram_matrix_is_psd(k2):
     # Gram over a family of extended words; PSD-ness is the checkable face
     # of the extension being a state
