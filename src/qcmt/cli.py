@@ -151,6 +151,8 @@ def parse_kernel(config: dict):
         for tag in tags + [t for pair in involution for t in pair]:
             if isinstance(tag, (list, dict)) or isinstance(tag, float) and not math.isfinite(tag):
                 raise ConfigError(f"index tag {tag!r} is a list, an object or not finite")
+        if "V" in tags:
+            raise ConfigError("index tag 'V' is taken: it is the vacuum projector in moment words")
         partner = {}
         for a, b in involution:
             if not {a, b} <= set(tags) or a in partner or b in partner:
@@ -162,7 +164,6 @@ def parse_kernel(config: dict):
             # Hermitian, deliberately not positive: gram and verify report non-states
             indices = [Index(t, partner.get(t)) for t in tags]
             kernel = GaussianKernel(indices, rows, validate=False)
-            kernel.check_hermitian()
         except ValueError as exc:
             raise ConfigError(f"field 'kernel': {exc}") from exc
         return kernel, None, None

@@ -13,11 +13,13 @@ zero of the exponential generating function
 
     m(t) = sum_j (t_0^c, t_j) m(t without positions 0 and j),
 
-the hafnian of the contraction matrix.  Each kernel memoizes the moments
-of the sub-words this recursion reaches, so the entries of a Gram matrix
-share their work.  ``moment_from_generating_series`` expands the
-generating function as a power series over bitmask monomials instead and
-is kept as a structurally independent cross-check of the same number.
+the hafnian of the contraction matrix.  A letter is coded as
+n * position(ctag) + position(tag) over the n indices, so the contraction
+(a^c, b) is matrix entry (a // n, b % n).  Each kernel memoizes the
+moments of the code words this recursion reaches, so the entries of a
+Gram matrix share their work.  ``moment_from_generating_series`` expands
+the generating function as a power series over bitmask monomials instead
+and is kept as a structurally independent cross-check of the same number.
 
 Every Hermiticity, positivity and null-space decision in the package cuts
 at ``tolerance_bound``, tol * max(1, scale): an eigensolver errs by
@@ -76,11 +78,11 @@ class GaussianKernel:
         self-conjugate indices, so a real symmetric matrix over integer
         tags gives the trivial involution.  Tags may not repeat.
     matrix : array_like
-        The pairing matrix, entry (a, b) = (indices[a], indices[b]).
+        The pairing matrix, entry (a, b) = (indices[a], indices[b]).  A
+        Hermiticity defect over the bound is always refused.
     validate : bool
-        Check Hermiticity and positive semi-definiteness of the matrix.
-        Disable only to build deliberate non-states for positivity
-        detection tests.
+        Check positive semi-definiteness of the matrix.  Disable only to
+        build deliberate non-states for positivity detection tests.
     tol : float
         Validation tolerance: the Hermiticity defect may reach
         tol * max(1, max |eigenvalue|), and the lowest eigenvalue its negative.
@@ -98,22 +100,20 @@ class GaussianKernel:
             raise ValueError(
                 f"matrix shape {matrix.shape} does not match {len(idx)} indices"
             ) from exc
+        self.tol = float(tol)
+        eig, _, bound = hermitian_spectrum(matrix, self.tol)
+        defect = 2 * float(np.max(np.abs(matrix / 2 - matrix.conj().T / 2))) if matrix.size else 0.0
+        if defect > bound:
+            raise ValueError(f"kernel is not Hermitian: defect {defect:.3e}")
+        if validate and eig.size and eig[0] < -bound:
+            raise ValueError(f"kernel is not positive semi-definite: min eigenvalue {eig[0]:.3e}")
         self._indices = idx
-        self._matrix = matrix
         # Python complex entries: numpy's complex multiply is not bitwise
         # Python's, and the moment engine multiplies these.
         self._entries = matrix.tolist()
-        self.tol = float(tol)
-        # Moment engine state: a code per distinct (tag, ctag) pair, the
-        # contraction (a^c, b) for every pair of codes (None when the kernel
-        # lacks it), and the memo of sub-word moments keyed on code tuples,
-        # seeded with the empty word that ends every expansion.
-        self._codes = {}
-        self._coded = []
-        self._rows = []
+        # Memo of sub-word moments keyed on code tuples, seeded with the
+        # empty word that ends every expansion.
         self._memo = {(): 1 + 0j}
-        if validate:
-            self.validate()
 
     @property
     def indices(self) -> tuple:
@@ -127,29 +127,9 @@ class GaussianKernel:
             raise KeyError(f"kernel has no entry for pair ({i!r}, {j!r})") from None
 
     def _encode(self, w: Word) -> tuple:
-        """The word as a tuple of codes; the code of an index covers its ctag."""
-        codes = self._codes
-        try:
-            return tuple([codes[ix.tag, ix.ctag] for ix in w])
-        except KeyError:
-            for ix in w:
-                if (ix.tag, ix.ctag) not in codes:
-                    self._add_code(ix)
-            return tuple([codes[ix.tag, ix.ctag] for ix in w])
-
-    def _add_code(self, ix: Index):
-        code = len(self._coded)
-        self._codes[ix.tag, ix.ctag] = code
-        self._coded.append(ix)
-        for c, row in enumerate(self._rows):
-            row.append(self._contraction(c, code))
-        self._rows.append([self._contraction(code, c) for c in range(code + 1)])
-
-    def _contraction(self, a: int, b: int):
-        try:
-            return self.pairing(self._coded[a].involve(), self._coded[b])
-        except KeyError:
-            return None
+        """The word as letter codes; an unknown tag or partner tag raises ``KeyError``."""
+        position, n = self._position, len(self._indices)
+        return tuple([n * position[ix.ctag] + position[ix.tag] for ix in w])
 
     def _wick(self, t: tuple) -> complex:
         """Moment of an even, non-empty code word by expansion along t[0].
@@ -157,15 +137,14 @@ class GaussianKernel:
         Every word is always summed in the same order, so a value read from
         the memo is bitwise the value a fresh kernel would compute.
         """
-        row = self._rows[t[0]]
+        n = len(self._entries)
+        row = self._entries[t[0] // n]
         memo = self._memo
         rest = t[1:]
         total = 0j
         for j, b in enumerate(rest):
-            factor = row[b]
+            factor = row[b % n]
             if not factor:
-                if factor is None:  # raise the kernel's KeyError for the pair
-                    self.pairing(self._coded[t[0]].involve(), self._coded[b])
                 continue
             sub = rest[:j] + rest[j + 1 :]
             value = memo.get(sub)
@@ -179,21 +158,8 @@ class GaussianKernel:
         return total
 
     def matrix(self) -> np.ndarray:
-        return self._matrix.copy()
-
-    def check_hermitian(self) -> tuple:
-        """Refuse a Hermiticity defect over the spectral bound; return (eigenvalues, bound)."""
-        m = self._matrix
-        eig, _, bound = hermitian_spectrum(m, self.tol)
-        defect = 2 * float(np.max(np.abs(m / 2 - m.conj().T / 2))) if m.size else 0.0
-        if defect > bound:
-            raise ValueError(f"kernel is not Hermitian: defect {defect:.3e}")
-        return eig, bound
-
-    def validate(self):
-        eig, bound = self.check_hermitian()
-        if eig.size and eig[0] < -bound:
-            raise ValueError(f"kernel is not positive semi-definite: min eigenvalue {eig[0]:.3e}")
+        n = len(self._indices)
+        return np.array(self._entries, dtype=complex).reshape(n, n)
 
     def __repr__(self):
         tags = [i.tag for i in self._indices]

@@ -110,8 +110,9 @@ def check_algebra_laws(seed: int = 0, trials: int = 40, tolerance: float = 1e-12
         worst = max(worst, anti.max_abs_coeff())
         worst = max(worst, (a.adjoint().adjoint() - a).max_abs_coeff())
         i = pool[int(rng.integers(0, len(pool)))]
-        twice = i.involve().involve()
-        if (twice.tag, twice.ctag) != (i.tag, i.ctag):
+        once = i.involve()
+        twice = once.involve()
+        if (once.tag, once.ctag) != (i.ctag, i.tag) or (twice.tag, twice.ctag) != (i.tag, i.ctag):
             worst = max(worst, 1.0)
     if AlgebraElement.identity().adjoint() != AlgebraElement.identity():
         worst = max(worst, 1.0)

@@ -130,8 +130,10 @@ def test_word_label():
 
 
 def test_algebra_laws_catch_an_involution_that_drops_the_partner(monkeypatch):
-    # Index equality ignores ctag, so the check must compare both tags
+    # Index equality ignores ctag, so the check must compare both tags; an
+    # involution that keeps (tag, ctag) unswapped still gives i back twice
     assert check_algebra_laws(seed=0).passed
-    monkeypatch.setattr(Index, "involve", lambda self: Index(self.tag))
-    result = check_algebra_laws(seed=0)
-    assert not result.passed and result.worst == 1.0
+    for wrong in (lambda self: Index(self.tag), lambda self: Index(self.tag, self.ctag)):
+        monkeypatch.setattr(Index, "involve", wrong)
+        result = check_algebra_laws(seed=0)
+        assert not result.passed and result.worst == 1.0

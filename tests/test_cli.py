@@ -351,6 +351,7 @@ MALFORMED = {
     "indices-equal-int-float": ("gram", {"kernel": {**K2_KERNEL, "indices": [1, 1.0]}, "degree": 1}, 2),
     "indices-equal-int-bool": ("gram", {"kernel": {**K2_KERNEL, "indices": [1, True]}, "degree": 1}, 2),
     "indices-infinite": ("verify", {"kernel": {**K2_KERNEL, "indices": [INF, 2]}}, 2),
+    "indices-projector-tag": ("moments", {"kernel": {**K2_KERNEL, "indices": ["V", "a"]}, "words": [["V", "a"]]}, 2),
     "involution-unknown-tag": ("gram", {"kernel": {**K2_KERNEL, "indices": [2, "b"], "involution": [["a", "b"]]}}, 2),
     "involution-unknown-partner": ("gram", {"kernel": {**K2_KERNEL, "involution": [[1, 9]]}}, 2),
     "involution-tag-in-two-pairs": ("gram", {"kernel": {"type": "matrix", "indices": [1, 2, 3], "matrix": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "involution": [[1, 2], [2, 3]]}}, 2),

@@ -29,6 +29,9 @@ def imaginary_kernel():
 def test_kernel_rejects_non_hermitian():
     with pytest.raises(ValueError, match="Hermitian"):
         GaussianKernel([1, 2], [[1.0, 0.5], [0.4, 1.0]])
+    # validate=False skips only the positive semi-definite check
+    with pytest.raises(ValueError, match="not Hermitian: defect 1.000e-01"):
+        GaussianKernel([1, 2], [[1.0, 0.5], [0.4, 1.0]], validate=False)
 
 
 def test_kernel_rejects_indefinite():
@@ -38,8 +41,9 @@ def test_kernel_rejects_indefinite():
 
 def test_kernel_validate_can_be_disabled():
     bad = GaussianKernel([1, 2], [[1.0, 2.0], [2.0, 1.0]], validate=False)
+    assert bad.pairing(Index(1), Index(2)) == 2.0
     with pytest.raises(ValueError, match="min eigenvalue -1.000e"):
-        bad.validate()
+        GaussianKernel([1, 2], bad.matrix())
 
 
 def test_kernel_unknown_pair_raises(k2):

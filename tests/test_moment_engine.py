@@ -135,7 +135,9 @@ def test_full_memo_is_emptied_and_refilled(monkeypatch):
 def test_unknown_index_raises_and_leaves_kernel_usable():
     kernel = _complex_kernel()
     a = kernel.indices[0]
-    with pytest.raises(KeyError):
-        wick_expect(kernel, (a, Index("z"), a, a))
+    # an unknown tag, and a known tag whose partner tag is unknown
+    for stranger in (Index("z"), Index(3, "zz")):
+        with pytest.raises(KeyError):
+            wick_expect(kernel, (a, stranger, a, a))
     w = (a, a.involve(), a, a.involve())
     assert abs(wick_expect(kernel, w) - wick_by_matchings(kernel, w)) <= 1e-12
