@@ -64,6 +64,8 @@ BUILD_BOUND = {
     "gram-large-scale": ("gram", LARGE_SCALE_GRAM),
     "verify-default": ("verify", None),
     "verify-thermal-field": ("verify", {"kernel": FIELD}),
+    "verify-paired-seed-17": ("verify", {"kernel": PAIRED, "seed": 17}),
+    "verify-gibbs-seed-5": ("verify", {"kernel": GIBBS, "seed": 5}),
     "boost-scan": ("boost-scan", {"kernel": FIELD, "rapidities": [0.0, 0.6, -1.2]}),
 }
 
