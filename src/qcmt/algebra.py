@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from typing import Hashable
 
+import numpy as np
+
 
 class Index:
     """Measurement label paired with the label of its adjoint generator.
@@ -201,3 +203,39 @@ class AlgebraElement(LinearCombination):
 def generator(index: Index) -> AlgebraElement:
     """The generator for one measurement index, as an algebra element."""
     return AlgebraElement({(index,): 1.0})
+
+
+def draw_terms(
+    seed, count, letters, max_terms, max_len, max_segments=1, min_len=0, normal=False
+) -> list:
+    """``count`` random linear combinations of words, drawn as five batched arrays.
+
+    Combination k has 1..``max_terms`` terms.  A term is 1..``max_segments``
+    segments of ``min_len``..``max_len`` letters, each letter a position in
+    range(``letters``), or in range(``letters[k]``) when ``letters`` gives one
+    count per combination, and a complex coefficient whose parts are
+    integers in -3..3 (so cancellations are exact) or, with ``normal``,
+    standard normal.  Term counts, segment counts, lengths, letters and
+    coefficient parts are each one array of the maximal shape, in that
+    order, so a seed (an int or a numpy Generator) makes the same draws for
+    the same arguments.  Returns per combination a list of
+    ``(segments, coefficient)``, segments a tuple of tuples of positions.
+    """
+    rng = np.random.default_rng(seed)
+    shape = (count, max_terms)
+    terms = rng.integers(1, max_terms + 1, size=count).tolist()
+    pieces = rng.integers(1, max_segments + 1, size=shape).tolist()
+    lengths = rng.integers(min_len, max_len + 1, size=shape + (max_segments,)).tolist()
+    high = np.reshape(letters, (-1, 1, 1, 1))
+    picks = rng.integers(0, high, size=shape + (max_segments, max_len)).tolist()
+    parts = rng.standard_normal(shape + (2,)) if normal else rng.integers(-3, 4, size=shape + (2,))
+    parts = parts.tolist()
+    drawn = []
+    for k, count_k in enumerate(terms):
+        combination = []
+        for t in range(count_k):
+            size, letter = lengths[k][t], picks[k][t]
+            segments = tuple(tuple(letter[s][: size[s]]) for s in range(pieces[k][t]))
+            combination.append((segments, complex(*parts[k][t])))
+        drawn.append(combination)
+    return drawn

@@ -25,7 +25,7 @@ from .gaussian import MATCHING_CAP, GaussianKernel, GaussianState
 from .gns import build_basis, gram
 from .koopman import gibbs_oscillator_kernel
 from .vacuum import commutation_witness, extended_word_expect
-from .verify import run_verify
+from .verify import WICK_ORACLE_LENGTH, run_verify
 
 logger = logging.getLogger(__name__)
 
@@ -58,6 +58,13 @@ KERNEL_FIELDS = {
     "field": {"type", "mass", "hbar", "beta", "rest_frame", "packets"},
 }
 PACKET_FIELDS = {"amplitude", "center", "width", "wavevector"}
+
+# Most words a run may build over n indices to length d, sum_k n^k for k <= d:
+# gram's basis at its degree, and verify's Wick-oracle words to length 4,
+# which include its degree-2 Gram basis.  A field kernel has two indices per
+# packet.  Near the cap, gram on 44 indices at degree 2 (1,981 words) takes
+# about 18 s and 270 MB on a 2-core VM; verify takes 6 indices (1,555 words).
+BASIS_CAP = 2000
 
 DEFAULT_VERIFY_CONFIG = {
     "kernel": {
@@ -247,6 +254,14 @@ def _word(raw: list, kernel, packets) -> tuple:
     return "*".join(labels) if labels else "1", tuple(tuple(s) for s in segments)
 
 
+def _check_basis_size(kernel, packets, degree: int, what: str):
+    """Refuse a run whose words over the kernel's indices to ``degree`` exceed ``BASIS_CAP``."""
+    n = len(kernel.indices) if packets is None else 2 * len(packets)
+    size = sum(n**k for k in range(degree + 1))
+    if size > BASIS_CAP:
+        raise ConfigError(f"{what} over {n} indices has {size} words, over the cap of {BASIS_CAP}")
+
+
 def parse_config(config: dict, mode: str, flags) -> dict:
     """The config and the flags that override it, as keyword arguments of the mode's runner.
 
@@ -286,6 +301,8 @@ def parse_config(config: dict, mode: str, flags) -> dict:
         separations = _float_list(config.get("separations", [10.0]), "separations")
         if not separations:
             raise ConfigError("field 'separations' must list at least one separation")
+        _check_basis_size(kernel, packets, WICK_ORACLE_LENGTH,
+                          f"the Wick oracle to length {WICK_ORACLE_LENGTH}")
         return dict(common, seed=seed, tolerance=tolerance, pair=tuple(pair),
                     separations=separations, config_echo=config)
     if mode == "moments":
@@ -297,6 +314,7 @@ def parse_config(config: dict, mode: str, flags) -> dict:
         degree = config.get("degree", 2)
         if type(degree) is not int or not 0 <= degree <= MATCHING_CAP // 2:
             raise ConfigError(f"field 'degree' must be an integer from 0 to {MATCHING_CAP // 2}")
+        _check_basis_size(kernel, packets, degree, f"the degree-{degree} Gram basis")
         return dict(common, tolerance=tolerance, degree=degree)
     if mode == "witness":
         i, j = (_reference(ref, kernel, packets, "pair") for ref in pair)

@@ -195,22 +195,26 @@ def poisson(u: PhaseSpacePolynomial, v: PhaseSpacePolynomial) -> PhaseSpacePolyn
 
     One pass over term pairs: for ``q^a p^b`` with ``q^c p^d``, axis i adds
     ``(a_i d_i - b_i c_i)`` times both coefficients to the term with
-    exponent ``(a + c - e_i, b + d - e_i)``.
+    exponent ``(a + c - e_i, b + d - e_i)``.  The exponent sum and the
+    coefficient product are formed only for pairs with a nonzero weight.
     """
     u._check_dimension(v)
     n = u.dimension
     out = {}
     for ea, ca in u.terms.items():
         for eb, cb in v.terms.items():
-            product = [x + y for x, y in zip(ea, eb)]
+            product = None
             for i in range(n):
                 weight = ea[i] * eb[n + i] - ea[n + i] * eb[i]
                 if weight:
+                    if product is None:
+                        product = [x + y for x, y in zip(ea, eb)]
+                        coeff = ca * cb
                     lowered = list(product)
                     lowered[i] -= 1
                     lowered[n + i] -= 1
                     key = tuple(lowered)
-                    out[key] = out.get(key, 0j) + weight * (ca * cb)
+                    out[key] = out.get(key, 0j) + weight * coeff
     return u._like(out)
 
 

@@ -17,9 +17,7 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
-from .algebra import AlgebraElement, LinearCombination, Word, word_adjoint
+from .algebra import AlgebraElement, LinearCombination, Word, draw_terms, word_adjoint
 from .gaussian import State
 
 # An extended word is a tuple of plain words (segments); k+1 segments mean
@@ -159,30 +157,51 @@ def _probe(state: State, trials: int, seed: int, max_words: int, max_segments: i
     """Worst Re rho(E^dagger E) over ``trials`` seeded random extended elements.
 
     Shared by the plain and the extended probe: a plain word is an extended
-    word of one segment, and ``rng.integers(1, 2)`` consumes no draw, so
-    with one segment per word a seed draws exactly the elements of a loop
-    over plain words.
+    word of one segment.  One ``draw_terms`` call draws every trial at once:
+    word counts (1..max_words), segment counts (1..max_segments), segment
+    lengths (0..max_len), letter positions and standard normal coefficient
+    parts, each as one array of the maximal shape.  So the elements depend
+    on the seed and on every argument, ``trials`` included, and a report
+    stays byte-deterministic per seed.  Each element's words are merged
+    after normalization, as ``ExtendedElement`` merges them.
     """
     if trials <= 0:
         return math.inf
     pool = tuple(state.indices)
     if not pool:
         raise ValueError("no indices available to build probe elements")
-    rng = np.random.default_rng(seed)
     worst = math.inf
-    for _ in range(trials):
-        terms = {}
-        for _ in range(int(rng.integers(1, max_words + 1))):
-            segments = []
-            for _ in range(int(rng.integers(1, max_segments + 1))):
-                length = int(rng.integers(0, max_len + 1))
-                segments.append(
-                    tuple(pool[int(k)] for k in rng.integers(0, len(pool), size=length))
-                )
-            coeff = complex(rng.standard_normal(), rng.standard_normal())
+    for drawn in draw_terms(seed, trials, len(pool), max_words, max_len, max_segments, normal=True):
+        merged = {}
+        for segments, c in drawn:
             w = normalize_segments(segments)
-            terms[w] = terms.get(w, 0j) + coeff
-        element = ExtendedElement(terms)
-        value = extended_expect(state, element.adjoint() * element).real
-        worst = min(worst, value)
+            merged[w] = merged.get(w, 0j) + c
+        terms = [(tuple(tuple(pool[k] for k in s) for s in w), c) for w, c in merged.items()]
+        worst = min(worst, _quadratic_form(state, terms))
     return worst
+
+
+def _quadratic_form(state: State, terms) -> float:
+    """Re rho(E^dagger E) = Re sum_ab conj(c_a) c_b rho(w_a^dagger w_b) for E = sum_a c_a w_a.
+
+    ``terms`` are (extended word, coefficient) pairs.  For w_a = (s_0, ..., s_k)
+    and w_b = (t_0, ..., t_m) the word w_a^dagger w_b has the segments
+    s_k^dagger, ..., s_1^dagger, s_0^dagger t_0, t_1, ..., t_m, so its value
+    is an outer factor of w_a, times rho(s_0^dagger t_0), times an outer
+    factor of w_b.  Terms whose outer factor vanishes drop out.
+    """
+    left, right = [], []
+    for (head, *tail), c in terms:
+        outer_left, outer_right = c.conjugate(), c
+        for s in tail:
+            outer_left *= state.word_expect(word_adjoint(s))
+            outer_right *= state.word_expect(s)
+        if outer_left:
+            left.append((word_adjoint(head), outer_left))
+        if outer_right:
+            right.append((head, outer_right))
+    total = 0j
+    for adjoint_head, x in left:
+        for head, y in right:
+            total += x * y * state.word_expect(adjoint_head + head)
+    return total.real

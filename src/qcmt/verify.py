@@ -15,7 +15,7 @@ from itertools import product
 
 import numpy as np
 
-from .algebra import AlgebraElement, Index, paired_indices
+from .algebra import AlgebraElement, Index, draw_terms, paired_indices
 from .fields import (
     FieldKernelSpec,
     PoincareElement,
@@ -76,32 +76,32 @@ class RunReport:
         }
 
 
-def _integer_coeff(rng) -> complex:
-    return complex(int(rng.integers(-3, 4)), int(rng.integers(-3, 4)))
-
-
-def _random_element(rng, pool, max_terms=3, max_len=3, draw_coeff=_integer_coeff) -> AlgebraElement:
-    """Random element over ``pool``; integer coefficients keep cancellations exact."""
-    terms = {}
-    for _ in range(int(rng.integers(1, max_terms + 1))):
-        length = int(rng.integers(0, max_len + 1))
-        w = tuple(pool[int(t)] for t in rng.integers(0, len(pool), size=length))
-        terms[w] = terms.get(w, 0j) + draw_coeff(rng)
-    return AlgebraElement(terms)
+def _random_elements(rng, pool, count, max_terms=3, max_len=3, normal=False) -> list:
+    """``count`` random elements over ``pool``, each term a word of ``draw_terms``."""
+    elements = []
+    for drawn in draw_terms(rng, count, len(pool), max_terms, max_len, normal=normal):
+        merged = {}
+        for (segment,), c in drawn:
+            merged[segment] = merged.get(segment, 0j) + c
+        elements.append(AlgebraElement({tuple(pool[k] for k in w): c for w, c in merged.items()}))
+    return elements
 
 
 def check_algebra_laws(seed: int = 0, trials: int = 40, tolerance: float = 1e-12) -> CheckResult:
-    """Associativity, adjoint anti-homomorphism and anti-linearity, involution laws."""
+    """Associativity, adjoint anti-homomorphism and anti-linearity, involution laws.
+
+    Integer coefficients keep every cancellation exact.
+    """
     rng = np.random.default_rng(seed)
     a1, a1c = paired_indices("a", "a*")
     pool = (Index(1), Index(2), a1, a1c)
+    elements = _random_elements(rng, pool, 3 * trials)
+    scalars = rng.integers(-3, 4, size=(trials, 4)).tolist()
+    picks = rng.integers(0, len(pool), size=trials).tolist()
     worst = 0.0
-    for _ in range(trials):
-        a = _random_element(rng, pool)
-        b = _random_element(rng, pool)
-        c = _random_element(rng, pool)
-        lam = _integer_coeff(rng)
-        mu = _integer_coeff(rng)
+    for t in range(trials):
+        a, b, c = elements[3 * t : 3 * t + 3]
+        lam, mu = complex(*scalars[t][:2]), complex(*scalars[t][2:])
         worst = max(worst, ((a * b) * c - a * (b * c)).max_abs_coeff())
         worst = max(worst, ((a * b).adjoint() - b.adjoint() * a.adjoint()).max_abs_coeff())
         anti = (lam * a + mu * b).adjoint() - (
@@ -109,7 +109,7 @@ def check_algebra_laws(seed: int = 0, trials: int = 40, tolerance: float = 1e-12
         )
         worst = max(worst, anti.max_abs_coeff())
         worst = max(worst, (a.adjoint().adjoint() - a).max_abs_coeff())
-        i = pool[int(rng.integers(0, len(pool)))]
+        i = pool[picks[t]]
         once = i.involve()
         twice = once.involve()
         if (once.tag, once.ctag) != (i.ctag, i.tag) or (twice.tag, twice.ctag) != (i.tag, i.ctag):
@@ -119,7 +119,12 @@ def check_algebra_laws(seed: int = 0, trials: int = 40, tolerance: float = 1e-12
     return CheckResult("algebra-laws", worst <= tolerance, worst, tolerance)
 
 
-def check_wick_oracle(kernel: GaussianKernel, max_len: int = 4, tolerance: float = 1e-8) -> CheckResult:
+WICK_ORACLE_LENGTH = 4
+
+
+def check_wick_oracle(
+    kernel: GaussianKernel, max_len: int = WICK_ORACLE_LENGTH, tolerance: float = 1e-8
+) -> CheckResult:
     """Contraction recursion against generating-function differentiation.
 
     All words share one kernel, so later words read sub-word moments from
@@ -145,25 +150,32 @@ def _monomials(dimension: int) -> tuple:
     )
 
 
-def _random_polynomial(rng, dimension) -> PhaseSpacePolynomial:
-    """1-4 terms on uniform monomials of degree <= 3, integer coefficients in -3..3."""
-    monomials = _monomials(dimension)
-    terms = {}
-    for _ in range(int(rng.integers(1, 5))):
-        exps = monomials[int(rng.integers(len(monomials)))]
-        terms[exps] = terms.get(exps, 0) + int(rng.integers(-3, 4))
-    return PhaseSpacePolynomial(dimension, terms)
+def _random_polynomials(rng, dimensions) -> list:
+    """One polynomial per dimension: 1-4 terms on uniform monomials of degree <= 3.
+
+    A term is a one-letter word of ``draw_terms`` over the monomial list;
+    its coefficient is the real part, an integer in -3..3.
+    """
+    monomials = [_monomials(n) for n in dimensions]
+    letters = [len(m) for m in monomials]
+    drawn = draw_terms(rng, len(dimensions), letters, max_terms=4, max_len=1, min_len=1)
+    polynomials = []
+    for n, listed, terms in zip(dimensions, monomials, drawn):
+        merged = {}
+        for ((k,),), c in terms:
+            merged[listed[k]] = merged.get(listed[k], 0) + c.real
+        polynomials.append(PhaseSpacePolynomial(n, merged))
+    return polynomials
 
 
 def check_bracket_relations(seed: int = 0, trials: int = 100) -> CheckResult:
     """The three commutation relations plus the Jacobi identity, exactly."""
     rng = np.random.default_rng(seed)
+    dimensions = rng.integers(1, 3, size=trials).tolist()
+    polynomials = _random_polynomials(rng, [n for n in dimensions for _ in range(3)])
     worst = 0.0
-    for _ in range(trials):
-        dimension = int(rng.integers(1, 3))
-        u = _random_polynomial(rng, dimension)
-        v = _random_polynomial(rng, dimension)
-        f = _random_polynomial(rng, dimension)
+    for t in range(trials):
+        u, v, f = polynomials[3 * t : 3 * t + 3]
         for residual in bracket_residuals(u, v, f):
             worst = max(worst, residual.max_abs_coeff())
         jacobi = poisson(u, poisson(v, f)) + poisson(v, poisson(f, u)) + poisson(f, poisson(u, v))

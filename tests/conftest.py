@@ -3,7 +3,7 @@ import pytest
 
 from qcmt.algebra import Index, paired_indices
 from qcmt.gaussian import GaussianKernel
-from qcmt.verify import _integer_coeff, _random_element
+from qcmt.verify import _random_elements
 
 K2 = [[1.0, 0.5], [0.5, 1.0]]
 K3 = [[1.0, 0.5, 0.2], [0.5, 1.0, 0.3], [0.2, 0.3, 1.0]]
@@ -31,14 +31,10 @@ def rng():
     return np.random.default_rng(20220815)
 
 
-def _normal_coeff(rng):
-    return complex(rng.standard_normal(), rng.standard_normal())
-
-
 def random_element(rng, pool, max_terms=3, max_len=3, integer=True):
     """Random algebra element; integer coefficients keep cancellations exact."""
-    draw = _integer_coeff if integer else _normal_coeff
-    return _random_element(rng, pool, max_terms, max_len, draw)
+    (element,) = _random_elements(rng, pool, 1, max_terms, max_len, normal=not integer)
+    return element
 
 
 def index_pool():

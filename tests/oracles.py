@@ -5,8 +5,10 @@ implementation under test: explicit perfect-matching enumeration for Wick
 moments, the generating series over exponent tuples and finite
 differences of the generating function, sympy symbolic brackets and
 brackets assembled from derivative polynomials, matrix exponentials for
-quadratic flows, direct position-space packet evaluation for Fourier
-conventions, and two momentum-space routes for field kernels:
+quadratic flows, the element E^dagger E multiplied out in the extended
+algebra for the positivity probes' quadratic form, direct position-space
+packet evaluation for Fourier conventions, and two momentum-space routes
+for field kernels:
 a fixed Simpson grid in k and adaptive ``quad`` in k, one pair at a time.
 The production kernels integrate over the rapidity theta instead
 (k = m sinh theta), with the trapezoid rule on a halved uniform grid, so
@@ -22,6 +24,17 @@ from scipy.linalg import expm
 
 from qcmt.fields import PoincareElement, poincare_act
 from qcmt.gaussian import generating_function
+from qcmt.vacuum import extended_expect
+
+
+def probe_value_by_products(state, element):
+    """Re rho(E^dagger E) for an ``ExtendedElement`` E, by building E^dagger E.
+
+    The adjoint and the product run in the extended algebra, which glues,
+    normalizes and merges the product words before each is evaluated; the
+    probes instead sum conj(c_a) c_b rho(w_a^dagger w_b) over term pairs.
+    """
+    return extended_expect(state, element.adjoint() * element).real
 
 
 def wick_by_matchings(kernel, word):

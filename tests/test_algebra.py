@@ -1,10 +1,15 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import index_pool, random_element
 from qcmt.algebra import (
     AlgebraElement,
     Index,
+    draw_terms,
     generator,
     paired_indices,
     word_adjoint,
@@ -137,3 +142,29 @@ def test_algebra_laws_catch_an_involution_that_drops_the_partner(monkeypatch):
         monkeypatch.setattr(Index, "involve", wrong)
         result = check_algebra_laws(seed=0)
         assert not result.passed and result.worst == 1.0
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 6), st.integers(1, 4), st.integers(1, 3),
+       st.integers(0, 3), st.data())
+def test_draw_terms_is_deterministic_per_seed_and_in_range(seed, count, max_terms, max_segments,
+                                                           max_len, data):
+    min_len = data.draw(st.integers(0, max_len))
+    normal = data.draw(st.booleans())
+    # one letter count for all combinations, or one per combination
+    letters = data.draw(st.integers(1, 5) | st.lists(st.integers(1, 5), min_size=count, max_size=count))
+    args = (count, letters, max_terms, max_len, max_segments, min_len, normal)
+    drawn = draw_terms(seed, *args)
+    assert drawn == draw_terms(seed, *args) == draw_terms(np.random.default_rng(seed), *args)
+    assert len(drawn) == count
+    for k, combination in enumerate(drawn):
+        high = letters[k] if isinstance(letters, list) else letters
+        assert 1 <= len(combination) <= max_terms
+        for segments, c in combination:
+            assert 1 <= len(segments) <= max_segments
+            for s in segments:
+                assert min_len <= len(s) <= max_len
+                assert all(type(x) is int and 0 <= x < high for x in s)
+            assert type(c) is complex and math.isfinite(c.real) and math.isfinite(c.imag)
+            if not normal:
+                assert all(p == int(p) and -3 <= p <= 3 for p in (c.real, c.imag))

@@ -297,6 +297,16 @@ def _packet(**changes):
     return _field(packets=[{"center": [0.0, 0.0], **changes}, {"center": [0.0, 0.5]}])
 
 
+def _identity(n):
+    """Identity matrix kernel over tags 1..n."""
+    return {"type": "matrix", "indices": list(range(1, n + 1)),
+            "matrix": [[float(i == j) for j in range(n)] for i in range(n)]}
+
+
+def _packets(count):
+    return _field(packets=[{"center": [0.0, 0.5 * k]} for k in range(count)])
+
+
 MALFORMED = {
     "gram-matrix-nan": ("gram", {"kernel": {**K2_KERNEL, "matrix": [[1, NAN], [NAN, 1]]}}, 2),
     "gram-matrix-complex-inf": ("gram", {"kernel": {**K2_KERNEL, "matrix": [[1, [0.5, INF]], [0.5, 1]]}}, 2),
@@ -370,6 +380,13 @@ MALFORMED = {
     "packet-width-bool": ("boost-scan", {"kernel": _packet(width=True), "rapidities": [0.0]}, 2),
     "rapidities-bool": ("boost-scan", {"kernel": FIELD_KERNEL, "rapidities": [0.0, False]}, 2),
     "separations-empty": ("verify", {"kernel": FIELD_KERNEL, "separations": []}, 2),
+    # basis sizes sum_k n^k over the cap: 299,593, 2,071 and 2,163 (23 packets) Gram
+    # words; 2,801 and 4,681 (4 packets) Wick-oracle words
+    "gram-basis-over-cap": ("gram", {"kernel": _identity(8), "degree": 6}, 2),
+    "gram-degree-2-basis-over-cap": ("gram", {"kernel": _identity(45), "degree": 2}, 2),
+    "gram-field-basis-over-cap": ("gram", {"kernel": _packets(23), "degree": 2}, 2),
+    "verify-wick-words-over-cap": ("verify", {"kernel": _identity(7)}, 2),
+    "verify-field-wick-words-over-cap": ("verify", {"kernel": _packets(4)}, 2),
 }
 
 
@@ -430,8 +447,24 @@ def test_gram_degree_at_cap_is_accepted(tmp_path):
     assert main(["gram", "--config", config, "--out", str(tmp_path / "g.json")]) == 0
 
 
+@pytest.mark.parametrize("mode,payload,words", [
+    ("gram", {"kernel": K2_KERNEL, "degree": 3}, 15),
+    ("verify", {"kernel": K2_KERNEL}, 31),
+    ("gram", {"kernel": FIELD_KERNEL, "degree": 1}, 5),
+])
+def test_basis_cap_admits_its_size_and_refuses_one_more(tmp_path, capsys, monkeypatch,
+                                                        mode, payload, words):
+    config = write_config(tmp_path, payload)
+    monkeypatch.setattr("qcmt.cli.BASIS_CAP", words)
+    assert main([mode, "--config", config, "--out", str(tmp_path / "out")]) == 0
+    monkeypatch.setattr("qcmt.cli.BASIS_CAP", words - 1)
+    assert main([mode, "--config", config, "--out", str(tmp_path / "out")]) == 2
+    assert f"has {words} words, over the cap of {words - 1}" in capsys.readouterr().err
+
+
 def test_memory_error_is_a_numerical_failure(tmp_path, capsys, monkeypatch):
-    # an 8-index kernel at degree 6 asks numpy for a 1.31 TiB Gram matrix
+    # a backstop behind the basis cap, which refuses the 8-index kernel at
+    # degree 6 that asked numpy for a 1.31 TiB Gram matrix
     def exhausted(*args, **kwargs):
         raise MemoryError("Unable to allocate 1.31 TiB for an array")
 

@@ -21,8 +21,12 @@ from qcmt.koopman import (
     multiplication_flow,
     poisson,
 )
-from qcmt.verify import _monomials, check_bracket_relations
-from qcmt.verify import _random_polynomial as random_polynomial
+from qcmt.verify import _monomials, _random_polynomials, check_bracket_relations
+
+
+def random_polynomial(rng, n):
+    (u,) = _random_polynomials(rng, [n])
+    return u
 
 
 def coords(n=1):
@@ -222,19 +226,18 @@ def test_monomial_list_is_every_exponent_of_degree_at_most_three(n, count):
 
 
 def test_random_polynomial_draws_from_the_monomial_list(rng):
-    for n in (1, 2):
-        allowed = set(_monomials(n))
+    # one batched draw of 400 polynomials per dimension, and one of both dimensions mixed
+    for dimensions in ([1] * 400, [2] * 400, [1, 2] * 200):
         seen = set()
-        for _ in range(400):
-            u = random_polynomial(rng, n)
+        for n, u in zip(dimensions, _random_polynomials(rng, dimensions)):
             assert u.dimension == n and len(u) <= 4
             # up to four draws in -3..3; a repeated monomial adds its draws
             assert sum(abs(c) for c in u.terms.values()) <= 12
             for exps, c in u.terms.items():
-                assert exps in allowed
+                assert exps in _monomials(n)
                 assert c.imag == 0 and c.real == int(c.real)
             seen.update(u.terms)
-        assert seen == allowed
+        assert seen == {e for n in set(dimensions) for e in _monomials(n)}
 
 
 def _bracket_without_second_term(u, v):

@@ -1,12 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_element
-from qcmt.algebra import AlgebraElement, generator
+from oracles import probe_value_by_products
+from qcmt.algebra import AlgebraElement, Index, draw_terms, generator, paired_indices
 from qcmt.gaussian import GaussianKernel, GaussianState
+from qcmt.gns import positivity_probe
 from qcmt.vacuum import (
     ConditionedState,
     ExtendedElement,
+    _probe,
+    _quadratic_form,
     commutation_witness,
     condition,
     extended_expect,
@@ -123,6 +129,77 @@ def test_extended_probe_detects_non_state_at_most_seeds():
     bad = GaussianState(GaussianKernel([1, 2], [[1.0, 2.0], [2.0, 1.0]], validate=False))
     flagged = sum(extended_positivity_probe(bad, 200, seed=s) < -1e-6 for s in range(10))
     assert flagged >= 8
+
+
+_a, _ac = paired_indices("a", "a*")
+FORM_KERNELS = {
+    "real-symmetric": GaussianKernel([1, 2, 3], [[1.0, 0.5, 0.2], [0.5, 1.0, 0.3], [0.2, 0.3, 1.0]]),
+    "hermitian": GaussianKernel([1, 2], [[1.0, 0.3 + 0.4j], [0.3 - 0.4j, 0.8]]),
+    "conjugate-pair": GaussianKernel(
+        [_a, _ac, Index(3)],
+        [[1.0, 0.3j, 0.2], [-0.3j, 1.0, 0.1 - 0.2j], [0.2, 0.1 + 0.2j, 0.9]],
+    ),
+    "non-state": GaussianKernel([1, 2], [[1.0, 2.0], [2.0, 1.0]], validate=False),
+}
+# (max_words, max_segments, max_len) of gns.positivity_probe at max_len 3 and
+# of extended_positivity_probe
+PROBE_SHAPES = {"plain": (4, 1, 3), "extended": (3, 3, 2)}
+
+
+def _drawn_elements(pool, trials, seed, max_words, max_segments, max_len):
+    """The probe's elements for ``seed``, each summed term by term in the extended algebra."""
+    drawn = draw_terms(seed, trials, len(pool), max_words, max_len, max_segments, normal=True)
+    return [
+        sum((ExtendedElement({tuple(tuple(pool[k] for k in s) for s in w): c}) for w, c in terms),
+            ExtendedElement())
+        for terms in drawn
+    ]
+
+
+def _pair_scale(state, element):
+    """sum_ab |c_a c_b rho(w_a^dagger w_b)|, the size of the round-off of either route."""
+    glue, adjoint = ExtendedElement._word_product, ExtendedElement._word_adjoint
+    return sum(
+        abs(ca * cb * extended_word_expect(state, glue(adjoint(wa), wb)))
+        for wa, ca in element.terms.items()
+        for wb, cb in element.terms.items()
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(FORM_KERNELS)), st.sampled_from(sorted(PROBE_SHAPES)),
+       st.integers(0, 2**32 - 1))
+def test_quadratic_form_matches_the_product_oracle(kernel, shape, seed):
+    state = GaussianState(FORM_KERNELS[kernel])
+    for element in _drawn_elements(state.indices, 8, seed, *PROBE_SHAPES[shape]):
+        ours = _quadratic_form(state, element.terms.items())
+        oracle = probe_value_by_products(state, element)
+        assert abs(ours - oracle) <= 1e-12 * _pair_scale(state, element)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(sorted(FORM_KERNELS)), st.sampled_from(sorted(PROBE_SHAPES)),
+       st.integers(0, 2**32 - 1), st.integers(1, 12))
+def test_probe_is_the_least_oracle_value_over_its_draws(kernel, shape, seed, trials):
+    state = GaussianState(FORM_KERNELS[kernel])
+    elements = _drawn_elements(state.indices, trials, seed, *PROBE_SHAPES[shape])
+    least = min(probe_value_by_products(state, e) for e in elements)
+    scale = max(_pair_scale(state, e) for e in elements)
+    assert abs(_probe(state, trials, seed, *PROBE_SHAPES[shape]) - least) <= 1e-12 * scale
+
+
+def test_probes_raise_the_kernel_key_error_on_a_missing_pairing():
+    # index 1 names the partner tag 9, which the kernel does not hold
+    state = GaussianState(GaussianKernel([Index(1, 9), Index(2)], [[1.0, 0.5], [0.5, 1.0]]))
+    element = ExtendedElement.from_word((Index(1, 9), Index(2)))
+    with pytest.raises(KeyError):
+        _quadratic_form(state, element.terms.items())
+    with pytest.raises(KeyError):
+        probe_value_by_products(state, element)
+    with pytest.raises(KeyError):
+        extended_positivity_probe(state, 200, seed=0)
+    with pytest.raises(KeyError):
+        positivity_probe(state, 200, 2, seed=0)
 
 
 def test_extended_gram_matrix_is_psd(k2):
