@@ -14,7 +14,6 @@ from qcmt import (
     commutator_factor,
     generating_function,
     moment_from_generating_series,
-    two_point,
     wick_expect,
 )
 
@@ -37,4 +36,4 @@ print("  real symmetric kernel:  c =", commutator_factor(kernel, i1, i2))
 quantum = GaussianKernel([1, 2], [[1.0, 0.5j], [-0.5j, 1.0]])
 j1, j2 = quantum.indices
 print("  imaginary off-diagonal: c =", commutator_factor(quantum, j1, j2))
-print("  two_point (i^c, j)        =", two_point(quantum, j1, j2))
+print("  rho(M1 M2) = (i^c, j)      =", quantum.word_expect((j1, j2)))

@@ -11,7 +11,6 @@ the Gaussian-state machinery.
 import math
 
 from qcmt import (
-    GaussianState,
     PhaseSpacePolynomial,
     bracket_residuals,
     commutator_factor,
@@ -32,10 +31,11 @@ print("\ncommutation relations of the operator pair")
 u = q * q + p
 v = 2 * (q * p)
 f = q * p * p
-r1, r2, r3 = bracket_residuals(u, v, f)
+r1, r2, r3, jacobi = bracket_residuals(u, v, f)
 print("  [Mul_u, Mul_v] f             =", r1)
 print("  ([Der_u, Mul_v] - Mul_{u,v})f =", r2)
 print("  ([Der_u, Der_v] - Der_{u,v})f =", r3)
+print("  Jacobi identity residual      =", jacobi)
 
 print("\nflows")
 energy = 0.5 * (q * q + p * p)
@@ -48,5 +48,4 @@ kernel = gibbs_oscillator_kernel(1.0, 1.0, 1.0)
 iq, ip = kernel.indices
 print("  (q,q) =", kernel.pairing(iq, iq), " (p,p) =", kernel.pairing(ip, ip))
 print("  commutator factor (classical, so zero):", commutator_factor(kernel, iq, ip))
-state = GaussianState(kernel)
-print("  rho(q^4) =", state.word_expect((iq,) * 4), " (3 kT^2 / (m w^2)^2)")
+print("  rho(q^4) =", kernel.word_expect((iq,) * 4), " (3 kT^2 / (m w^2)^2)")

@@ -19,12 +19,10 @@ from .fields import (
 from .gaussian import (
     MATCHING_CAP,
     GaussianKernel,
-    GaussianState,
     State,
     commutator_factor,
     generating_function,
     moment_from_generating_series,
-    two_point,
     wick_expect,
 )
 from .gns import GramReport, MonomialBasis, Representation, build_basis, gram, positivity_probe, represent
@@ -40,7 +38,6 @@ from .vacuum import (
     ConditionedState,
     ExtendedElement,
     commutation_witness,
-    condition,
     extended_expect,
     extended_positivity_probe,
     extended_word_expect,

@@ -21,7 +21,7 @@ from numpy.linalg import LinAlgError
 
 from .algebra import Index
 from .fields import FieldKernelSpec, PoincareElement, QuadratureError, Wavepacket, kernel_as_gaussian, packet_index, poincare_act, thermal_kernel, vacuum_kernel
-from .gaussian import MATCHING_CAP, GaussianKernel, GaussianState
+from .gaussian import MATCHING_CAP, GaussianKernel
 from .gns import build_basis, gram
 from .koopman import gibbs_oscillator_kernel
 from .vacuum import commutation_witness, extended_word_expect
@@ -364,7 +364,7 @@ def run_verify_mode(out, kernel, spec, packets, **settings) -> int:
 
 
 def run_moments_mode(out, kernel, spec, packets, words) -> int:
-    state = GaussianState(_gaussian(kernel, spec, packets))
+    kernel = _gaussian(kernel, spec, packets)
     lines = ["word,re,im"]
     status = EXIT_OK
     for label, segments in words:
@@ -372,7 +372,7 @@ def run_moments_mode(out, kernel, spec, packets, words) -> int:
             lines.append(f"{label},ERROR,ERROR")
             status = EXIT_CHECK_FAILED
             continue
-        value = extended_word_expect(state, segments)
+        value = extended_word_expect(kernel, segments)
         lines.append(f"{label},{_float_repr(value.real)},{_float_repr(value.imag)}")
     _write_text(out, "\n".join(lines) + "\n")
     return status
@@ -381,7 +381,7 @@ def run_moments_mode(out, kernel, spec, packets, words) -> int:
 def run_gram_mode(out, tolerance, kernel, spec, packets, degree) -> int:
     kernel = _gaussian(kernel, spec, packets)
     basis = build_basis(kernel.indices, degree)
-    report = gram(basis, GaussianState(kernel), tolerance=tolerance)
+    report = gram(basis, kernel, tolerance=tolerance)
     logger.info(
         "gram: dimension=%d null=%d min-eigenvalue=%.3e",
         report.dimension,
@@ -415,11 +415,11 @@ def run_boost_scan_mode(out, spec, f, g, rapidities) -> int:
 
 
 def run_witness_mode(out, tolerance, kernel, spec, packets, pair, i, j) -> int:
-    state = GaussianState(_gaussian(kernel, spec, packets))
-    between, in_front = commutation_witness(state, i, j)
+    kernel = _gaussian(kernel, spec, packets)
+    between, in_front = commutation_witness(kernel, i, j)
     factor_residual = abs(
-        between - state.word_expect((i,)) * state.word_expect((j,))
-    ) + abs(in_front - state.word_expect((i, j)))
+        between - kernel.word_expect((i,)) * kernel.word_expect((j,))
+    ) + abs(in_front - kernel.word_expect((i, j)))
     gap = abs(between - in_front)
     payload = {
         "mode": "witness",

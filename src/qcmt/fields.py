@@ -290,14 +290,16 @@ class FieldKernelSpec:
     rest_frame: tuple = (1.0, 0.0)
 
     def __post_init__(self):
-        if self.mass <= 0:
+        # every check is written so that a NaN fails it: an overflowing
+        # rest frame makes ut*ut - ux*ux the NaN inf - inf
+        if not self.mass > 0:
             raise ValueError("mass must be positive")
-        if self.hbar <= 0:
+        if not self.hbar > 0:
             raise ValueError("hbar must be positive")
         if not self.beta > 0:
             raise ValueError("beta must be positive (inf selects the vacuum)")
         ut, ux = self.rest_frame
-        if ut <= 0 or abs(ut * ut - ux * ux - 1.0) > 1e-9:
+        if not (ut > 0 and abs(ut * ut - ux * ux - 1.0) <= 1e-9):
             raise ValueError("rest_frame must be a unit future-pointing timelike vector")
 
     @property

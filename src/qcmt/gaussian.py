@@ -1,7 +1,8 @@
 """Gaussian states on the free measurement algebra.
 
 A Gaussian state is fixed by a Hermitian positive semi-definite pairing
-(i, j) on the index set together with the index involution.  Odd moments
+(i, j) on the index set together with the index involution, so
+``GaussianKernel``, which holds both, is the state.  Odd moments
 vanish; an even moment is the sum over perfect matchings of the pairwise
 contractions (i_m^c, i_n) with m < n, which is the mixed derivative at
 zero of the exponential generating function
@@ -65,11 +66,27 @@ def hermitian_spectrum(m, tol: float, vectors: bool = False) -> tuple:
     return eig, vec, tolerance_bound(tol, eig)
 
 
-class GaussianKernel:
-    """Hermitian positive semi-definite sesquilinear pairing on an index set.
+class State:
+    """Expectation functional: linear, normalized, positive, adjoint-compatible."""
+
+    def word_expect(self, w: Word) -> complex:
+        raise NotImplementedError
+
+    @property
+    def indices(self) -> tuple:
+        raise NotImplementedError
+
+    def expect(self, element: AlgebraElement) -> complex:
+        """Linear extension of the word evaluator to algebra elements."""
+        return sum((c * self.word_expect(w) for w, c in element.terms.items()), 0j)
+
+
+class GaussianKernel(State):
+    """The mean-zero Gaussian state of a Hermitian PSD pairing on an index set.
 
     Entry (i, j) is the two-measurement value rho(M_i^dagger M_j); together
-    with the involution i -> i^c it determines every Gaussian moment.
+    with the involution i -> i^c it determines every moment, which
+    ``word_expect`` reads by the Wick expansion.
 
     Parameters
     ----------
@@ -119,6 +136,9 @@ class GaussianKernel:
     def indices(self) -> tuple:
         return self._indices
 
+    def word_expect(self, w: Word) -> complex:
+        return wick_expect(self, w)
+
     def pairing(self, i: Index, j: Index) -> complex:
         """The pairing (i, j); a tag outside the index set raises ``KeyError``."""
         try:
@@ -164,11 +184,6 @@ class GaussianKernel:
     def __repr__(self):
         tags = [i.tag for i in self._indices]
         return f"GaussianKernel(indices={tags!r})"
-
-
-def two_point(kernel: GaussianKernel, i: Index, j: Index) -> complex:
-    """Two-measurement value rho(M_i M_j) = (i^c, j)."""
-    return kernel.pairing(i.involve(), j)
 
 
 def commutator_factor(kernel: GaussianKernel, i: Index, j: Index) -> complex:
@@ -268,35 +283,3 @@ def moment_from_generating_series(kernel: GaussianKernel, w: Word) -> complex:
         if partner is not None:
             coefficient += c * partner
     return (0j + coefficient / factorial) / (1j) ** n
-
-
-class State:
-    """Expectation functional: linear, normalized, positive, adjoint-compatible."""
-
-    def word_expect(self, w: Word) -> complex:
-        raise NotImplementedError
-
-    @property
-    def indices(self) -> tuple:
-        raise NotImplementedError
-
-    def expect(self, element: AlgebraElement) -> complex:
-        """Linear extension of the word evaluator to algebra elements."""
-        return sum((c * self.word_expect(w) for w, c in element.terms.items()), 0j)
-
-
-class GaussianState(State):
-    """Mean-zero Gaussian state with all moments given by the Wick expansion."""
-
-    def __init__(self, kernel: GaussianKernel):
-        self.kernel = kernel
-
-    @property
-    def indices(self) -> tuple:
-        return self.kernel.indices
-
-    def word_expect(self, w: Word) -> complex:
-        return wick_expect(self.kernel, w)
-
-    def __repr__(self):
-        return f"GaussianState({self.kernel!r})"

@@ -219,19 +219,22 @@ def poisson(u: PhaseSpacePolynomial, v: PhaseSpacePolynomial) -> PhaseSpacePolyn
 
 
 def bracket_residuals(u, v, f):
-    """Residual polynomials of the three commutation relations, applied to f.
+    """Residual polynomials of the three commutation relations applied to f, and of Jacobi.
 
     With Mul_u f = u*f and Der_u f = {u, f}, returns
     ([Mul_u, Mul_v] f,
      ([Der_u, Mul_v] - Mul_{u,v}) f,
-     ([Der_u, Der_v] - Der_{u,v}) f);
-    all three must vanish identically.
+     ([Der_u, Der_v] - Der_{u,v}) f,
+     {u, {v, f}} + {v, {f, u}} + {f, {u, v}});
+    all four must vanish identically.  Each bracket is formed once.
     """
-    uv = poisson(u, v)
+    uv, uf, vf = poisson(u, v), poisson(u, f), poisson(v, f)
+    u_vf = poisson(u, vf)
     r1 = u * (v * f) - v * (u * f)
-    r2 = poisson(u, v * f) - v * poisson(u, f) - uv * f
-    r3 = poisson(u, poisson(v, f)) - poisson(v, poisson(u, f)) - poisson(uv, f)
-    return r1, r2, r3
+    r2 = poisson(u, v * f) - v * uf - uv * f
+    r3 = u_vf - poisson(v, uf) - poisson(uv, f)
+    jacobi = u_vf + poisson(v, poisson(f, u)) + poisson(f, uv)
+    return r1, r2, r3, jacobi
 
 
 def _flow_input(symbol: PhaseSpacePolynomial, time, points) -> tuple:

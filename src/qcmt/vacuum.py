@@ -114,7 +114,10 @@ def commutation_witness(state: State, i, j) -> tuple:
 
 
 class ConditionedState(State):
-    """State A -> rho(X^dagger A X) / rho(X^dagger X) built from a base state."""
+    """State A -> rho(X^dagger A X) / rho(X^dagger X) built from a base state.
+
+    A conditioner whose norm rho(X^dagger X) is at most ``tol`` raises ``ValueError``.
+    """
 
     def __init__(self, base: State, conditioner: AlgebraElement, tol: float = 1e-12):
         norm = base.expect(conditioner.adjoint() * conditioner)
@@ -135,11 +138,6 @@ class ConditionedState(State):
             self.conditioner.adjoint() * AlgebraElement.from_word(w) * self.conditioner
         )
         return self.base.expect(sandwich) / self.normalization
-
-
-def condition(state: State, conditioner: AlgebraElement, tol: float = 1e-12) -> ConditionedState:
-    """Condition a state on an algebra element; fails on null conditioners."""
-    return ConditionedState(state, conditioner, tol=tol)
 
 
 def extended_positivity_probe(state: State, trials: int, seed: int = 0) -> float:

@@ -27,13 +27,12 @@ from .fields import (
 )
 from .gaussian import (
     GaussianKernel,
-    GaussianState,
     moment_from_generating_series,
     tolerance_bound,
     wick_expect,
 )
 from .gns import build_basis, gram
-from .koopman import PhaseSpacePolynomial, bracket_residuals, poisson
+from .koopman import PhaseSpacePolynomial, bracket_residuals
 from .vacuum import extended_positivity_probe
 
 logger = logging.getLogger(__name__)
@@ -178,8 +177,6 @@ def check_bracket_relations(seed: int = 0, trials: int = 100) -> CheckResult:
         u, v, f = polynomials[3 * t : 3 * t + 3]
         for residual in bracket_residuals(u, v, f):
             worst = max(worst, residual.max_abs_coeff())
-        jacobi = poisson(u, poisson(v, f)) + poisson(v, poisson(f, u)) + poisson(f, poisson(u, v))
-        worst = max(worst, jacobi.max_abs_coeff())
     return CheckResult("bracket-relations", worst == 0.0, worst, 0.0)
 
 
@@ -189,9 +186,8 @@ def check_gram_psd(kernel: GaussianKernel, degree: int = 2, tolerance: float = 1
     ``worst`` is -min eigenvalue / max(1, max |eigenvalue|), the scale
     ``gram`` judges at, so the check passes when it is at most tolerance.
     """
-    state = GaussianState(kernel)
     basis = build_basis(kernel.indices, degree)
-    report = gram(basis, state, tolerance=tolerance)
+    report = gram(basis, kernel, tolerance=tolerance)
     worst = -report.min_eigenvalue / tolerance_bound(1.0, report.eigenvalues)
     return CheckResult("gram-psd", report.is_positive(), worst, tolerance)
 
@@ -203,8 +199,7 @@ def check_extended_positivity(
     if not kernel.indices:
         logger.warning("empty index set: extended positivity probe is vacuous")
         return CheckResult("extended-positivity", True, 0.0, tolerance)
-    state = GaussianState(kernel)
-    probe = extended_positivity_probe(state, trials, seed=seed)
+    probe = extended_positivity_probe(kernel, trials, seed=seed)
     violation = max(0.0, -probe)
     return CheckResult("extended-positivity", probe >= -tolerance, violation, tolerance)
 

@@ -24,7 +24,6 @@ from qcmt.fields import (
 )
 from qcmt.gaussian import (
     GaussianKernel,
-    GaussianState,
     moment_from_generating_series,
     wick_expect,
 )
@@ -114,7 +113,7 @@ def test_criterion_3_state_positivity():
     }
     worst = {}
     for name, kernel in kernels.items():
-        state = GaussianState(kernel)
+        state = kernel
         indices = kernel.indices[:3]
         lowest = 0.0
         for degree in range(1, 4):
@@ -129,7 +128,7 @@ def test_criterion_3_state_positivity():
 
 def test_criterion_4_gns_reproduction():
     kernel = GaussianKernel([1, 2, 3], K3)
-    state = GaussianState(kernel)
+    state = kernel
     rep = represent(build_basis(kernel.indices, 2), state)
     worst = 0.0
     for length in range(3):
@@ -140,7 +139,7 @@ def test_criterion_4_gns_reproduction():
 
 def test_criterion_5_vacuum_projector_witness():
     kernel = GaussianKernel([1, 2], K2)
-    state = GaussianState(kernel)
+    state = kernel
     i1, i2 = kernel.indices
     between, in_front = commutation_witness(state, i1, i2)
     gap = abs(in_front - between)

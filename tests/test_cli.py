@@ -4,11 +4,16 @@ import json
 import os
 import subprocess
 import sys
+from itertools import product
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
+from oracles import wick_by_matchings
+from qcmt import cli, verify
+from qcmt.algebra import Index
 from qcmt.cli import main
 
 K2_KERNEL = {"type": "matrix", "indices": [1, 2], "matrix": [[1, 0.5], [0.5, 1]]}
@@ -323,6 +328,8 @@ MALFORMED = {
     "field-mass-nan": ("moments", {"kernel": _field(mass=NAN), "words": [[0, 1]]}, 2),
     "field-hbar-inf": ("moments", {"kernel": _field(hbar=INF), "words": [[0, 1]]}, 2),
     "field-rest-frame-nan": ("boost-scan", {"kernel": _field(rest_frame=[NAN, 0.0]), "rapidities": [0.0]}, 2),
+    # ut*ut - ux*ux is inf - inf = NaN, which must fail the unit-vector check
+    "field-rest-frame-overflow": ("boost-scan", {"kernel": _field(rest_frame=[1e200, 1e200]), "rapidities": [0.0]}, 2),
     "field-beta-inf": ("moments", {"kernel": _field(beta=INF), "words": [[0, 1]]}, 2),
     "field-beta-nan": ("boost-scan", {"kernel": _field(beta=NAN), "rapidities": [0.0]}, 2),
     "field-beta-string": ("boost-scan", {"kernel": _field(beta="1"), "rapidities": [0.0]}, 2),
@@ -597,3 +604,164 @@ def test_exit_code_contract_under_config_fuzz(tmp_path_factory, case):
     assert "Traceback" not in err.getvalue()
     assert code != 1 or out.getvalue()
     assert "nan" not in out.getvalue().lower() and "inf" not in out.getvalue().lower()
+
+
+# ------------------------------------------------------------ long index lists
+
+
+def _run(mode, path):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([mode, "--config", path])
+    return code, out.getvalue(), err.getvalue()
+
+
+def _refuse_numerical_work(*args, **kwargs):
+    raise AssertionError("numerical work started on a config over the basis cap")
+
+
+# the fewest indices whose basis to each degree exceeds the cap; degree 1
+# would need 2,000 indices, a matrix too large to draw
+_FEWEST_OVER_CAP = {d: next(n for n in range(1, 100) if sum(n**k for k in range(d + 1)) > cli.BASIS_CAP)
+                    for d in range(2, 7)}
+
+
+@st.composite
+def oversized_configs(draw):
+    """A gram or verify config whose words to its degree exceed ``cli.BASIS_CAP``."""
+    mode = draw(st.sampled_from(["gram", "verify"]))
+    degree = draw(st.integers(2, 6)) if mode == "gram" else verify.WICK_ORACLE_LENGTH
+    n = draw(st.integers(_FEWEST_OVER_CAP[degree], _FEWEST_OVER_CAP[degree] + 20))
+    if draw(st.booleans()):
+        kernel = _packets((n + 1) // 2)  # two indices per packet
+        n += n % 2
+    else:
+        kernel = _identity(n)
+    config = {"kernel": kernel, "degree": degree} if mode == "gram" else {"kernel": kernel}
+    return mode, config, sum(n**k for k in range(degree + 1))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(oversized_configs())
+def test_oversized_configs_are_refused_before_numerical_work(tmp_path_factory, case):
+    mode, config, size = case
+    path = write_config(tmp_path_factory.mktemp("oversized"), config)
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("kernel_as_gaussian", "gram", "run_verify"):
+            patch.setattr(cli, name, _refuse_numerical_work)
+        code, out, err = _run(mode, path)
+    assert code == 2
+    assert f"has {size} words, over the cap of {cli.BASIS_CAP}" in err
+    assert "Traceback" not in err and out == ""
+
+
+# ------------------------------------------------------------ oracle fuzz
+
+
+class _Pairing:
+    """The drawn matrix as a pairing lookup, with no moment engine behind it."""
+
+    def __init__(self, indices, matrix):
+        self.position = {ix.tag: a for a, ix in enumerate(indices)}
+        self.matrix = matrix
+
+    def pairing(self, i, j):
+        return self.matrix[self.position[i.tag]][self.position[j.tag]]
+
+
+def _oracle_moment(pairing, segments):
+    """rho(A_0 V A_1 ... V A_k) = prod_j rho(A_j), each factor by matching enumeration."""
+    value = 1 + 0j
+    for segment in segments:
+        value *= wick_by_matchings(pairing, segment)
+    return value
+
+
+_unit = st.floats(-1.0, 1.0, allow_nan=False)
+
+
+@st.composite
+def valid_matrix_configs(draw):
+    """A kernel A A^dagger over tags 1..n, some tags paired, with moment words and a pair."""
+    n = draw(st.integers(1, 4))
+    a = np.array(draw(st.lists(st.tuples(_unit, _unit), min_size=n * n, max_size=n * n)))
+    a = (a[:, 0] + 1j * a[:, 1]).reshape(n, n)
+    m = a @ a.conj().T
+    m = m / 2 + m.conj().T / 2
+    tags = list(range(1, n + 1))
+    involution = [[t, t + 1] for t in tags[: 2 * draw(st.integers(0, n // 2)) : 2]]
+    kernel = {"type": "matrix", "indices": tags, "involution": involution,
+              "matrix": [[[v.real, v.imag] for v in row] for row in m.tolist()]}
+    letters = st.sampled_from(tags + ["V"])
+    words = draw(st.lists(st.lists(letters, max_size=10).filter(
+        lambda w: sum(x != "V" for x in w) <= 8), min_size=1, max_size=4))
+    pair = draw(st.lists(st.sampled_from(tags), min_size=2, max_size=2))
+    return kernel, words, pair, draw(st.integers(0, 2))
+
+
+def _close(value, oracle, scale):
+    return abs(value - oracle) <= 1e-9 * max(1.0, scale)
+
+
+# No shrink phase: a failing example is reported as drawn.  Shrinking these
+# end-to-end runs took minutes and over 1 GB when a moment was wrong.
+@settings(max_examples=100, deadline=None, derandomize=True,
+          phases=[Phase.explicit, Phase.reuse, Phase.generate])
+@given(valid_matrix_configs())
+def test_cli_values_match_the_oracles_on_valid_kernels(tmp_path_factory, case):
+    kernel, words, pair, degree = case
+    folder = tmp_path_factory.mktemp("oracle")
+    partner = {}
+    for x, y in kernel["involution"]:
+        partner[x], partner[y] = y, x
+    indices = [Index(t, partner.get(t)) for t in kernel["indices"]]
+    by_tag = {ix.tag: ix for ix in indices}
+    matrix = [[complex(*v) for v in row] for row in kernel["matrix"]]
+    oracle = _Pairing(indices, matrix)
+    # the same sums with every contraction replaced by its modulus bound the round-off
+    bound = _Pairing(indices, [[abs(v) for v in row] for row in matrix])
+
+    runs = {
+        "moments": {"kernel": kernel, "words": words},
+        "witness": {"kernel": kernel, "pair": pair},
+        "gram": {"kernel": kernel, "degree": degree},
+    }
+    outputs = {}
+    for mode, config in runs.items():
+        path = write_config(folder, config, f"{mode}.json")
+        first, second = _run(mode, path), _run(mode, path)
+        assert first == second
+        code, out, err = first
+        assert code == 0, err
+        outputs[mode] = out
+
+    rows = outputs["moments"].splitlines()[1:]
+    assert len(rows) == len(words)
+    for word, row in zip(words, rows):
+        segments, current = [], []
+        for ref in word:
+            if ref == "V":
+                segments.append(current)
+                current = []
+            else:
+                current.append(by_tag[ref])
+        segments.append(current)
+        _, re, im = row.split(",")
+        value = complex(float(re), float(im))
+        assert _close(value, _oracle_moment(oracle, segments), _oracle_moment(bound, segments).real)
+
+    witness = json.loads(outputs["witness"])
+    i, j = (by_tag[t] for t in pair)
+    between = complex(*witness["projector_between"])
+    in_front = complex(*witness["projector_in_front"])
+    assert _close(between, _oracle_moment(oracle, [[i], [j]]), 1.0)
+    assert _close(in_front, _oracle_moment(oracle, [[i, j]]), abs(oracle.pairing(i.involve(), j)))
+
+    report = json.loads(outputs["gram"])
+    basis = [w for length in range(degree + 1) for w in product(indices, repeat=length)]
+    diagonal = [[ix.involve() for ix in reversed(w)] + list(w) for w in basis]
+    trace = sum(_oracle_moment(oracle, [w]) for w in diagonal)
+    scale = sum(_oracle_moment(bound, [w]).real for w in diagonal)
+    assert report["dimension"] == len(basis)
+    assert _close(sum(report["eigenvalues"]), trace.real, scale)
+    assert abs(trace.imag) <= 1e-9 * max(1.0, scale)

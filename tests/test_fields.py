@@ -19,7 +19,7 @@ from qcmt.fields import (
     thermal_kernel,
     vacuum_kernel,
 )
-from qcmt.gaussian import GaussianState, hermitian_spectrum, wick_expect
+from qcmt.gaussian import hermitian_spectrum, wick_expect
 from qcmt.gns import build_basis, gram
 
 VACUUM = FieldKernelSpec(mass=1.0)
@@ -402,7 +402,7 @@ def test_kernel_sesquilinearity():
 def test_field_kernel_supports_wick_and_gram():
     f, g = packet_pair()
     kernel = kernel_as_gaussian(VACUUM, [f, g])
-    state = GaussianState(kernel)
+    state = kernel
     i_f, i_g = kernel.indices[0], kernel.indices[1]
     value = wick_expect(kernel, (i_f, i_g, i_f, i_g))
     assert np.isfinite(value.real) and np.isfinite(value.imag)
@@ -426,3 +426,16 @@ def test_spec_validation():
         FieldKernelSpec(mass=1.0, beta=-1.0)
     with pytest.raises(ValueError):
         FieldKernelSpec(mass=1.0, rest_frame=(0.5, 0.0))
+
+
+@pytest.mark.parametrize("fields", [
+    {"mass": math.nan},
+    {"mass": 1.0, "hbar": math.nan},
+    {"mass": 1.0, "rest_frame": (math.nan, 0.0)},
+    {"mass": 1.0, "rest_frame": (1e200, 1e200)},
+    {"mass": 1.0, "rest_frame": (1e155, 1e155)},
+], ids=["mass-nan", "hbar-nan", "frame-nan", "frame-1e200", "frame-1e155"])
+def test_spec_validation_refuses_nan(fields):
+    # an overflowing rest frame makes ut*ut - ux*ux the NaN inf - inf
+    with pytest.raises(ValueError):
+        FieldKernelSpec(**fields)

@@ -9,11 +9,10 @@ from oracles import fd_word_moment
 from qcmt.algebra import AlgebraElement, Index, generator, paired_indices
 from qcmt.gaussian import (
     GaussianKernel,
-    GaussianState,
+    State,
     commutator_factor,
     generating_function,
     moment_from_generating_series,
-    two_point,
     wick_expect,
 )
 
@@ -71,23 +70,23 @@ def test_kernel_stores_its_own_matrix():
     assert np.array_equal(kernel.matrix(), [[1.0, 0.5j], [-0.5j, 1.0]])
 
 
-# ---------------------------------------------------------------- two_point
+# ---------------------------------------------------------------- two-point values
 
 
 def test_two_point_off_diagonal(k2):
     i1, i2 = k2.indices
-    assert two_point(k2, i1, i2) == 0.5
+    assert k2.word_expect((i1, i2)) == 0.5
 
 
 def test_two_point_diagonal(k2):
     i1, _ = k2.indices
-    assert two_point(k2, i1, i1) == 1.0
+    assert k2.word_expect((i1, i1)) == 1.0
 
 
 def test_two_point_paired_involution(k_paired):
     a, ac = k_paired.indices
     # rho(M_a M_a) = (a*, a)
-    assert two_point(k_paired, a, a) == k_paired.pairing(ac, a)
+    assert k_paired.word_expect((a, a)) == k_paired.pairing(ac, a)
 
 
 # ---------------------------------------------------------------- wick_expect
@@ -190,7 +189,7 @@ def test_commutator_same_index(k2):
 def test_commutator_identity_inside_words(rng):
     kernel = imaginary_kernel()
     i1, i2 = kernel.indices
-    state = GaussianState(kernel)
+    state = kernel
     factor = commutator_factor(kernel, i1, i2)
     m1, m2 = generator(i1), generator(i2)
     bracket = m1 * m2 - m2 * m1
@@ -206,26 +205,33 @@ def test_commutator_identity_inside_words(rng):
 # ---------------------------------------------------------------- state axioms
 
 
+def test_kernel_is_its_gaussian_state(k_paired):
+    assert isinstance(k_paired, State)
+    a, ac = k_paired.indices
+    word = (a, ac, a, ac)
+    assert k_paired.word_expect(word) == wick_expect(k_paired, word)
+
+
 def test_expect_is_normalized(k2):
-    state = GaussianState(k2)
+    state = k2
     assert state.expect(AlgebraElement.identity()) == 1
 
 
 def test_expect_extends_linearly(k2):
     i1, i2 = k2.indices
-    state = GaussianState(k2)
+    state = k2
     element = 2 * (generator(i1) * generator(i2)) + 3 * AlgebraElement.identity()
     assert np.isclose(state.expect(element), 4.0)
 
 
 def test_expect_of_cancelling_element(k2):
     i1, _ = k2.indices
-    state = GaussianState(k2)
+    state = k2
     assert state.expect(generator(i1) - generator(i1)) == 0
 
 
 def test_state_positivity_randomized(k3, rng):
-    state = GaussianState(k3)
+    state = k3
     for _ in range(40):
         a = random_element(rng, k3.indices, max_terms=4, max_len=3, integer=False)
         value = state.expect(a.adjoint() * a)
@@ -234,7 +240,7 @@ def test_state_positivity_randomized(k3, rng):
 
 
 def test_state_adjoint_compatibility(k_paired, rng):
-    state = GaussianState(k_paired)
+    state = k_paired
     for _ in range(40):
         a = random_element(rng, k_paired.indices, max_len=4, integer=False)
         assert abs(state.expect(a.adjoint()) - state.expect(a).conjugate()) <= 1e-12

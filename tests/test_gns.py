@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qcmt.algebra import AlgebraElement, Index, generator, paired_indices
-from qcmt.gaussian import GaussianKernel, GaussianState
+from qcmt.gaussian import GaussianKernel
 from qcmt.gns import build_basis, gram, positivity_probe, represent
 from qcmt.verify import check_gram_psd
 
@@ -51,7 +51,7 @@ def test_basis_rejects_duplicate_tags():
 
 
 def test_gram_matches_two_point_table(k2):
-    state = GaussianState(k2)
+    state = k2
     report = gram(build_basis(k2.indices, 1), state)
     expected = np.array([[1, 0, 0], [0, 1, 0.5], [0, 0.5, 1]], dtype=complex)
     assert np.allclose(report.gram, expected)
@@ -60,19 +60,19 @@ def test_gram_matches_two_point_table(k2):
 
 
 def test_gram_of_identity_basis(k2):
-    report = gram(build_basis([], 0), GaussianState(k2))
+    report = gram(build_basis([], 0), k2)
     assert report.gram.shape == (1, 1)
     assert report.gram[0, 0] == 1
 
 
 def test_gram_degenerate_kernel_has_null_space():
-    report = gram(build_basis([1, 2], 1), GaussianState(degenerate_kernel()))
+    report = gram(build_basis([1, 2], 1), degenerate_kernel())
     assert report.null_dimension >= 1
     assert report.min_eigenvalue >= -1e-12
 
 
 def test_gram_psd_for_gaussian_states(k3):
-    state = GaussianState(k3)
+    state = k3
     for degree in (1, 2, 3):
         report = gram(build_basis(k3.indices, degree), state)
         assert report.min_eigenvalue >= -1e-10
@@ -89,7 +89,7 @@ def test_one_positivity_verdict_at_the_tolerance_bound(depth, positive):
     rotation = np.array([[c, -s], [s, c]])
     matrix = rotation @ np.diag([lowest, 4.0]) @ rotation.T
     kernel = GaussianKernel([1, 2], matrix, validate=False, tol=tol)
-    state = GaussianState(kernel)
+    state = kernel
     verdicts = {}
     try:
         GaussianKernel([1, 2], matrix, tol=tol)
@@ -109,7 +109,7 @@ def test_one_positivity_verdict_at_the_tolerance_bound(depth, positive):
 
 
 def test_gram_report_serializes():
-    report = gram(build_basis([1, 2], 1), GaussianState(degenerate_kernel()))
+    report = gram(build_basis([1, 2], 1), degenerate_kernel())
     payload = report.as_dict()
     assert json.loads(json.dumps(payload, allow_nan=False)) == payload
     assert set(payload) == {"dimension", "eigenvalues", "null_dimension", "tolerance"}
@@ -121,19 +121,19 @@ def test_gram_report_serializes():
 
 
 def test_representation_reproduces_two_point(k2):
-    state = GaussianState(k2)
+    state = k2
     rep = represent(build_basis(k2.indices, 1), state)
     i1, i2 = k2.indices
     assert abs(rep.vacuum_expectation((i1, i2)) - 0.5) <= 1e-9
 
 
 def test_representation_identity_is_cyclic(k2):
-    rep = represent(build_basis(k2.indices, 1), GaussianState(k2))
+    rep = represent(build_basis(k2.indices, 1), k2)
     assert abs(rep.vacuum_expectation(()) - 1.0) <= 1e-12
 
 
 def test_representation_reproduces_all_short_words(k3):
-    state = GaussianState(k3)
+    state = k3
     degree = 2
     rep = represent(build_basis(k3.indices, degree), state)
     for length in range(degree + 1):
@@ -143,7 +143,7 @@ def test_representation_reproduces_all_short_words(k3):
 
 
 def test_representation_quotients_null_space():
-    state = GaussianState(degenerate_kernel())
+    state = degenerate_kernel()
     basis = build_basis(state.indices, 1)
     rep = represent(basis, state)
     assert rep.dimension < len(basis)
@@ -156,7 +156,7 @@ def test_representation_quotients_null_space():
 
 def test_representation_maps_are_degree_raising(k2):
     basis = build_basis(k2.indices, 1)
-    rep = represent(basis, GaussianState(k2))
+    rep = represent(basis, k2)
     i1, _ = k2.indices
     rows, cols = rep.maps[i1].shape
     assert cols == rep.dimension
@@ -164,7 +164,7 @@ def test_representation_maps_are_degree_raising(k2):
 
 
 def test_representation_rejects_long_words(k2):
-    rep = represent(build_basis(k2.indices, 1), GaussianState(k2))
+    rep = represent(build_basis(k2.indices, 1), k2)
     i1, i2 = k2.indices
     with pytest.raises(ValueError, match="degree"):
         rep.apply_word((i1, i2, i1))
@@ -173,19 +173,19 @@ def test_representation_rejects_long_words(k2):
 def test_represent_rejects_indefinite_state():
     bad = GaussianKernel([1, 2], [[1.0, 2.0], [2.0, 1.0]], validate=False)
     with pytest.raises(ValueError, match="not a state"):
-        represent(build_basis(bad.indices, 1), GaussianState(bad))
+        represent(build_basis(bad.indices, 1), bad)
 
 
 # ---------------------------------------------------------------- positivity probe
 
 
 def test_probe_on_gaussian_state(k3):
-    assert positivity_probe(GaussianState(k3), 150, 3, seed=7) >= -1e-10
+    assert positivity_probe(k3, 150, 3, seed=7) >= -1e-10
 
 
 def test_probe_detects_non_state():
     bad = GaussianKernel([1, 2], [[1.0, 2.0], [2.0, 1.0]], validate=False)
-    state = GaussianState(bad)
+    state = bad
     # deliberate element along the negative eigenvector
     i1, i2 = bad.indices
     witness = generator(i1) - generator(i2)
@@ -195,7 +195,7 @@ def test_probe_detects_non_state():
 
 
 def test_probe_with_no_trials_is_vacuous(k2):
-    assert positivity_probe(GaussianState(k2), 0, 3) == math.inf
+    assert positivity_probe(k2, 0, 3) == math.inf
 
 
 # ------------------------------------------------- leading blocks of the Gram matrix
@@ -216,10 +216,10 @@ def test_lower_gram_is_leading_block_of_top_gram(kind, degree):
     # represent() slices every level's Gram matrix out of the degree + 1 one
     indices, matrix = _seeded_kernel(kind)
     top_basis = build_basis(indices, degree + 1)
-    top = gram(top_basis, GaussianState(GaussianKernel(indices, matrix))).gram
+    top = gram(top_basis, GaussianKernel(indices, matrix)).gram
     for j in range(degree + 2):
         basis = build_basis(indices, j)
         n = len(basis)
         assert basis.words == top_basis.words[:n]
-        fresh = GaussianState(GaussianKernel(indices, matrix))
+        fresh = GaussianKernel(indices, matrix)
         assert gram(basis, fresh).gram.tobytes() == top[:n, :n].tobytes()

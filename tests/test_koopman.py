@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from oracles import exact_quadratic_flow, poisson_by_derivatives, sympy_poisson
-from qcmt import koopman, verify
+from qcmt import koopman
 from qcmt.algebra import AlgebraElement, Index
-from qcmt.gaussian import GaussianState, commutator_factor, hermitian_spectrum, wick_expect
+from qcmt.gaussian import commutator_factor, hermitian_spectrum, wick_expect
 from qcmt.koopman import (
     MAX_FLOW_STEPS,
     PhaseSpacePolynomial,
@@ -257,9 +257,19 @@ def _bracket_without_second_term(u, v):
 def test_bracket_check_fails_on_a_broken_bracket(monkeypatch):
     assert check_bracket_relations(seed=0).passed
     monkeypatch.setattr(koopman, "poisson", _bracket_without_second_term)
-    monkeypatch.setattr(verify, "poisson", _bracket_without_second_term)
     result = check_bracket_relations(seed=0)
     assert not result.passed and result.worst > 0
+
+
+def test_fourth_residual_is_the_jacobi_sum(monkeypatch):
+    (q,), (p,) = coords()
+    u, v, f = q, q + p, p * p
+    broken = _bracket_without_second_term
+    monkeypatch.setattr(koopman, "poisson", broken)
+    *_, jacobi = bracket_residuals(u, v, f)
+    expected = broken(u, broken(v, f)) + broken(v, broken(f, u)) + broken(f, broken(u, v))
+    assert not expected.is_zero()
+    assert (jacobi - expected).is_zero()
 
 
 def test_jacobi_identity_exact(rng):

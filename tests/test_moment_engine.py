@@ -21,7 +21,6 @@ from qcmt.algebra import Index, paired_indices
 from qcmt.gaussian import (
     MEMO_CAP,
     GaussianKernel,
-    GaussianState,
     moment_from_generating_series,
     wick_expect,
 )
@@ -95,7 +94,7 @@ def test_moments_do_not_depend_on_memo_history():
         for length in (2, 4, 6, 6, 8, 8, 10, 10, 12)
     ]
     fresh = np.array([wick_expect(_complex_kernel(), w) for w in words])
-    warm = GaussianState(_complex_kernel())
+    warm = _complex_kernel()
     gram(build_basis(warm.indices, 3), warm)
     warmed = np.array([warm.word_expect(w) for w in reversed(words)])[::-1]
     assert fresh.tobytes() == warmed.tobytes()
@@ -116,7 +115,7 @@ def test_memo_keeps_involution_partners_apart():
 def test_memo_is_bounded_per_kernel():
     kernel = GaussianKernel([1, 2, 3], np.eye(3) + 0.1)
     other = GaussianKernel([1, 2, 3], np.eye(3) + 0.1)
-    gram(build_basis(kernel.indices, 4), GaussianState(kernel))
+    gram(build_basis(kernel.indices, 4), kernel)
     assert 1 < len(kernel._memo) <= MEMO_CAP
     assert other._memo == {(): 1}
 
