@@ -19,21 +19,37 @@ class Index:
 
     Equality and hashing use the tag alone, so indices can key kernel
     matrices and coefficient maps.  ``ctag`` is the tag of the involution
-    partner; omitting it makes the index self-conjugate.
+    partner; omitting it makes the index self-conjugate.  The hash of the
+    tag is computed once, and ``involve`` returns one cached partner whose
+    own partner is this index, so adjoint words reuse the same objects.
     """
 
-    __slots__ = ("tag", "ctag")
+    __slots__ = ("tag", "ctag", "_hash", "_partner")
 
     def __init__(self, tag: Hashable, ctag: Hashable | None = None):
+        ctag = tag if ctag is None else ctag
         object.__setattr__(self, "tag", tag)
-        object.__setattr__(self, "ctag", tag if ctag is None else ctag)
+        object.__setattr__(self, "ctag", ctag)
+        object.__setattr__(self, "_hash", hash(tag))
+        object.__setattr__(self, "_partner", self if tag == ctag else None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Index is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("Index is immutable")
+
+    def __reduce__(self):
+        return Index, (self.tag, self.ctag)
+
     def involve(self) -> "Index":
         """Return the involution partner; applying twice gives back self."""
-        return Index(self.ctag, self.tag)
+        partner = self._partner
+        if partner is None:
+            partner = Index(self.ctag, self.tag)
+            object.__setattr__(partner, "_partner", self)
+            object.__setattr__(self, "_partner", partner)
+        return partner
 
     @property
     def self_conjugate(self) -> bool:
@@ -45,7 +61,7 @@ class Index:
         return self.tag == other.tag
 
     def __hash__(self):
-        return hash(self.tag)
+        return self._hash
 
     def __repr__(self):
         if self.self_conjugate:
@@ -55,7 +71,8 @@ class Index:
 
 def paired_indices(tag: Hashable, ctag: Hashable) -> tuple[Index, Index]:
     """Build a conjugate pair of indices (i, i^c) with a nontrivial involution."""
-    return Index(tag, ctag), Index(ctag, tag)
+    i = Index(tag, ctag)
+    return i, i.involve()
 
 
 # A word is an ordered tuple of generator indices; the empty tuple is the
@@ -80,8 +97,9 @@ class LinearCombination:
     action, products, and the adjoint are shared.  Coefficients of magnitude
     at most ``tol`` are pruned so canonical forms stay comparable; a ring
     that must cancel exactly sets ``tol = 0.0`` and prunes exact zeros
-    only.  Every result is built through ``_like(terms)``, which a subclass
-    overrides when its constructor needs more than the terms.
+    only.  The constructor validates its input; every ring result is built
+    once through ``_like(terms)`` from Python complex coefficients and
+    valid words, and only pruned.
     """
 
     tol = 1e-14
@@ -99,7 +117,10 @@ class LinearCombination:
 
     # hooks -----------------------------------------------------------
     def _like(self, terms):
-        return type(self)(terms)
+        result = object.__new__(type(self))
+        tol = self.tol
+        result.terms = {w: c for w, c in terms.items() if not abs(c) <= tol}
+        return result
 
     @staticmethod
     def _word_product(left, right):
@@ -114,14 +135,19 @@ class LinearCombination:
         if not isinstance(other, type(self)):
             return NotImplemented
         out = dict(self.terms)
+        get = out.get
         for w, c in other.terms.items():
-            out[w] = out.get(w, 0j) + c
+            out[w] = get(w, 0j) + c
         return self._like(out)
 
     def __sub__(self, other):
         if not isinstance(other, type(self)):
             return NotImplemented
-        return self + (-other)
+        out = dict(self.terms)
+        get = out.get
+        for w, c in other.terms.items():
+            out[w] = get(w, 0j) - c
+        return self._like(out)
 
     def __neg__(self):
         return self._like({w: -c for w, c in self.terms.items()})
@@ -129,13 +155,17 @@ class LinearCombination:
     def __mul__(self, other):
         if isinstance(other, type(self)):
             out = {}
+            get = out.get
+            word_product = self._word_product
+            right = other.terms.items()
             for wa, ca in self.terms.items():
-                for wb, cb in other.terms.items():
-                    w = self._word_product(wa, wb)
-                    out[w] = out.get(w, 0j) + ca * cb
+                for wb, cb in right:
+                    w = word_product(wa, wb)
+                    out[w] = get(w, 0j) + ca * cb
             return self._like(out)
         if isinstance(other, (int, float, complex)):
-            return self._like({w: c * other for w, c in self.terms.items()})
+            # complex() turns a numpy scalar's product into a Python complex
+            return self._like({w: complex(c * other) for w, c in self.terms.items()})
         return NotImplemented
 
     def __rmul__(self, other):
@@ -145,9 +175,8 @@ class LinearCombination:
 
     def adjoint(self):
         """Complex anti-linear involution: conjugate coefficients, adjoint words."""
-        return self._like(
-            {self._word_adjoint(w): c.conjugate() for w, c in self.terms.items()}
-        )
+        word_adjoint = self._word_adjoint
+        return self._like({word_adjoint(w): c.conjugate() for w, c in self.terms.items()})
 
     # inspection ---------------------------------------------------------
     def is_zero(self) -> bool:

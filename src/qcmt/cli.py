@@ -449,13 +449,11 @@ def build_parser() -> argparse.ArgumentParser:
         prog="qcmt",
         description="Verification suites and experiments for measurement algebras",
     )
-    sub = parser.add_subparsers(dest="mode", required=True)
-    for mode in MODES:
-        cmd = sub.add_parser(mode)
-        cmd.add_argument("--config", type=str, default=None, help="JSON experiment config")
-        cmd.add_argument("--out", type=str, default=None, help="output path (default stdout)")
-        cmd.add_argument("--seed", type=int, default=None, help="seed for randomized checks")
-        cmd.add_argument("--tolerance", type=float, default=None, help="check tolerance")
+    parser.add_argument("mode", choices=MODES)
+    parser.add_argument("--config", type=str, default=None, help="JSON experiment config")
+    parser.add_argument("--out", type=str, default=None, help="output path (default stdout)")
+    parser.add_argument("--seed", type=int, default=None, help="seed for randomized checks")
+    parser.add_argument("--tolerance", type=float, default=None, help="check tolerance")
     return parser
 
 

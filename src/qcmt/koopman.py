@@ -75,8 +75,7 @@ class PhaseSpacePolynomial(LinearCombination):
     def _like(self, terms):
         # Ring results are valid by construction: sums of valid exponent
         # tuples, or tuples lowered only where both entries are >= 1.
-        result = object.__new__(PhaseSpacePolynomial)
-        LinearCombination.__init__(result, terms)
+        result = super()._like(terms)
         result.dimension = self.dimension
         return result
 
@@ -120,6 +119,10 @@ class PhaseSpacePolynomial(LinearCombination):
     def __add__(self, other):
         self._check_dimension(other)
         return super().__add__(other)
+
+    def __sub__(self, other):
+        self._check_dimension(other)
+        return super().__sub__(other)
 
     def __mul__(self, other):
         self._check_dimension(other)
@@ -200,11 +203,14 @@ def poisson(u: PhaseSpacePolynomial, v: PhaseSpacePolynomial) -> PhaseSpacePolyn
     """
     u._check_dimension(v)
     n = u.dimension
+    axes = range(n)
+    right = v.terms.items()
     out = {}
+    get = out.get
     for ea, ca in u.terms.items():
-        for eb, cb in v.terms.items():
+        for eb, cb in right:
             product = None
-            for i in range(n):
+            for i in axes:
                 weight = ea[i] * eb[n + i] - ea[n + i] * eb[i]
                 if weight:
                     if product is None:
@@ -214,7 +220,7 @@ def poisson(u: PhaseSpacePolynomial, v: PhaseSpacePolynomial) -> PhaseSpacePolyn
                     lowered[i] -= 1
                     lowered[n + i] -= 1
                     key = tuple(lowered)
-                    out[key] = out.get(key, 0j) + weight * coeff
+                    out[key] = get(key, 0j) + weight * coeff
     return u._like(out)
 
 

@@ -153,17 +153,20 @@ def _random_polynomials(rng, dimensions) -> list:
     """One polynomial per dimension: 1-4 terms on uniform monomials of degree <= 3.
 
     A term is a one-letter word of ``draw_terms`` over the monomial list;
-    its coefficient is the real part, an integer in -3..3.
+    its coefficient is the real part, an integer in -3..3.  The cached
+    monomials are valid exponent keys, so each polynomial is built by
+    ``_like`` without re-validation.
     """
     monomials = [_monomials(n) for n in dimensions]
     letters = [len(m) for m in monomials]
     drawn = draw_terms(rng, len(dimensions), letters, max_terms=4, max_len=1, min_len=1)
+    zeros = {n: PhaseSpacePolynomial.zero(n) for n in set(dimensions)}
     polynomials = []
     for n, listed, terms in zip(dimensions, monomials, drawn):
         merged = {}
         for ((k,),), c in terms:
-            merged[listed[k]] = merged.get(listed[k], 0) + c.real
-        polynomials.append(PhaseSpacePolynomial(n, merged))
+            merged[listed[k]] = merged.get(listed[k], 0j) + c.real
+        polynomials.append(zeros[n]._like(merged))
     return polynomials
 
 

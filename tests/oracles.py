@@ -6,7 +6,8 @@ moments, the generating series over exponent tuples and finite
 differences of the generating function, sympy symbolic brackets and
 brackets assembled from derivative polynomials, matrix exponentials for
 quadratic flows, the element E^dagger E multiplied out in the extended
-algebra for the positivity probes' quadratic form, direct position-space
+algebra for the positivity probes' quadratic form, ring results rebuilt
+term by term through the validating constructors, direct position-space
 packet evaluation for Fourier conventions, and two momentum-space routes
 for field kernels:
 a fixed Simpson grid in k and adaptive ``quad`` in k, one pair at a time.
@@ -24,7 +25,8 @@ from scipy.linalg import expm
 
 from qcmt.fields import PoincareElement, poincare_act
 from qcmt.gaussian import generating_function
-from qcmt.vacuum import extended_expect
+from qcmt.koopman import PhaseSpacePolynomial
+from qcmt.vacuum import ExtendedElement, extended_expect
 
 
 def probe_value_by_products(state, element):
@@ -35,6 +37,79 @@ def probe_value_by_products(state, element):
     probes instead sum conj(c_a) c_b rho(w_a^dagger w_b) over term pairs.
     """
     return extended_expect(state, element.adjoint() * element).real
+
+
+def _rebuild(like, pairs):
+    """(word, coefficient) pairs summed per word, then passed to the validating
+    constructor of ``like``'s class, which converts, normalizes and prunes."""
+    terms = {}
+    for w, c in pairs:
+        terms[w] = terms.get(w, 0j) + c
+    if isinstance(like, PhaseSpacePolynomial):
+        return type(like)(like.dimension, terms)
+    return type(like)(terms)
+
+
+def _glue(x, left, right):
+    """Word product left to the constructor: exponent sums, or concatenation,
+    joining the last segment of ``left`` to the first of ``right``."""
+    if isinstance(x, PhaseSpacePolynomial):
+        return tuple(a + b for a, b in zip(left, right))
+    if isinstance(x, ExtendedElement):
+        return left[:-1] + (left[-1] + right[0],) + right[1:]
+    return left + right
+
+
+def _reverse(x, w):
+    """Word adjoint: exponents stay; letters, and segments, are reversed and involved."""
+    if isinstance(x, PhaseSpacePolynomial):
+        return w
+    if isinstance(x, ExtendedElement):
+        return tuple(tuple(i.involve() for i in reversed(s)) for s in reversed(w))
+    return tuple(i.involve() for i in reversed(w))
+
+
+def sum_by_terms(x, y):
+    return _rebuild(x, [*x.terms.items(), *y.terms.items()])
+
+
+def difference_by_terms(x, y):
+    return _rebuild(x, [*x.terms.items(), *((w, -c) for w, c in y.terms.items())])
+
+
+def negation_by_terms(x):
+    return _rebuild(x, [(w, -c) for w, c in x.terms.items()])
+
+
+def scalar_multiple_by_terms(x, scalar):
+    return _rebuild(x, [(w, c * scalar) for w, c in x.terms.items()])
+
+
+def product_by_terms(x, y):
+    return _rebuild(
+        x, [(_glue(x, wa, wb), ca * cb) for wa, ca in x.terms.items() for wb, cb in y.terms.items()]
+    )
+
+
+def adjoint_by_terms(x):
+    return _rebuild(x, [(_reverse(x, w), c.conjugate()) for w, c in x.terms.items()])
+
+
+def poisson_by_terms(u, v):
+    """{u, v} term pair by term pair and axis by axis: ``q^a p^b`` with ``q^c p^d``
+    gives (a_i d_i - b_i c_i) times both coefficients at exponent a + c - e_i, b + d - e_i."""
+    n = u.dimension
+    pairs = []
+    for ea, ca in u.terms.items():
+        for eb, cb in v.terms.items():
+            for i in range(n):
+                weight = ea[i] * eb[n + i] - ea[n + i] * eb[i]
+                if weight:
+                    key = [a + b for a, b in zip(ea, eb)]
+                    key[i] -= 1
+                    key[n + i] -= 1
+                    pairs.append((tuple(key), weight * (ca * cb)))
+    return _rebuild(u, pairs)
 
 
 def wick_by_matchings(kernel, word):

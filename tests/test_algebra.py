@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from qcmt.algebra import (
     word_adjoint,
     word_label,
 )
+from qcmt.vacuum import ExtendedElement
 from qcmt.verify import check_algebra_laws
 
 
@@ -42,6 +45,53 @@ def test_index_equality_is_by_tag():
     assert Index(1) == Index(1)
     assert Index(1) != Index(2)
     assert hash(Index("a", "a*")) == hash(Index("a"))
+    for tag in (1, "a", (2, "x"), 2.5):
+        assert hash(Index(tag)) == hash(tag)
+    # equal tags, different ctags: still equal, with one hash
+    assert Index("a", "b") == Index("a", "c") == Index("a")
+    assert len({Index("a", "b"), Index("a", "c"), Index("a")}) == 1
+
+
+def test_index_caches_one_partner():
+    a, ac = paired_indices("a", "a*")
+    assert (a.tag, a.ctag, ac.tag, ac.ctag) == ("a", "a*", "a*", "a")
+    assert a.involve() is ac and ac.involve() is a
+    for i in (Index(1), Index("b", "b*"), a, ac):
+        assert i.involve().involve() is i
+        assert i.involve() is i.involve()
+    assert Index(1).involve().self_conjugate
+
+
+def test_adjoint_words_reuse_the_index_objects():
+    for w in [tuple(index_pool()), (Index("b", "b*"), Index(3))]:
+        assert all(x is y for x, y in zip(word_adjoint(word_adjoint(w)), w))
+
+
+def test_index_refuses_every_attribute():
+    i = Index("a", "a*")
+    i.involve()
+    for name in ("tag", "ctag", "_hash", "_partner", "other"):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(i, name, 1)
+        with pytest.raises(AttributeError, match="immutable"):
+            delattr(i, name)
+    assert (i.tag, i.ctag, hash(i)) == ("a", "a*", hash("a"))
+
+
+def test_index_and_elements_pickle_and_copy():
+    a, ac = paired_indices("a", "a*")
+    assert a.__reduce__() == (Index, ("a", "a*"))
+    element = AlgebraElement({(a, Index(1), ac): 2 + 1j, (): -1.0})
+    extended = ExtendedElement({((a,), (Index(2),)): 0.5j})
+    roundtrips = (lambda x: pickle.loads(pickle.dumps(x)), copy.copy, copy.deepcopy)
+    for roundtrip in roundtrips:
+        b = roundtrip(a)
+        assert b == a and (b.tag, b.ctag) == ("a", "a*") and hash(b) == hash(a)
+        assert (b.involve().tag, b.involve().ctag) == ("a*", "a") and b.involve().involve() is b
+        for x in (element, extended):
+            y = roundtrip(x)
+            assert type(y) is type(x) and list(y.terms.items()) == list(x.terms.items())
+            assert y.adjoint() == x.adjoint()
 
 
 def test_identity_word_is_two_sided_identity():

@@ -66,6 +66,15 @@ def test_unknown_field_is_rejected(tmp_path, capsys):
     assert "frobnicate" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [[], ["nope"], ["--seed", "3"], ["nope", "--seed", "3"]])
+def test_missing_or_unknown_mode_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: qcmt") and "mode" in err
+
+
 def test_mode_mismatch_is_rejected(tmp_path):
     config = write_config(tmp_path, {"mode": "gram", "kernel": K2_KERNEL})
     assert main(["verify", "--config", config]) == 2
@@ -680,6 +689,13 @@ def _oracle_moment(pairing, segments):
 _unit = st.floats(-1.0, 1.0, allow_nan=False)
 
 
+def _moment_words(tags):
+    """Up to 4 moment words over ``tags`` and "V", each with at most 8 letters."""
+    letters = st.sampled_from(tags + ["V"])
+    return st.lists(st.lists(letters, max_size=10).filter(
+        lambda w: sum(x != "V" for x in w) <= 8), min_size=1, max_size=4)
+
+
 @st.composite
 def valid_matrix_configs(draw):
     """A kernel A A^dagger over tags 1..n, some tags paired, with moment words and a pair."""
@@ -692,9 +708,7 @@ def valid_matrix_configs(draw):
     involution = [[t, t + 1] for t in tags[: 2 * draw(st.integers(0, n // 2)) : 2]]
     kernel = {"type": "matrix", "indices": tags, "involution": involution,
               "matrix": [[[v.real, v.imag] for v in row] for row in m.tolist()]}
-    letters = st.sampled_from(tags + ["V"])
-    words = draw(st.lists(st.lists(letters, max_size=10).filter(
-        lambda w: sum(x != "V" for x in w) <= 8), min_size=1, max_size=4))
+    words = draw(_moment_words(tags))
     pair = draw(st.lists(st.sampled_from(tags), min_size=2, max_size=2))
     return kernel, words, pair, draw(st.integers(0, 2))
 
@@ -703,20 +717,10 @@ def _close(value, oracle, scale):
     return abs(value - oracle) <= 1e-9 * max(1.0, scale)
 
 
-# No shrink phase: a failing example is reported as drawn.  Shrinking these
-# end-to-end runs took minutes and over 1 GB when a moment was wrong.
-@settings(max_examples=100, deadline=None, derandomize=True,
-          phases=[Phase.explicit, Phase.reuse, Phase.generate])
-@given(valid_matrix_configs())
-def test_cli_values_match_the_oracles_on_valid_kernels(tmp_path_factory, case):
-    kernel, words, pair, degree = case
-    folder = tmp_path_factory.mktemp("oracle")
-    partner = {}
-    for x, y in kernel["involution"]:
-        partner[x], partner[y] = y, x
-    indices = [Index(t, partner.get(t)) for t in kernel["indices"]]
+def _assert_cli_matches_oracles(folder, kernel, indices, matrix, words, pair, degree):
+    """``moments``, ``witness`` and the ``gram`` trace of one kernel against matching
+    enumeration over ``matrix``, the pairing of ``indices``, and equal bytes twice."""
     by_tag = {ix.tag: ix for ix in indices}
-    matrix = [[complex(*v) for v in row] for row in kernel["matrix"]]
     oracle = _Pairing(indices, matrix)
     # the same sums with every contraction replaced by its modulus bound the round-off
     bound = _Pairing(indices, [[abs(v) for v in row] for row in matrix])
@@ -765,3 +769,81 @@ def test_cli_values_match_the_oracles_on_valid_kernels(tmp_path_factory, case):
     assert report["dimension"] == len(basis)
     assert _close(sum(report["eigenvalues"]), trace.real, scale)
     assert abs(trace.imag) <= 1e-9 * max(1.0, scale)
+
+
+# No shrink phase: a failing example is reported as drawn.  Shrinking these
+# end-to-end runs took minutes and over 1 GB when a moment was wrong.
+@settings(max_examples=100, deadline=None, derandomize=True,
+          phases=[Phase.explicit, Phase.reuse, Phase.generate])
+@given(valid_matrix_configs())
+def test_cli_values_match_the_oracles_on_valid_kernels(tmp_path_factory, case):
+    kernel, words, pair, degree = case
+    partner = {}
+    for x, y in kernel["involution"]:
+        partner[x], partner[y] = y, x
+    indices = [Index(t, partner.get(t)) for t in kernel["indices"]]
+    matrix = [[complex(*v) for v in row] for row in kernel["matrix"]]
+    _assert_cli_matches_oracles(tmp_path_factory.mktemp("oracle"), kernel, indices, matrix,
+                                words, pair, degree)
+
+
+@st.composite
+def valid_gibbs_configs(draw):
+    """A Gibbs oscillator kernel over the tags "q" and "p", with moment words and a pair."""
+    mass, frequency, temperature = (draw(st.floats(0.25, 4.0)) for _ in range(3))
+    kernel = {"type": "gibbs-oscillator", "mass": mass, "frequency": frequency,
+              "temperature": temperature}
+    pair = draw(st.lists(st.sampled_from(["q", "p"]), min_size=2, max_size=2))
+    return kernel, draw(_moment_words(["q", "p"])), pair, draw(st.integers(0, 2))
+
+
+@settings(max_examples=50, deadline=None, derandomize=True,
+          phases=[Phase.explicit, Phase.reuse, Phase.generate])
+@given(valid_gibbs_configs())
+def test_cli_values_match_the_oracles_on_gibbs_kernels(tmp_path_factory, case):
+    kernel, words, pair, degree = case
+    m, w, t = kernel["mass"], kernel["frequency"], kernel["temperature"]
+    # equipartition: <q q> = kT / (m w^2), <p p> = m kT, <q p> = 0
+    matrix = [[t / (m * w * w), 0j], [0j, m * t]]
+    _assert_cli_matches_oracles(tmp_path_factory.mktemp("gibbs"), kernel,
+                                [Index("q"), Index("p")], matrix, words, pair, degree)
+
+
+@st.composite
+def drawn_boost_scans(draw):
+    """Two packets of a thermal field kernel, in a rest or moving frame, and
+    up to four rapidities with |eta| <= 1.8."""
+    def uniform(low, high):
+        return draw(st.floats(low, high))
+
+    def signed(low, high):
+        return draw(st.sampled_from([-1.0, 1.0])) * uniform(low, high)
+
+    chi = draw(st.sampled_from([0.0, signed(0.3, 0.8)]))
+    packets = []
+    for _ in range(2):
+        r, phase = uniform(0.8, 1.5), uniform(0.0, 2 * np.pi)
+        packets.append({"amplitude": [r * np.cos(phase), r * np.sin(phase)],
+                        "center": [uniform(-1.5, 1.5), uniform(-1.5, 1.5)],
+                        "width": uniform(0.7, 1.5),
+                        "wavevector": [signed(0.3, 1.5), signed(0.3, 1.5)]})
+    kernel = {"type": "field", "mass": uniform(0.5, 1.5), "hbar": 1.0, "beta": uniform(0.5, 2.0),
+              "rest_frame": [float(np.cosh(chi)), float(np.sinh(chi))], "packets": packets}
+    rapidities = draw(st.lists(st.floats(-1.8, 1.8), min_size=1, max_size=4))
+    return {"kernel": kernel, "rapidities": rapidities, "pair": [0, 1]}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          phases=[Phase.explicit, Phase.reuse, Phase.generate])
+@given(drawn_boost_scans())
+def test_boost_scan_vacuum_is_invariant_on_drawn_field_kernels(tmp_path_factory, config):
+    path = write_config(tmp_path_factory.mktemp("scan"), config)
+    code, out, err = _run("boost-scan", path)
+    assert code == 0, err
+    rows = out.splitlines()
+    assert rows[0] == "rapidity,vacuum_deviation,thermal_deviation"
+    assert len(rows) == 1 + len(config["rapidities"])
+    for row, eta in zip(rows[1:], config["rapidities"]):
+        rapidity, vacuum_deviation, _ = row.split(",")
+        assert float(rapidity) == eta
+        assert float(vacuum_deviation) <= 1e-6, row
