@@ -39,8 +39,9 @@ weighted product gives the whole kernel matrix, hbar/(4 pi) F^H W F:
   resolves the narrowest envelope and the fastest relative phase of the
   family, so no feature falls between nodes and no phase aliases alike;
 * the grid is halved until two successive grids agree, and a kernel whose
-  halving estimate still exceeds ``QUADRATURE_TOL`` at ``_NODE_CAP`` nodes
-  raises ``QuadratureError``.
+  grid step is still above the resolving step, or whose halving estimate
+  still exceeds ``QUADRATURE_TOL``, at ``_NODE_CAP`` nodes raises
+  ``QuadratureError`` naming the unmet condition.
 """
 
 from __future__ import annotations
@@ -410,16 +411,23 @@ def _kernel_matrix(spec: FieldKernelSpec, packets, thermal: bool) -> np.ndarray:
         if resolved and error <= tolerance_bound(_HALVING_TOL, value):
             break
         if 2 * intervals + 1 > _NODE_CAP:
-            if not (resolved and error <= tolerance_bound(QUADRATURE_TOL, value)):
-                raise QuadratureError(
-                    f"kernel grid not converged at {intervals + 1} nodes: halving"
-                    f" error {error:.3e}, tolerance {QUADRATURE_TOL:.0e}",
-                    window=(lo, hi),
-                    nodes=intervals + 1,
-                    error=error,
-                    kind="thermal" if thermal else "vacuum",
-                )
-            break
+            bound = tolerance_bound(QUADRATURE_TOL, value)
+            if resolved and error <= bound:
+                break
+            unmet = (
+                f"halving error {error:.3e} over its bound {bound:.3e}"
+                if resolved
+                else f"grid step h = {h:.3e} never reached the resolving step {step:.3e}"
+            )
+            raise QuadratureError(
+                f"kernel grid not converged at {intervals + 1} nodes: {unmet}",
+                window=(lo, hi),
+                nodes=intervals + 1,
+                error=error,
+                h=h,
+                step=step,
+                kind="thermal" if thermal else "vacuum",
+            )
         sums = sums + weighted_sum(lo + h * (np.arange(intervals) + 0.5), 1.0)
         intervals *= 2
         h = (hi - lo) / intervals

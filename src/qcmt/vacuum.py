@@ -144,9 +144,11 @@ def extended_positivity_probe(state: State, trials: int, seed: int = 0) -> float
     """Worst case of Re rho(E^dagger E) over randomized extended elements E.
 
     Each element sums at most three extended words of at most three
-    segments, each segment of length at most two.  Positivity of the
-    extension keeps the value above -1e-10 for genuine states; +inf means
-    no trials.
+    segments, each segment of length at most two.  On a Hermitian kernel
+    rho(E^dagger E) = y^H G_2 y over the degree-2 Gram matrix G_2 (see
+    ``verify.check_extended_positivity``), so this is a random search for
+    a negative direction of G_2.  Positivity of the extension keeps the
+    value above -1e-10 for genuine states; +inf means no trials.
     """
     return _probe(state, trials, seed, max_words=3, max_segments=3, max_len=2)
 

@@ -15,6 +15,7 @@ from oracles import wick_by_matchings
 from qcmt import cli, verify
 from qcmt.algebra import Index
 from qcmt.cli import main
+from qcmt.fields import packet_index
 
 K2_KERNEL = {"type": "matrix", "indices": [1, 2], "matrix": [[1, 0.5], [0.5, 1]]}
 
@@ -58,6 +59,12 @@ def test_verify_fails_on_non_psd_kernel(tmp_path):
     report = json.loads(out.read_text())
     failed = {c["name"] for c in report["checks"] if not c["passed"]}
     assert "gram-psd" in failed
+    # one report, one verdict: the seeds a 200-trial random probe of G_2 missed
+    for seed in (0, 13, 21, 27, 33):
+        assert main(["verify", "--config", config, "--out", str(out), "--seed", str(seed)]) == 1
+        checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+        assert not checks["gram-psd"]["passed"] and not checks["extended-positivity"]["passed"]
+        assert checks["extended-positivity"]["worst"] == checks["gram-psd"]["worst"] > 0
 
 
 def test_unknown_field_is_rejected(tmp_path, capsys):
@@ -259,6 +266,30 @@ def test_quadrature_failure_exits_numerical(tmp_path):
         },
     )
     assert main(["boost-scan", "--config", config]) == 3
+
+
+def test_unresolvable_packet_width_names_the_grid_step(tmp_path, capsys):
+    # a packet of width 1e8 needs a grid step of about 1e-8, finer than the node cap allows
+    config = write_config(
+        tmp_path,
+        {
+            "kernel": {
+                "type": "field",
+                "mass": 1.0,
+                "beta": 1.0,
+                "packets": [
+                    {"center": [0.0, 0.0], "width": 1e8},
+                    {"center": [0.0, 0.5], "width": 1.0},
+                ],
+            },
+            "rapidities": [0.0],
+            "pair": [0, 1],
+        },
+    )
+    assert main(["boost-scan", "--config", config]) == 3
+    err = capsys.readouterr().err
+    assert "never reached the resolving step 1.111e-08" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("width", [0.0, float("nan"), -1.0])
@@ -717,10 +748,14 @@ def _close(value, oracle, scale):
     return abs(value - oracle) <= 1e-9 * max(1.0, scale)
 
 
-def _assert_cli_matches_oracles(folder, kernel, indices, matrix, words, pair, degree):
+def _assert_cli_matches_oracles(folder, kernel, indices, matrix, words, pair, degree,
+                                by_ref=None):
     """``moments``, ``witness`` and the ``gram`` trace of one kernel against matching
-    enumeration over ``matrix``, the pairing of ``indices``, and equal bytes twice."""
-    by_tag = {ix.tag: ix for ix in indices}
+    enumeration over ``matrix``, the pairing of ``indices``, and equal bytes twice.
+
+    ``by_ref`` maps the config's word and pair references to indices; by default
+    a reference is an index tag."""
+    by_ref = by_ref or {ix.tag: ix for ix in indices}
     oracle = _Pairing(indices, matrix)
     # the same sums with every contraction replaced by its modulus bound the round-off
     bound = _Pairing(indices, [[abs(v) for v in row] for row in matrix])
@@ -748,14 +783,14 @@ def _assert_cli_matches_oracles(folder, kernel, indices, matrix, words, pair, de
                 segments.append(current)
                 current = []
             else:
-                current.append(by_tag[ref])
+                current.append(by_ref[ref])
         segments.append(current)
         _, re, im = row.split(",")
         value = complex(float(re), float(im))
         assert _close(value, _oracle_moment(oracle, segments), _oracle_moment(bound, segments).real)
 
     witness = json.loads(outputs["witness"])
-    i, j = (by_tag[t] for t in pair)
+    i, j = (by_ref[t] for t in pair)
     between = complex(*witness["projector_between"])
     in_front = complex(*witness["projector_in_front"])
     assert _close(between, _oracle_moment(oracle, [[i], [j]]), 1.0)
@@ -810,9 +845,8 @@ def test_cli_values_match_the_oracles_on_gibbs_kernels(tmp_path_factory, case):
 
 
 @st.composite
-def drawn_boost_scans(draw):
-    """Two packets of a thermal field kernel, in a rest or moving frame, and
-    up to four rapidities with |eta| <= 1.8."""
+def drawn_field_kernels(draw):
+    """Two packets of a thermal field kernel, in a rest or moving frame."""
     def uniform(low, high):
         return draw(st.floats(low, high))
 
@@ -827,10 +861,39 @@ def drawn_boost_scans(draw):
                         "center": [uniform(-1.5, 1.5), uniform(-1.5, 1.5)],
                         "width": uniform(0.7, 1.5),
                         "wavevector": [signed(0.3, 1.5), signed(0.3, 1.5)]})
-    kernel = {"type": "field", "mass": uniform(0.5, 1.5), "hbar": 1.0, "beta": uniform(0.5, 2.0),
-              "rest_frame": [float(np.cosh(chi)), float(np.sinh(chi))], "packets": packets}
+    return {"type": "field", "mass": uniform(0.5, 1.5), "hbar": 1.0, "beta": uniform(0.5, 2.0),
+            "rest_frame": [float(np.cosh(chi)), float(np.sinh(chi))], "packets": packets}
+
+
+@st.composite
+def drawn_boost_scans(draw):
+    """A drawn field kernel and up to four rapidities with |eta| <= 1.8."""
+    kernel = draw(drawn_field_kernels())
     rapidities = draw(st.lists(st.floats(-1.8, 1.8), min_size=1, max_size=4))
     return {"kernel": kernel, "rapidities": rapidities, "pair": [0, 1]}
+
+
+@st.composite
+def valid_field_configs(draw):
+    """A drawn field kernel, thermal or vacuum, with moment words and a pair of packets."""
+    kernel = draw(drawn_field_kernels())
+    if draw(st.booleans()):
+        del kernel["beta"]
+    words = draw(_moment_words([0, 1]))
+    pair = draw(st.lists(st.sampled_from([0, 1]), min_size=2, max_size=2))
+    return kernel, words, pair, draw(st.integers(0, 2))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True,
+          phases=[Phase.explicit, Phase.reuse, Phase.generate])
+@given(valid_field_configs())
+def test_cli_values_match_the_oracles_on_field_kernels(tmp_path_factory, case):
+    # the oracle reads the kernel's pairing matrix over the packets and their conjugates
+    kernel, words, pair, degree = case
+    gaussian, _, packets = cli.build_kernel({"kernel": kernel})
+    by_ref = {pos: packet_index(f) for pos, f in enumerate(packets)}
+    _assert_cli_matches_oracles(tmp_path_factory.mktemp("field"), kernel, gaussian.indices,
+                                gaussian.matrix().tolist(), words, pair, degree, by_ref)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True,

@@ -232,6 +232,22 @@ def test_grid_halving_that_cannot_converge_under_the_cap_raises(monkeypatch):
     assert diagnostics["nodes"] == 33
     assert len(diagnostics["window"]) == 2
     assert fields.QUADRATURE_TOL < diagnostics["error"] < math.inf
+    # 33 nodes never resolve the family: the message names the step, not the error
+    assert diagnostics["h"] > diagnostics["step"]
+    assert "never reached the resolving step" in str(failure.value)
+
+
+def test_resolved_grid_whose_halving_error_stays_over_its_bound_raises(monkeypatch):
+    f, g = packet_pair()
+    monkeypatch.setattr(fields, "_NODE_CAP", 257)
+    monkeypatch.setattr(fields, "_HALVING_TOL", 0.0)
+    monkeypatch.setattr(fields, "QUADRATURE_TOL", 0.0)
+    with pytest.raises(QuadratureError) as failure:
+        vacuum_kernel(VACUUM, f, g)
+    diagnostics = failure.value.diagnostics
+    assert diagnostics["h"] <= diagnostics["step"]
+    assert 0.0 < diagnostics["error"] < math.inf
+    assert "halving error" in str(failure.value) and "resolving step" not in str(failure.value)
 
 
 def test_vacuum_kernel_translation_invariance():

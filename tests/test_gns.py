@@ -8,7 +8,7 @@ import pytest
 from qcmt.algebra import AlgebraElement, Index, generator, paired_indices
 from qcmt.gaussian import GaussianKernel
 from qcmt.gns import build_basis, gram, positivity_probe, represent
-from qcmt.verify import check_gram_psd
+from qcmt.verify import check_extended_positivity, check_gram_psd
 
 
 def degenerate_kernel():
@@ -98,7 +98,8 @@ def test_one_positivity_verdict_at_the_tolerance_bound(depth, positive):
         verdicts["validate"] = False
     report = gram(build_basis(kernel.indices, 1), state, tolerance=tol)
     verdicts["gram"] = report.is_positive()
-    verdicts["check_gram_psd"] = check_gram_psd(kernel, degree=1, tolerance=tol).passed
+    verdicts["check_gram_psd"] = check_gram_psd(report).passed
+    verdicts["check_extended_positivity"] = check_extended_positivity(report).passed
     try:
         represent(build_basis(kernel.indices, 0), state, tolerance=tol)
         verdicts["represent"] = True

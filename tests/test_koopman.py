@@ -408,14 +408,14 @@ def test_complex_symbol_rejected():
             flow(1j * q, 1.0, [(0.0, 0.0)])
 
 
-def test_flow_sample_steps_argument():
+def test_liouville_flow_steps_argument():
     (q,), (p,) = coords()
     for steps in (7, np.int64(7)):
         (moved,) = liouville_flow(p, 1.0, [(0.0, 0.0)], steps=steps)
         assert np.allclose(moved, (1.0, 0.0), atol=1e-12)
 
 
-def test_flow_sample_refuses_step_counts_over_the_cap():
+def test_liouville_flow_refuses_step_counts_over_the_cap():
     (q,), (p,) = coords()
     for t, steps in ((1e9, None), (1e308, None), (1.0, MAX_FLOW_STEPS + 1)):
         start = time.perf_counter()

@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 
 from conftest import random_element
 from oracles import probe_value_by_products
-from qcmt.algebra import AlgebraElement, Index, draw_terms, generator, paired_indices
+from qcmt.algebra import AlgebraElement, Index, draw_terms, generator, paired_indices, word_adjoint
 from qcmt.gaussian import GaussianKernel
-from qcmt.gns import positivity_probe
+from qcmt.gns import build_basis, gram, positivity_probe
 from qcmt.vacuum import (
     ConditionedState,
     ExtendedElement,
@@ -19,6 +19,7 @@ from qcmt.vacuum import (
     extended_word_expect,
     normalize_segments,
 )
+from qcmt.verify import check_extended_positivity
 
 V = ExtendedElement.projector()
 
@@ -185,6 +186,30 @@ def test_probe_is_the_least_oracle_value_over_its_draws(kernel, shape, seed, tri
     least = min(probe_value_by_products(state, e) for e in elements)
     scale = max(_pair_scale(state, e) for e in elements)
     assert abs(_probe(state, trials, seed, *PROBE_SHAPES[shape]) - least) <= 1e-12 * scale
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(FORM_KERNELS)), st.integers(0, 2**32 - 1))
+def test_exact_extended_verdict_covers_the_probe(kernel, seed):
+    # verify judges extended positivity by the degree-2 Gram: for E = sum_a c_a w_a,
+    # rho(E^dagger E) = y^H G_2 y with y_h = sum over head_a = h of c_a prod rho(tail)
+    state = FORM_KERNELS[kernel]
+    basis = build_basis(state.indices, 2)
+    report = gram(basis, state)
+    row = {w: r for r, w in enumerate(basis.words)}
+    for element in _drawn_elements(state.indices, 8, seed, *PROBE_SHAPES["extended"]):
+        y = np.zeros(len(basis), dtype=complex)
+        for (head, *tail), c in element.terms.items():
+            for s in tail:
+                assert state.word_expect(word_adjoint(s)) == state.word_expect(s).conjugate()
+                c *= state.word_expect(s)
+            y[row[head]] += c
+        form = np.vdot(y, report.gram @ y)
+        bound = 1e-12 * _pair_scale(state, element)
+        assert abs(_quadratic_form(state, element.terms.items()) - form.real) <= bound
+        assert abs(form.imag) <= bound
+    if extended_positivity_probe(state, 200, seed=seed) < -1e-10:
+        assert not check_extended_positivity(report).passed
 
 
 def test_probes_raise_the_kernel_key_error_on_a_missing_pairing():
