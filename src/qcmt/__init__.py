@@ -25,7 +25,7 @@ from .gaussian import (
     moment_from_generating_series,
     wick_expect,
 )
-from .gns import GramReport, MonomialBasis, Representation, build_basis, gram, positivity_probe, represent
+from .gns import GramReport, MonomialBasis, Representation, build_basis, gram, represent
 from .koopman import (
     PhaseSpacePolynomial,
     bracket_residuals,

@@ -156,8 +156,8 @@ def parse_kernel(config: dict):
         ):
             raise ConfigError("field 'kernel.involution' must list [tag, conjugate-tag] pairs")
         for tag in tags + [t for pair in involution for t in pair]:
-            if isinstance(tag, (list, dict)) or isinstance(tag, float) and not math.isfinite(tag):
-                raise ConfigError(f"index tag {tag!r} is a list, an object or not finite")
+            if isinstance(tag, (bool, list, dict)) or isinstance(tag, float) and not math.isfinite(tag):
+                raise ConfigError(f"index tag {tag!r} is a boolean, a list, an object or not finite")
         if "V" in tags:
             raise ConfigError("index tag 'V' is taken: it is the vacuum projector in moment words")
         partner = {}
@@ -235,7 +235,7 @@ def _reference(ref, kernel, packets, where: str) -> Index:
     if packets is not None:
         return packet_index(packets[_position(ref, packets, where)])
     for ix in kernel.indices:
-        if ix.tag == ref:
+        if ix.tag == ref and not isinstance(ref, bool):  # True == 1 would alias tag 1
             return ix
     raise ConfigError(f"field '{where}': index tag {ref!r} is not in the kernel")
 

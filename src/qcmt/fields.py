@@ -353,12 +353,16 @@ def _grid_window(mass: float, packets, branches) -> tuple:
     return lo, hi, math.pi / (2.0 * float(np.max(bands)))
 
 
+# One errstate per kernel: an overflowing amplitude or occupation makes the
+# sums inf or NaN without a numpy warning, and the halving error reports it.
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _kernel_matrix(spec: FieldKernelSpec, packets, thermal: bool) -> np.ndarray:
     """Pairings of a packet family, hbar/(4 pi) F^H W F on a halved theta grid.
 
     The vacuum weight is 1 on the positive branch; the thermal weights are
     1 + n on the positive branch and n on the negative one, with packets
-    boosted into the rest frame first.
+    boosted into the rest frame first.  A non-finite kernel sum raises
+    ``QuadratureError`` at the first halving.
     """
     if thermal:
         chi = spec.frame_rapidity()
@@ -404,6 +408,18 @@ def _kernel_matrix(spec: FieldKernelSpec, packets, thermal: bool) -> np.ndarray:
     scale = spec.hbar / (4.0 * math.pi)
     value = scale * h * sums
     error = math.inf
+
+    def failure(unmet):
+        return QuadratureError(
+            f"kernel grid not converged at {intervals + 1} nodes: {unmet}",
+            window=(lo, hi),
+            nodes=intervals + 1,
+            error=error,
+            h=h,
+            step=step,
+            kind="thermal" if thermal else "vacuum",
+        )
+
     while True:
         # Two grids coarser than the step can miss a narrow feature alike
         # and agree on a wrong value, so agreement counts only once h <= step.
@@ -419,21 +435,15 @@ def _kernel_matrix(spec: FieldKernelSpec, packets, thermal: bool) -> np.ndarray:
                 if resolved
                 else f"grid step h = {h:.3e} never reached the resolving step {step:.3e}"
             )
-            raise QuadratureError(
-                f"kernel grid not converged at {intervals + 1} nodes: {unmet}",
-                window=(lo, hi),
-                nodes=intervals + 1,
-                error=error,
-                h=h,
-                step=step,
-                kind="thermal" if thermal else "vacuum",
-            )
+            raise failure(unmet)
         sums = sums + weighted_sum(lo + h * (np.arange(intervals) + 0.5), 1.0)
         intervals *= 2
         h = (hi - lo) / intervals
         refined = scale * h * sums
         error = float(np.max(np.abs(refined - value)))
         value = refined
+        if not math.isfinite(error):
+            raise failure(f"the kernel sum F^H W F is not finite (halving error {error:.3e})")
     logger.debug(
         "kernel grid: window=[%.3g, %.3g] nodes=%d error=%.3g", lo, hi, intervals + 1, error
     )

@@ -18,7 +18,6 @@ import numpy as np
 
 from .algebra import Index, Word, word_adjoint
 from .gaussian import State, hermitian_spectrum
-from .vacuum import _probe
 
 
 @dataclass(frozen=True)
@@ -190,16 +189,3 @@ def represent(basis: MonomialBasis, state: State, tolerance: float = 1e-10) -> R
         level_maps[i] = per_level
     return Representation(basis, level_maps, isometries)
 
-
-def positivity_probe(state: State, trials: int, max_len: int, seed: int = 0) -> float:
-    """Worst case of Re rho(A^dagger A) over randomized elements A.
-
-    Each A sums one to four words of length at most ``max_len``; it is the
-    extended probe with one segment per word.  rho(A^dagger A) = c^H G_L c
-    over the Gram matrix G_L of the degree-``max_len`` basis, so this is a
-    random search for a negative direction of G_L, which ``gram`` decides
-    exactly.  Genuine states stay above -1e-10; a clearly negative value
-    certifies a non-state.  With ``trials`` = 0 there is no evidence and
-    +inf returns.
-    """
-    return _probe(state, trials, seed, max_words=4, max_segments=1, max_len=max_len)

@@ -143,27 +143,15 @@ class ConditionedState(State):
 def extended_positivity_probe(state: State, trials: int, seed: int = 0) -> float:
     """Worst case of Re rho(E^dagger E) over randomized extended elements E.
 
-    Each element sums at most three extended words of at most three
-    segments, each segment of length at most two.  On a Hermitian kernel
-    rho(E^dagger E) = y^H G_2 y over the degree-2 Gram matrix G_2 (see
-    ``verify.check_extended_positivity``), so this is a random search for
-    a negative direction of G_2.  Positivity of the extension keeps the
-    value above -1e-10 for genuine states; +inf means no trials.
-    """
-    return _probe(state, trials, seed, max_words=3, max_segments=3, max_len=2)
-
-
-def _probe(state: State, trials: int, seed: int, max_words: int, max_segments: int, max_len: int) -> float:
-    """Worst Re rho(E^dagger E) over ``trials`` seeded random extended elements.
-
-    Shared by the plain and the extended probe: a plain word is an extended
-    word of one segment.  One ``draw_terms`` call draws every trial at once:
-    word counts (1..max_words), segment counts (1..max_segments), segment
-    lengths (0..max_len), letter positions and standard normal coefficient
-    parts, each as one array of the maximal shape.  So the elements depend
-    on the seed and on every argument, ``trials`` included, and a report
-    stays byte-deterministic per seed.  Each element's words are merged
-    after normalization, as ``ExtendedElement`` merges them.
+    One ``draw_terms`` call draws every trial at once, so the elements
+    depend on the seed and on ``trials`` and a result is deterministic per
+    seed.  Each element sums at most three extended words of at most three
+    segments, each segment of length at most two, and rho(E^dagger E) is
+    taken through the extended ring.  On a Hermitian kernel rho(E^dagger E)
+    = y^H G_2 y over the degree-2 Gram matrix G_2, whose spectrum decides
+    positivity exactly (``verify.check_extended_positivity``); this is a
+    random search for a negative direction of G_2.  Genuine states stay
+    above -1e-10; +inf means no trials.
     """
     if trials <= 0:
         return math.inf
@@ -171,37 +159,9 @@ def _probe(state: State, trials: int, seed: int, max_words: int, max_segments: i
     if not pool:
         raise ValueError("no indices available to build probe elements")
     worst = math.inf
-    for drawn in draw_terms(seed, trials, len(pool), max_words, max_len, max_segments, normal=True):
-        merged = {}
+    for drawn in draw_terms(seed, trials, len(pool), 3, 2, 3, normal=True):
+        e = ExtendedElement()
         for segments, c in drawn:
-            w = normalize_segments(segments)
-            merged[w] = merged.get(w, 0j) + c
-        terms = [(tuple(tuple(pool[k] for k in s) for s in w), c) for w, c in merged.items()]
-        worst = min(worst, _quadratic_form(state, terms))
+            e = e + ExtendedElement({tuple(tuple(pool[k] for k in s) for s in segments): c})
+        worst = min(worst, extended_expect(state, e.adjoint() * e).real)
     return worst
-
-
-def _quadratic_form(state: State, terms) -> float:
-    """Re rho(E^dagger E) = Re sum_ab conj(c_a) c_b rho(w_a^dagger w_b) for E = sum_a c_a w_a.
-
-    ``terms`` are (extended word, coefficient) pairs.  For w_a = (s_0, ..., s_k)
-    and w_b = (t_0, ..., t_m) the word w_a^dagger w_b has the segments
-    s_k^dagger, ..., s_1^dagger, s_0^dagger t_0, t_1, ..., t_m, so its value
-    is an outer factor of w_a, times rho(s_0^dagger t_0), times an outer
-    factor of w_b.  Terms whose outer factor vanishes drop out.
-    """
-    left, right = [], []
-    for (head, *tail), c in terms:
-        outer_left, outer_right = c.conjugate(), c
-        for s in tail:
-            outer_left *= state.word_expect(word_adjoint(s))
-            outer_right *= state.word_expect(s)
-        if outer_left:
-            left.append((word_adjoint(head), outer_left))
-        if outer_right:
-            right.append((head, outer_right))
-    total = 0j
-    for adjoint_head, x in left:
-        for head, y in right:
-            total += x * y * state.word_expect(adjoint_head + head)
-    return total.real

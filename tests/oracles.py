@@ -6,7 +6,7 @@ moments, the generating series over exponent tuples and finite
 differences of the generating function, sympy symbolic brackets and
 brackets assembled from derivative polynomials, matrix exponentials for
 quadratic flows, the element E^dagger E multiplied out in the extended
-algebra for the positivity probes' quadratic form, ring results rebuilt
+algebra against y^H G_2 y over the degree-2 Gram matrix, ring results rebuilt
 term by term through the validating constructors, direct position-space
 packet evaluation for Fourier conventions, and two momentum-space routes
 for field kernels:
@@ -33,8 +33,9 @@ def probe_value_by_products(state, element):
     """Re rho(E^dagger E) for an ``ExtendedElement`` E, by building E^dagger E.
 
     The adjoint and the product run in the extended algebra, which glues,
-    normalizes and merges the product words before each is evaluated; the
-    probes instead sum conj(c_a) c_b rho(w_a^dagger w_b) over term pairs.
+    normalizes and merges the product words before each is evaluated;
+    ``verify.check_extended_positivity`` instead reads y^H G_2 y off the
+    degree-2 Gram matrix.
     """
     return extended_expect(state, element.adjoint() * element).real
 

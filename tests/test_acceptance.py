@@ -30,6 +30,7 @@ from qcmt.gaussian import (
 from qcmt.gns import build_basis, gram, represent
 from qcmt.koopman import PhaseSpacePolynomial, bracket_residuals, gibbs_oscillator_kernel, poisson
 from qcmt.vacuum import commutation_witness, extended_positivity_probe
+from qcmt.verify import check_extended_positivity
 
 K3 = [[1.0, 0.5, 0.2], [0.5, 1.0, 0.3], [0.2, 0.3, 1.0]]
 K2 = [[1.0, 0.5], [0.5, 1.0]]
@@ -144,17 +145,19 @@ def test_criterion_5_vacuum_projector_witness():
     between, in_front = commutation_witness(state, i1, i2)
     gap = abs(in_front - between)
     probe = extended_positivity_probe(state, 200, seed=0)
+    exact = check_extended_positivity(gram(build_basis(kernel.indices, 2), kernel))
     passed = (
         abs(between) <= 1e-12
         and abs(in_front - 0.5) <= 1e-12
         and gap >= 0.5 - 1e-12
         and probe >= -1e-10
+        and exact.passed
     )
     report(
         5,
         "Projector noncommutativity witness",
         passed,
-        f"between={between:.1e} front={in_front} probe={probe:.1e}",
+        f"between={between:.1e} front={in_front} probe={probe:.1e} exact={exact.passed}",
     )
 
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from itertools import product
 
 import numpy as np
@@ -407,6 +408,10 @@ MALFORMED = {
     "indices-repeated": ("gram", {"kernel": {**K2_KERNEL, "indices": [1, 1]}, "degree": 1}, 2),
     "indices-equal-int-float": ("gram", {"kernel": {**K2_KERNEL, "indices": [1, 1.0]}, "degree": 1}, 2),
     "indices-equal-int-bool": ("gram", {"kernel": {**K2_KERNEL, "indices": [1, True]}, "degree": 1}, 2),
+    # a boolean would alias the integer tag 1, since True == 1
+    "indices-bool-tag": ("gram", {"kernel": {**K2_KERNEL, "indices": [True, 2]}, "degree": 1}, 2),
+    "moments-word-bool-letter": ("moments", {"kernel": K2_KERNEL, "words": [[True, 2]]}, 2),
+    "witness-pair-bool": ("witness", {"kernel": K2_KERNEL, "pair": [True, 2]}, 2),
     "indices-infinite": ("verify", {"kernel": {**K2_KERNEL, "indices": [INF, 2]}}, 2),
     "indices-projector-tag": ("moments", {"kernel": {**K2_KERNEL, "indices": ["V", "a"]}, "words": [["V", "a"]]}, 2),
     "involution-unknown-tag": ("gram", {"kernel": {**K2_KERNEL, "indices": [2, "b"], "involution": [["a", "b"]]}}, 2),
@@ -448,6 +453,27 @@ def test_malformed_config_exit_code(tmp_path, capsys, name):
     expected = "config error" if code == 2 else "numerical failure"
     assert expected in captured.err
     assert "nan" not in captured.out.lower() and "inf" not in captured.out.lower()
+
+
+# F^H W F overflows on an amplitude of 1e300; the Bose occupation 1 / (e^x - 1)
+# overflows at beta 1e-320 and divides by zero where beta * hbar underflows to 0
+OVERFLOWING_KERNELS = {"amplitude": _packet(amplitude=1e300), "occupation": _field(beta=1e-320),
+                       "zero-exponent": _field(beta=1e-200, hbar=1e-200)}
+MODE_FIELDS = {"verify": {}, "moments": {"words": [[0, 1]]}, "gram": {"degree": 1},
+               "boost-scan": {"rapidities": [0.0]}, "witness": {"pair": [0, 1]}}
+
+
+@pytest.mark.parametrize("kind", sorted(OVERFLOWING_KERNELS))
+@pytest.mark.parametrize("mode", cli.MODES)
+def test_overflowing_field_kernel_is_a_numerical_failure(tmp_path, capsys, mode, kind):
+    config = write_config(tmp_path, {"kernel": OVERFLOWING_KERNELS[kind], **MODE_FIELDS[mode]})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([mode, "--config", config]) == 3
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    captured = capsys.readouterr()
+    assert "the kernel sum F^H W F is not finite" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
 
 
 def test_gram_of_huge_gibbs_mass_is_a_state(tmp_path):

@@ -5,9 +5,9 @@ from itertools import product
 import numpy as np
 import pytest
 
-from qcmt.algebra import AlgebraElement, Index, generator, paired_indices
+from qcmt.algebra import Index, paired_indices
 from qcmt.gaussian import GaussianKernel
-from qcmt.gns import build_basis, gram, positivity_probe, represent
+from qcmt.gns import build_basis, gram, represent
 from qcmt.verify import check_extended_positivity, check_gram_psd
 
 
@@ -175,28 +175,6 @@ def test_represent_rejects_indefinite_state():
     bad = GaussianKernel([1, 2], [[1.0, 2.0], [2.0, 1.0]], validate=False)
     with pytest.raises(ValueError, match="not a state"):
         represent(build_basis(bad.indices, 1), bad)
-
-
-# ---------------------------------------------------------------- positivity probe
-
-
-def test_probe_on_gaussian_state(k3):
-    assert positivity_probe(k3, 150, 3, seed=7) >= -1e-10
-
-
-def test_probe_detects_non_state():
-    bad = GaussianKernel([1, 2], [[1.0, 2.0], [2.0, 1.0]], validate=False)
-    state = bad
-    # deliberate element along the negative eigenvector
-    i1, i2 = bad.indices
-    witness = generator(i1) - generator(i2)
-    assert state.expect(witness.adjoint() * witness).real < -1e-6
-    # the randomized probe finds negativity on its own
-    assert positivity_probe(state, 200, 1, seed=3) < -1e-6
-
-
-def test_probe_with_no_trials_is_vacuous(k2):
-    assert positivity_probe(k2, 0, 3) == math.inf
 
 
 # ------------------------------------------------- leading blocks of the Gram matrix

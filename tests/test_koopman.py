@@ -447,7 +447,7 @@ BAD_FLOW_INPUT = [  # (time, point, steps); only the Liouville flow takes steps
         if steps is None or flow is liouville_flow
     ],
 )
-def test_flow_sample_refuses_bad_input(flow, time, point, steps):
+def test_flows_refuse_bad_input(flow, time, point, steps):
     (q,), (p,) = coords()
     step_count = {} if steps is None else {"steps": steps}
     with pytest.raises(ValueError):

@@ -7,12 +7,10 @@ from conftest import random_element
 from oracles import probe_value_by_products
 from qcmt.algebra import AlgebraElement, Index, draw_terms, generator, paired_indices, word_adjoint
 from qcmt.gaussian import GaussianKernel
-from qcmt.gns import build_basis, gram, positivity_probe
+from qcmt.gns import build_basis, gram
 from qcmt.vacuum import (
     ConditionedState,
     ExtendedElement,
-    _probe,
-    _quadratic_form,
     commutation_witness,
     extended_expect,
     extended_positivity_probe,
@@ -141,9 +139,8 @@ FORM_KERNELS = {
     ),
     "non-state": GaussianKernel([1, 2], [[1.0, 2.0], [2.0, 1.0]], validate=False),
 }
-# (max_words, max_segments, max_len) of gns.positivity_probe at max_len 3 and
-# of extended_positivity_probe
-PROBE_SHAPES = {"plain": (4, 1, 3), "extended": (3, 3, 2)}
+# (max_words, max_segments, max_len) of extended_positivity_probe
+PROBE_SHAPES = {"extended": (3, 3, 2)}
 
 
 def _drawn_elements(pool, trials, seed, max_words, max_segments, max_len):
@@ -166,17 +163,6 @@ def _pair_scale(state, element):
     )
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.sampled_from(sorted(FORM_KERNELS)), st.sampled_from(sorted(PROBE_SHAPES)),
-       st.integers(0, 2**32 - 1))
-def test_quadratic_form_matches_the_product_oracle(kernel, shape, seed):
-    state = FORM_KERNELS[kernel]
-    for element in _drawn_elements(state.indices, 8, seed, *PROBE_SHAPES[shape]):
-        ours = _quadratic_form(state, element.terms.items())
-        oracle = probe_value_by_products(state, element)
-        assert abs(ours - oracle) <= 1e-12 * _pair_scale(state, element)
-
-
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from(sorted(FORM_KERNELS)), st.sampled_from(sorted(PROBE_SHAPES)),
        st.integers(0, 2**32 - 1), st.integers(1, 12))
@@ -185,7 +171,7 @@ def test_probe_is_the_least_oracle_value_over_its_draws(kernel, shape, seed, tri
     elements = _drawn_elements(state.indices, trials, seed, *PROBE_SHAPES[shape])
     least = min(probe_value_by_products(state, e) for e in elements)
     scale = max(_pair_scale(state, e) for e in elements)
-    assert abs(_probe(state, trials, seed, *PROBE_SHAPES[shape]) - least) <= 1e-12 * scale
+    assert abs(extended_positivity_probe(state, trials, seed) - least) <= 1e-12 * scale
 
 
 @settings(max_examples=40, deadline=None)
@@ -206,7 +192,7 @@ def test_exact_extended_verdict_covers_the_probe(kernel, seed):
             y[row[head]] += c
         form = np.vdot(y, report.gram @ y)
         bound = 1e-12 * _pair_scale(state, element)
-        assert abs(_quadratic_form(state, element.terms.items()) - form.real) <= bound
+        assert abs(probe_value_by_products(state, element) - form.real) <= bound
         assert abs(form.imag) <= bound
     if extended_positivity_probe(state, 200, seed=seed) < -1e-10:
         assert not check_extended_positivity(report).passed
@@ -217,13 +203,9 @@ def test_probes_raise_the_kernel_key_error_on_a_missing_pairing():
     state = GaussianKernel([Index(1, 9), Index(2)], [[1.0, 0.5], [0.5, 1.0]])
     element = ExtendedElement.from_word((Index(1, 9), Index(2)))
     with pytest.raises(KeyError):
-        _quadratic_form(state, element.terms.items())
-    with pytest.raises(KeyError):
         probe_value_by_products(state, element)
     with pytest.raises(KeyError):
         extended_positivity_probe(state, 200, seed=0)
-    with pytest.raises(KeyError):
-        positivity_probe(state, 200, 2, seed=0)
 
 
 def test_extended_gram_matrix_is_psd(k2):
