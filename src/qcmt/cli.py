@@ -20,7 +20,7 @@ import time
 from numpy.linalg import LinAlgError
 
 from .algebra import Index
-from .fields import FieldKernelSpec, PoincareElement, QuadratureError, Wavepacket, kernel_as_gaussian, packet_index, poincare_act, thermal_kernel, vacuum_kernel
+from .fields import FieldKernelSpec, QuadratureError, Wavepacket, boost_deviation, kernel_as_gaussian, packet_family, packet_index, thermal_kernel, vacuum_kernel
 from .gaussian import MATCHING_CAP, GaussianKernel
 from .gns import build_basis, gram
 from .koopman import gibbs_oscillator_kernel
@@ -61,9 +61,10 @@ PACKET_FIELDS = {"amplitude", "center", "width", "wavevector"}
 
 # Most words a run may build over n indices to length d, sum_k n^k for k <= d:
 # gram's basis at its degree, and verify's Wick-oracle words to length 4,
-# which include its degree-2 Gram basis.  A field kernel has two indices per
-# packet.  Near the cap, gram on 44 indices at degree 2 (1,981 words) takes
-# about 18 s and 270 MB on a 2-core VM; verify takes 6 indices (1,555 words).
+# which include its degree-2 Gram basis.  A field kernel has one index per
+# distinct packet and conjugate.  Near the cap, gram on 44 indices at degree
+# 2 (1,981 words) takes about 18 s and 270 MB on a 2-core VM; verify takes 6
+# indices (1,555 words).
 BASIS_CAP = 2000
 
 DEFAULT_VERIFY_CONFIG = {
@@ -256,7 +257,7 @@ def _word(raw: list, kernel, packets) -> tuple:
 
 def _check_basis_size(kernel, packets, degree: int, what: str):
     """Refuse a run whose words over the kernel's indices to ``degree`` exceed ``BASIS_CAP``."""
-    n = len(kernel.indices) if packets is None else 2 * len(packets)
+    n = len(kernel.indices) if packets is None else len(packet_family(packets))
     size = sum(n**k for k in range(degree + 1))
     if size > BASIS_CAP:
         raise ConfigError(f"{what} over {n} indices has {size} words, over the cap of {BASIS_CAP}")
@@ -295,7 +296,9 @@ def parse_config(config: dict, mode: str, flags) -> dict:
     if not isinstance(pair, list) or len(pair) != 2:
         raise ConfigError("field 'pair' must name two indices or packets")
     if mode == "verify":
-        if "pair" in config:  # the default pair is read only for field kernels
+        if spec is not None and "pair" not in config and len(packets) == 1:
+            pair = [0, 0]  # without a pair, one packet is paired with itself
+        if spec is not None or "pair" in config:  # a matrix or Gibbs pair is checked, not read
             for ref in pair:
                 _reference(ref, kernel, packets, "pair")
         separations = _float_list(config.get("separations", [10.0]), "separations")
@@ -303,8 +306,8 @@ def parse_config(config: dict, mode: str, flags) -> dict:
             raise ConfigError("field 'separations' must list at least one separation")
         _check_basis_size(kernel, packets, WICK_ORACLE_LENGTH,
                           f"the Wick oracle to length {WICK_ORACLE_LENGTH}")
-        return dict(common, seed=seed, tolerance=tolerance, pair=tuple(pair),
-                    separations=separations, config_echo=config)
+        field = None if spec is None else (spec, packets[pair[0]], packets[pair[1]], separations)
+        return dict(common, seed=seed, tolerance=tolerance, field=field, config_echo=config)
     if mode == "moments":
         words = config["words"]
         if not isinstance(words, list) or not all(isinstance(w, list) for w in words):
@@ -357,7 +360,7 @@ def _write_json(path: str | None, payload: dict):
 def run_verify_mode(out, kernel, spec, packets, **settings) -> int:
     kernel = _gaussian(kernel, spec, packets)
     started = time.perf_counter()
-    report = run_verify(kernel, field_spec=spec, packets=packets, **settings)
+    report = run_verify(kernel, **settings)
     logger.info("verify finished in %.2fs", time.perf_counter() - started)
     _write_json(out, report.as_dict())
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
@@ -398,11 +401,9 @@ def run_boost_scan_mode(out, spec, f, g, rapidities) -> int:
     lines = ["rapidity,vacuum_deviation,thermal_deviation"]
     status = EXIT_OK
     for chi in rapidities:
-        move = PoincareElement.boost(chi)
-        fb, gb = poincare_act(move, f), poincare_act(move, g)
         try:
-            vacuum_dev = abs(vacuum_kernel(spec, fb, gb) - vacuum_base)
-            thermal_dev = abs(thermal_kernel(spec, fb, gb) - thermal_base)
+            vacuum_dev = boost_deviation(vacuum_kernel, spec, f, g, chi, vacuum_base)
+            thermal_dev = boost_deviation(thermal_kernel, spec, f, g, chi, thermal_base)
         except QuadratureError:
             lines.append(f"{_float_repr(chi)},ERROR,ERROR")
             status = EXIT_NUMERICAL

@@ -473,6 +473,12 @@ def kernel_pairing(spec: FieldKernelSpec, f: Wavepacket, g: Wavepacket) -> compl
     return vacuum_kernel(spec, f, g)
 
 
+def boost_deviation(pairing, spec: FieldKernelSpec, f, g, rapidity: float, base: complex) -> float:
+    """|pairing(spec, boosted f, boosted g) - base|; the caller passes in its field kernel."""
+    move = PoincareElement.boost(rapidity)
+    return abs(pairing(spec, poincare_act(move, f), poincare_act(move, g)) - base)
+
+
 def commutator_kernel(spec: FieldKernelSpec, f: Wavepacket, g: Wavepacket) -> complex:
     """Pauli-Jordan pairing (f*, g) - (g*, f).
 
@@ -487,18 +493,26 @@ def packet_index(f: Wavepacket) -> Index:
     return Index(f.key(), f.conjugate().key())
 
 
+def packet_family(packets) -> list:
+    """A field kernel's index set: the packets, then their conjugates, each kept once.
+
+    Packets with equal keys are equal, so a real packet with zero wavevector,
+    its own conjugate, is one index.
+    """
+    packets = list(packets)
+    return list(dict.fromkeys(packets + [f.conjugate() for f in packets]))
+
+
 def kernel_as_gaussian(spec: FieldKernelSpec, packets) -> GaussianKernel:
     """Materialize the pairwise kernel matrix as a Gaussian-state kernel.
 
-    The index set is closed under the involution by appending conjugate
-    packets, so downstream moment and Gram evaluations can contract any
+    The index set, ``packet_family(packets)``, is closed under the
+    involution, so downstream moment and Gram evaluations can contract any
     word over the given packets.  The kernel is validated at
     ``QUADRATURE_TOL``, the accuracy its entries are computed to.
     """
-    packets = list(packets)
-    if not packets:
+    family = packet_family(packets)
+    if not family:
         raise ValueError("need at least one packet")
-    # packets are equal when their keys are, so this drops repeats in order
-    family = list(dict.fromkeys(packets + [f.conjugate() for f in packets]))
     matrix = _kernel_matrix(spec, family, thermal=spec.is_thermal)
     return GaussianKernel([packet_index(f) for f in family], matrix, tol=QUADRATURE_TOL)

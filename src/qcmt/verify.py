@@ -20,6 +20,7 @@ from .fields import (
     FieldKernelSpec,
     PoincareElement,
     Wavepacket,
+    boost_deviation,
     commutator_kernel,
     poincare_act,
     thermal_kernel,
@@ -35,6 +36,21 @@ from .gns import GramReport, build_basis, gram
 from .koopman import PhaseSpacePolynomial, bracket_residuals
 
 logger = logging.getLogger(__name__)
+
+# The suite is fixed; each report echoes the tolerance its check was held to.
+ALGEBRA_TRIALS = 40
+ALGEBRA_TOLERANCE = 1e-12
+WICK_ORACLE_LENGTH = 4
+WICK_TOLERANCE = 1e-8
+BRACKET_TRIALS = 100
+RANDOM_DEGREE = 3
+BOOST_RAPIDITIES = (-0.5, -0.25, 0.25, 0.5)
+BOOST_TOLERANCE = 1e-6
+THERMAL_RAPIDITY = 0.5
+THERMAL_THRESHOLD = 1e-3
+LIMIT_TOLERANCE = 1e-8
+DECAY_TOLERANCE = 1e-6
+BETA_TOLERANCE = 1e-10
 
 
 @dataclass
@@ -85,7 +101,7 @@ def _random_elements(rng, pool, count, max_terms=3, max_len=3, normal=False) -> 
     return elements
 
 
-def check_algebra_laws(seed: int = 0, trials: int = 40, tolerance: float = 1e-12) -> CheckResult:
+def check_algebra_laws(seed: int = 0) -> CheckResult:
     """Associativity, adjoint anti-homomorphism and anti-linearity, involution laws.
 
     Integer coefficients keep every cancellation exact.
@@ -93,11 +109,11 @@ def check_algebra_laws(seed: int = 0, trials: int = 40, tolerance: float = 1e-12
     rng = np.random.default_rng(seed)
     a1, a1c = paired_indices("a", "a*")
     pool = (Index(1), Index(2), a1, a1c)
-    elements = _random_elements(rng, pool, 3 * trials)
-    scalars = rng.integers(-3, 4, size=(trials, 4)).tolist()
-    picks = rng.integers(0, len(pool), size=trials).tolist()
+    elements = _random_elements(rng, pool, 3 * ALGEBRA_TRIALS)
+    scalars = rng.integers(-3, 4, size=(ALGEBRA_TRIALS, 4)).tolist()
+    picks = rng.integers(0, len(pool), size=ALGEBRA_TRIALS).tolist()
     worst = 0.0
-    for t in range(trials):
+    for t in range(ALGEBRA_TRIALS):
         a, b, c = elements[3 * t : 3 * t + 3]
         lam, mu = complex(*scalars[t][:2]), complex(*scalars[t][2:])
         worst = max(worst, ((a * b) * c - a * (b * c)).max_abs_coeff())
@@ -114,30 +130,22 @@ def check_algebra_laws(seed: int = 0, trials: int = 40, tolerance: float = 1e-12
             worst = max(worst, 1.0)
     if AlgebraElement.identity().adjoint() != AlgebraElement.identity():
         worst = max(worst, 1.0)
-    return CheckResult("algebra-laws", worst <= tolerance, worst, tolerance)
+    return CheckResult("algebra-laws", worst <= ALGEBRA_TOLERANCE, worst, ALGEBRA_TOLERANCE)
 
 
-WICK_ORACLE_LENGTH = 4
-
-
-def check_wick_oracle(
-    kernel: GaussianKernel, max_len: int = WICK_ORACLE_LENGTH, tolerance: float = 1e-8
-) -> CheckResult:
+def check_wick_oracle(kernel: GaussianKernel) -> CheckResult:
     """Contraction recursion against generating-function differentiation.
 
     All words share one kernel, so later words read sub-word moments from
     the memo that earlier words filled.
     """
     worst = 0.0
-    for length in range(max_len + 1):
+    for length in range(WICK_ORACLE_LENGTH + 1):
         for w in product(kernel.indices, repeat=length):
             direct = wick_expect(kernel, w)
             oracle = moment_from_generating_series(kernel, w)
             worst = max(worst, abs(direct - oracle))
-    return CheckResult("wick-oracle", worst <= tolerance, worst, tolerance)
-
-
-RANDOM_DEGREE = 3
+    return CheckResult("wick-oracle", worst <= WICK_TOLERANCE, worst, WICK_TOLERANCE)
 
 
 @cache
@@ -169,27 +177,30 @@ def _random_polynomials(rng, dimensions) -> list:
     return polynomials
 
 
-def check_bracket_relations(seed: int = 0, trials: int = 100) -> CheckResult:
+def check_bracket_relations(seed: int = 0) -> CheckResult:
     """The three commutation relations plus the Jacobi identity, exactly."""
     rng = np.random.default_rng(seed)
-    dimensions = rng.integers(1, 3, size=trials).tolist()
+    dimensions = rng.integers(1, 3, size=BRACKET_TRIALS).tolist()
     polynomials = _random_polynomials(rng, [n for n in dimensions for _ in range(3)])
     worst = 0.0
-    for t in range(trials):
+    for t in range(BRACKET_TRIALS):
         u, v, f = polynomials[3 * t : 3 * t + 3]
         for residual in bracket_residuals(u, v, f):
             worst = max(worst, residual.max_abs_coeff())
     return CheckResult("bracket-relations", worst == 0.0, worst, 0.0)
 
 
+def _violation(report: GramReport) -> float:
+    """-min eigenvalue / max(1, max |eigenvalue|): the scale ``gram`` judges at."""
+    return -report.min_eigenvalue / tolerance_bound(1.0, report.eigenvalues)
+
+
 def check_gram_psd(report: GramReport) -> CheckResult:
     """Gram matrix of the monomial basis is positive semi-definite.
 
-    ``worst`` is -min eigenvalue / max(1, max |eigenvalue|), the scale
-    ``gram`` judges at, so the check passes when it is at most tolerance.
+    ``worst`` is the violation, so the check passes when it is at most tolerance.
     """
-    worst = -report.min_eigenvalue / tolerance_bound(1.0, report.eigenvalues)
-    return CheckResult("gram-psd", report.is_positive(), worst, report.tolerance)
+    return CheckResult("gram-psd", report.is_positive(), _violation(report), report.tolerance)
 
 
 def check_extended_positivity(report: GramReport) -> CheckResult:
@@ -205,61 +216,40 @@ def check_extended_positivity(report: GramReport) -> CheckResult:
     factor out on both sides, and rho(head_a^dagger head_b) is an entry of
     G_2.  Every y is reached by one-segment elements, so the extension is
     positive on such elements iff G_2 is positive semi-definite.  The
-    verdict is ``report.is_positive()``, and ``worst`` is the violation
-    -min eigenvalue / max(1, max |eigenvalue|) of ``gram-psd``, clipped at 0.
+    verdict is ``report.is_positive()``, and ``worst`` is the violation of
+    ``gram-psd``, clipped at 0.
     """
-    worst = max(0.0, -report.min_eigenvalue / tolerance_bound(1.0, report.eigenvalues))
+    worst = max(0.0, _violation(report))
     return CheckResult("extended-positivity", report.is_positive(), worst, report.tolerance)
 
 
 def check_vacuum_boost_invariance(
-    spec: FieldKernelSpec,
-    f: Wavepacket,
-    g: Wavepacket,
-    rapidities=(-0.5, -0.25, 0.25, 0.5),
-    tolerance: float = 1e-6,
+    spec: FieldKernelSpec, f: Wavepacket, g: Wavepacket
 ) -> CheckResult:
     base = vacuum_kernel(spec, f, g)
-    worst = 0.0
-    for chi in rapidities:
-        move = PoincareElement.boost(chi)
-        moved = vacuum_kernel(spec, poincare_act(move, f), poincare_act(move, g))
-        worst = max(worst, abs(moved - base))
-    return CheckResult("vacuum-boost-invariance", worst <= tolerance, worst, tolerance)
+    deviations = (boost_deviation(vacuum_kernel, spec, f, g, chi, base) for chi in BOOST_RAPIDITIES)
+    worst = max(0.0, *deviations)
+    return CheckResult("vacuum-boost-invariance", worst <= BOOST_TOLERANCE, worst, BOOST_TOLERANCE)
 
 
 def check_thermal_boost_discrimination(
-    spec: FieldKernelSpec,
-    f: Wavepacket,
-    g: Wavepacket,
-    rapidity: float = 0.5,
-    threshold: float = 1e-3,
+    spec: FieldKernelSpec, f: Wavepacket, g: Wavepacket
 ) -> CheckResult:
     """The thermal kernel must move under a boost; pass means above threshold."""
     base = thermal_kernel(spec, f, g)
-    move = PoincareElement.boost(rapidity)
-    moved = thermal_kernel(spec, poincare_act(move, f), poincare_act(move, g))
-    deviation = abs(moved - base)
-    return CheckResult("thermal-boost-discrimination", deviation > threshold, deviation, threshold)
+    deviation = boost_deviation(thermal_kernel, spec, f, g, THERMAL_RAPIDITY, base)
+    return CheckResult("thermal-boost-discrimination", deviation > THERMAL_THRESHOLD, deviation,
+                       THERMAL_THRESHOLD)
 
 
-def check_thermal_vacuum_limit(
-    spec: FieldKernelSpec, f: Wavepacket, g: Wavepacket, tolerance: float = 1e-8
-) -> CheckResult:
+def check_thermal_vacuum_limit(spec: FieldKernelSpec, f: Wavepacket, g: Wavepacket) -> CheckResult:
     """At beta hbar omega_min = 40 the Bose occupation is dead: thermal = vacuum."""
     cold = replace(spec, beta=40.0 / (spec.hbar * spec.mass))
     gap = abs(thermal_kernel(cold, f, g) - vacuum_kernel(spec, f, g))
-    return CheckResult("thermal-vacuum-limit", gap <= tolerance, gap, tolerance)
+    return CheckResult("thermal-vacuum-limit", gap <= LIMIT_TOLERANCE, gap, LIMIT_TOLERANCE)
 
 
-def check_microcausality(
-    spec: FieldKernelSpec,
-    f: Wavepacket,
-    g: Wavepacket,
-    separations,
-    tolerance: float = 1e-6,
-    beta_tolerance: float = 1e-10,
-) -> list:
+def check_microcausality(spec: FieldKernelSpec, f: Wavepacket, g: Wavepacket, separations) -> list:
     """Commutator decay at spacelike separation, plus its beta independence."""
     vacuum_spec = replace(spec, beta=math.inf)
     worst_decay = 0.0
@@ -271,35 +261,21 @@ def check_microcausality(
         worst_decay = max(worst_decay, abs(comm))
         if spec.is_thermal:
             worst_beta = max(worst_beta, abs(commutator_kernel(spec, f, moved) - comm))
-    results = [
-        CheckResult("microcausality-decay", worst_decay <= tolerance, worst_decay, tolerance)
-    ]
+    results = [CheckResult("microcausality-decay", worst_decay <= DECAY_TOLERANCE, worst_decay,
+                           DECAY_TOLERANCE)]
     if spec.is_thermal:
-        results.append(
-            CheckResult(
-                "commutator-beta-independence",
-                worst_beta <= beta_tolerance,
-                worst_beta,
-                beta_tolerance,
-            )
-        )
+        results.append(CheckResult("commutator-beta-independence", worst_beta <= BETA_TOLERANCE,
+                                   worst_beta, BETA_TOLERANCE))
     return results
 
 
-def run_verify(
-    kernel: GaussianKernel,
-    seed: int = 0,
-    tolerance: float = 1e-10,
-    field_spec: FieldKernelSpec | None = None,
-    packets=None,
-    pair=(0, 1),
-    separations=None,
-    config_echo=None,
-) -> RunReport:
+def run_verify(kernel: GaussianKernel, seed: int, tolerance: float, field=None,
+               config_echo=None) -> RunReport:
     """The full verification suite over one kernel configuration.
 
-    The field checks run when ``field_spec`` and ``packets`` are given, and
-    need ``separations``, the spacelike separations of the microcausality check.
+    ``field``, for a field kernel, is ``(spec, f, g, separations)``: the field
+    checks pair the packets f and g, and microcausality shifts g by each
+    spacelike separation.
     """
     checks = [
         check_algebra_laws(seed=seed),
@@ -308,14 +284,13 @@ def run_verify(
     ]
     report = gram(build_basis(kernel.indices, 2), kernel, tolerance)
     checks += [check_gram_psd(report), check_extended_positivity(report)]
-    if field_spec is not None and packets:
-        f = packets[pair[0]]
-        g = packets[pair[1] if len(packets) > 1 else 0]
-        checks.append(check_vacuum_boost_invariance(field_spec, f, g))
-        if field_spec.is_thermal:
-            checks.append(check_thermal_boost_discrimination(field_spec, f, g))
-            checks.append(check_thermal_vacuum_limit(field_spec, f, g))
-        checks.extend(check_microcausality(field_spec, f, g, separations))
+    if field is not None:
+        spec, f, g, separations = field
+        checks.append(check_vacuum_boost_invariance(spec, f, g))
+        if spec.is_thermal:
+            checks.append(check_thermal_boost_discrimination(spec, f, g))
+            checks.append(check_thermal_vacuum_limit(spec, f, g))
+        checks.extend(check_microcausality(spec, f, g, separations))
     for c in checks:
         logger.info("check %-32s passed=%s worst=%.3e", c.name, c.passed, c.worst)
     return RunReport(mode="verify", seed=seed, checks=checks, config=config_echo or {})

@@ -5,8 +5,9 @@ implementation under test: explicit perfect-matching enumeration for Wick
 moments, the generating series over exponent tuples and finite
 differences of the generating function, sympy symbolic brackets and
 brackets assembled from derivative polynomials, matrix exponentials for
-quadratic flows, the element E^dagger E multiplied out in the extended
-algebra against y^H G_2 y over the degree-2 Gram matrix, ring results rebuilt
+quadratic flows, the element E^dagger E multiplied out word by word and
+evaluated segment by segment by matching enumeration against y^H G_2 y over
+the degree-2 Gram matrix, ring results rebuilt
 term by term through the validating constructors, direct position-space
 packet evaluation for Fourier conventions, and two momentum-space routes
 for field kernels:
@@ -26,18 +27,25 @@ from scipy.linalg import expm
 from qcmt.fields import PoincareElement, poincare_act
 from qcmt.gaussian import generating_function
 from qcmt.koopman import PhaseSpacePolynomial
-from qcmt.vacuum import ExtendedElement, extended_expect
+from qcmt.vacuum import ExtendedElement
 
 
 def probe_value_by_products(state, element):
-    """Re rho(E^dagger E) for an ``ExtendedElement`` E, by building E^dagger E.
+    """Re rho(E^dagger E) for an ``ExtendedElement`` E, multiplied out term by term.
 
-    The adjoint and the product run in the extended algebra, which glues,
-    normalizes and merges the product words before each is evaluated;
-    ``verify.check_extended_positivity`` instead reads y^H G_2 y off the
-    degree-2 Gram matrix.
+    Each word of E^dagger E is reversed and glued by ``_reverse`` and
+    ``_glue``, without normal form, and evaluated as the product of
+    ``wick_by_matchings`` over its segments: rho(s_0 V s_1 ... V s_k) =
+    prod rho(s_i), and an empty segment gives 1.  No extended ring and no
+    moment engine run; ``verify.check_extended_positivity`` instead reads
+    y^H G_2 y off the degree-2 Gram matrix.
     """
-    return extended_expect(state, element.adjoint() * element).real
+    value = 0j
+    for wa, ca in element.terms.items():
+        for wb, cb in element.terms.items():
+            segments = _glue(element, _reverse(element, wa), wb)
+            value += ca.conjugate() * cb * math.prod(wick_by_matchings(state, s) for s in segments)
+    return value.real
 
 
 def _rebuild(like, pairs):

@@ -248,6 +248,27 @@ def test_verify_empty_index_set_is_vacuous(tmp_path):
     assert json.loads(out.read_text())["passed"] is True
 
 
+def test_one_packet_verify_pairs_the_packet_with_itself(tmp_path, capsys):
+    kernel = _field(packets=[{"center": [0.0, 0.0], "wavevector": [0.3, 0.2]}])
+    checks = []
+    for name, pair in (("default", {}), ("explicit", {"pair": [0, 0]})):
+        config = write_config(tmp_path, {"kernel": kernel, **pair}, f"{name}.json")
+        out = tmp_path / f"{name}-report.json"
+        assert main(["verify", "--config", config, "--out", str(out)]) == 0
+        checks.append(json.loads(out.read_text())["checks"])
+    assert checks[0] == checks[1]
+    assert [c["name"] for c in checks[0]][5:] == [
+        "vacuum-boost-invariance",
+        "thermal-boost-discrimination",
+        "thermal-vacuum-limit",
+        "microcausality-decay",
+        "commutator-beta-independence",
+    ]
+    config = write_config(tmp_path, {"kernel": kernel, "pair": [0, 1]}, "missing.json")
+    assert main(["verify", "--config", config]) == 2
+    assert "field 'pair': 1 is not a packet position" in capsys.readouterr().err
+
+
 def test_quadrature_failure_exits_numerical(tmp_path):
     # a nearly pointlike packet needs a momentum cutoff past the guard rail
     config = write_config(
@@ -349,8 +370,10 @@ def _identity(n):
             "matrix": [[float(i == j) for j in range(n)] for i in range(n)]}
 
 
-def _packets(count):
-    return _field(packets=[{"center": [0.0, 0.5 * k]} for k in range(count)])
+def _packets(count, wavevector=(0.3, 0.2)):
+    """``count`` packets in a row; with a wavevector each is two indices, packet and conjugate."""
+    return _field(packets=[{"center": [0.0, 0.5 * k], "wavevector": list(wavevector)}
+                           for k in range(count)])
 
 
 MALFORMED = {
@@ -523,7 +546,9 @@ def test_gram_degree_at_cap_is_accepted(tmp_path):
 @pytest.mark.parametrize("mode,payload,words", [
     ("gram", {"kernel": K2_KERNEL, "degree": 3}, 15),
     ("verify", {"kernel": K2_KERNEL}, 31),
-    ("gram", {"kernel": FIELD_KERNEL, "degree": 1}, 5),
+    ("gram", {"kernel": _packets(2), "degree": 1}, 5),
+    # a real packet with zero wavevector is its own conjugate: four packets, four indices
+    ("verify", {"kernel": _packets(4, wavevector=(0.0, 0.0))}, 341),
 ])
 def test_basis_cap_admits_its_size_and_refuses_one_more(tmp_path, capsys, monkeypatch,
                                                         mode, payload, words):
@@ -699,7 +724,7 @@ def oversized_configs(draw):
     degree = draw(st.integers(2, 6)) if mode == "gram" else verify.WICK_ORACLE_LENGTH
     n = draw(st.integers(_FEWEST_OVER_CAP[degree], _FEWEST_OVER_CAP[degree] + 20))
     if draw(st.booleans()):
-        kernel = _packets((n + 1) // 2)  # two indices per packet
+        kernel = _packets((n + 1) // 2)  # two indices per packet with a wavevector
         n += n % 2
     else:
         kernel = _identity(n)
