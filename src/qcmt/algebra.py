@@ -219,8 +219,8 @@ class AlgebraElement(LinearCombination):
         return cls({(): 1.0})
 
     @classmethod
-    def from_word(cls, w: Word, coeff: complex = 1.0) -> "AlgebraElement":
-        return cls({tuple(w): coeff})
+    def from_word(cls, w: Word) -> "AlgebraElement":
+        return cls({tuple(w): 1.0})
 
     def __repr__(self):
         if not self.terms:

@@ -34,22 +34,15 @@ EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
-MODES = ("verify", "moments", "gram", "boost-scan", "witness")
-
-COMMON_FIELDS = {"mode", "kernel", "seed", "tolerance", "out"}
-ALLOWED_FIELDS = {
-    "verify": COMMON_FIELDS | {"pair", "separations"},
-    "moments": COMMON_FIELDS | {"words"},
-    "gram": COMMON_FIELDS | {"degree"},
-    "boost-scan": COMMON_FIELDS | {"rapidities", "pair"},
-    "witness": COMMON_FIELDS | {"pair"},
-}
-REQUIRED_FIELDS = {
-    "verify": set(),
-    "moments": {"kernel", "words"},
-    "gram": {"kernel"},
-    "boost-scan": {"kernel", "rapidities"},
-    "witness": {"kernel", "pair"},
+# Each mode's fields: those it requires, then the others it reads.  Every
+# mode also reads "mode" and "out"; --seed and --tolerance are accepted
+# where their field is read.
+FIELDS = {
+    "verify": (set(), {"kernel", "seed", "tolerance", "pair", "separations"}),
+    "moments": ({"kernel", "words"}, set()),
+    "gram": ({"kernel"}, {"tolerance", "degree"}),
+    "boost-scan": ({"kernel", "rapidities"}, {"pair"}),
+    "witness": ({"kernel", "pair"}, {"tolerance"}),
 }
 
 KERNEL_FIELDS = {
@@ -108,6 +101,16 @@ def _complex_value(raw, where: str) -> complex:
     return complex(_float_value(raw, where))
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's keys and values; a repeated key is refused, at any depth."""
+    config = {}
+    for key, value in pairs:
+        if key in config:
+            raise ConfigError(f"field '{key}' is given twice")
+        config[key] = value
+    return config
+
+
 def load_config(path: str | None, mode: str) -> dict:
     if path is None:
         if mode == "verify":
@@ -115,7 +118,7 @@ def load_config(path: str | None, mode: str) -> dict:
         raise ConfigError(f"mode '{mode}' requires --config")
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            config = json.load(handle)
+            config = json.load(handle, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -272,10 +275,15 @@ def parse_config(config: dict, mode: str, flags) -> dict:
     declared = config.get("mode")
     if declared is not None and declared != mode:
         raise ConfigError(f"field 'mode' is '{declared}' but the command is '{mode}'")
+    required, optional = FIELDS[mode]
+    read = required | optional | {"mode", "out"}
     for key in config:
-        if key not in ALLOWED_FIELDS[mode]:
-            raise ConfigError(f"unknown field '{key}' for mode '{mode}'")
-    for key in REQUIRED_FIELDS[mode]:
+        if key not in read:
+            raise ConfigError(f"mode '{mode}' does not read field '{key}'")
+    for key in ("seed", "tolerance"):
+        if getattr(flags, key) is not None and key not in read:
+            raise ConfigError(f"mode '{mode}' does not read flag '--{key}'")
+    for key in required:
         if key not in config:
             raise ConfigError(f"mode '{mode}' requires field '{key}'")
     overrides = {key: getattr(flags, key) for key in ("seed", "tolerance", "out")}
@@ -292,21 +300,22 @@ def parse_config(config: dict, mode: str, flags) -> dict:
             raise ConfigError("field 'out' must be a path string")
     kernel, spec, packets = parse_kernel(config)
     common = {"out": out, "kernel": kernel, "spec": spec, "packets": packets}
-    pair = config.get("pair", [0, 1])
+    # without a pair, one packet is paired with itself
+    pair = config.get("pair", [0, 0] if packets is not None and len(packets) == 1 else [0, 1])
     if not isinstance(pair, list) or len(pair) != 2:
         raise ConfigError("field 'pair' must name two indices or packets")
+    if spec is not None:
+        f, g = (packets[_position(ref, packets, "pair")] for ref in pair)
     if mode == "verify":
-        if spec is not None and "pair" not in config and len(packets) == 1:
-            pair = [0, 0]  # without a pair, one packet is paired with itself
-        if spec is not None or "pair" in config:  # a matrix or Gibbs pair is checked, not read
-            for ref in pair:
-                _reference(ref, kernel, packets, "pair")
+        for key in ("pair", "separations"):
+            if spec is None and key in config:
+                raise ConfigError(f"field '{key}' applies to field kernels only")
         separations = _float_list(config.get("separations", [10.0]), "separations")
         if not separations:
             raise ConfigError("field 'separations' must list at least one separation")
         _check_basis_size(kernel, packets, WICK_ORACLE_LENGTH,
                           f"the Wick oracle to length {WICK_ORACLE_LENGTH}")
-        field = None if spec is None else (spec, packets[pair[0]], packets[pair[1]], separations)
+        field = None if spec is None else (spec, f, g, separations)
         return dict(common, seed=seed, tolerance=tolerance, field=field, config_echo=config)
     if mode == "moments":
         words = config["words"]
@@ -326,7 +335,6 @@ def parse_config(config: dict, mode: str, flags) -> dict:
         raise ConfigError("mode 'boost-scan' requires a field kernel")
     if not spec.is_thermal:
         raise ConfigError("field 'kernel.beta' must be finite for boost scans")
-    f, g = (packets[_position(ref, packets, "pair")] for ref in pair)
     return {"out": out, "spec": spec, "f": f, "g": g,
             "rapidities": _float_list(config["rapidities"], "rapidities")}
 
@@ -450,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="qcmt",
         description="Verification suites and experiments for measurement algebras",
     )
-    parser.add_argument("mode", choices=MODES)
+    parser.add_argument("mode", choices=FIELDS)
     parser.add_argument("--config", type=str, default=None, help="JSON experiment config")
     parser.add_argument("--out", type=str, default=None, help="output path (default stdout)")
     parser.add_argument("--seed", type=int, default=None, help="seed for randomized checks")

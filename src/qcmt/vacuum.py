@@ -24,6 +24,8 @@ from .gaussian import State
 # k projector symbols interleaved.  A single segment is a plain word.
 ExtendedWord = tuple
 
+NORM_FLOOR = 1e-12  # the least norm rho(X^dagger X) of a conditioner X
+
 
 def normalize_segments(segments) -> ExtendedWord:
     """Normal form: drop inner identity segments, merging adjacent projectors."""
@@ -68,8 +70,8 @@ class ExtendedElement(LinearCombination):
         return cls({((),): 1.0})
 
     @classmethod
-    def from_word(cls, w: Word, coeff: complex = 1.0) -> "ExtendedElement":
-        return cls({(tuple(w),): coeff})
+    def from_word(cls, w: Word) -> "ExtendedElement":
+        return cls({(tuple(w),): 1.0})
 
     @classmethod
     def embed(cls, element: AlgebraElement) -> "ExtendedElement":
@@ -116,12 +118,12 @@ def commutation_witness(state: State, i, j) -> tuple:
 class ConditionedState(State):
     """State A -> rho(X^dagger A X) / rho(X^dagger X) built from a base state.
 
-    A conditioner whose norm rho(X^dagger X) is at most ``tol`` raises ``ValueError``.
+    A conditioner whose norm is at most ``NORM_FLOOR`` raises ``ValueError``.
     """
 
-    def __init__(self, base: State, conditioner: AlgebraElement, tol: float = 1e-12):
+    def __init__(self, base: State, conditioner: AlgebraElement):
         norm = base.expect(conditioner.adjoint() * conditioner)
-        if norm.real <= tol:
+        if norm.real <= NORM_FLOOR:
             raise ValueError(
                 f"conditioner has vanishing norm rho(X^dagger X) = {norm.real:.3e}"
             )

@@ -94,6 +94,20 @@ def test_malformed_json_is_rejected(tmp_path):
     assert main(["verify", "--config", str(path)]) == 2
 
 
+@pytest.mark.parametrize("text,key", [
+    ('{"kernel": {"type": "matrix", "indices": [1], "matrix": [[1]]}, "degree": 5, "degree": 1}',
+     "degree"),
+    ('{"kernel": {"type": "matrix", "indices": [1], "matrix": [[1]], "matrix": [[-1]]}}', "matrix"),
+], ids=["degree", "kernel-matrix"])
+def test_repeated_key_is_refused(tmp_path, capsys, text, key):
+    path = tmp_path / "repeated.json"
+    path.write_text(text)
+    assert main(["gram", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: ") and f"'{key}'" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
 def test_missing_required_field(tmp_path):
     config = write_config(tmp_path, {"kernel": K2_KERNEL})
     assert main(["moments", "--config", config]) == 2
@@ -267,6 +281,17 @@ def test_one_packet_verify_pairs_the_packet_with_itself(tmp_path, capsys):
     config = write_config(tmp_path, {"kernel": kernel, "pair": [0, 1]}, "missing.json")
     assert main(["verify", "--config", config]) == 2
     assert "field 'pair': 1 is not a packet position" in capsys.readouterr().err
+
+
+def test_one_packet_boost_scan_pairs_the_packet_with_itself(tmp_path, capsys):
+    kernel = _field(packets=[{"center": [0.0, 0.0], "wavevector": [0.3, 0.2]}])
+    tables = []
+    for name, pair in (("default", {}), ("explicit", {"pair": [0, 0]})):
+        config = write_config(tmp_path, {"kernel": kernel, "rapidities": [0.0, 0.5], **pair},
+                              f"{name}.json")
+        assert main(["boost-scan", "--config", config]) == 0
+        tables.append(capsys.readouterr().out)
+    assert tables[0] == tables[1] and len(tables[0].splitlines()) == 3
 
 
 def test_quadrature_failure_exits_numerical(tmp_path):
@@ -462,20 +487,40 @@ MALFORMED = {
     "gram-field-basis-over-cap": ("gram", {"kernel": _packets(23), "degree": 2}, 2),
     "verify-wick-words-over-cap": ("verify", {"kernel": _identity(7)}, 2),
     "verify-field-wick-words-over-cap": ("verify", {"kernel": _packets(4)}, 2),
+    # inputs a mode does not read, each refused by the field or flag named last
+    "moments-seed": ("moments", {"kernel": K2_KERNEL, "words": [[1, 2]], "seed": 1}, 2, "seed"),
+    "moments-seed-flag": ("moments", {"kernel": K2_KERNEL, "words": [[1, 2]]}, 2, "--seed"),
+    "moments-tolerance": ("moments", {"kernel": K2_KERNEL, "words": [[1, 2]], "tolerance": 1e-9}, 2, "tolerance"),
+    "moments-tolerance-flag": ("moments", {"kernel": K2_KERNEL, "words": [[1, 2]]}, 2, "--tolerance"),
+    "gram-seed": ("gram", {"kernel": K2_KERNEL, "seed": 1}, 2, "seed"),
+    "gram-seed-flag": ("gram", {"kernel": K2_KERNEL}, 2, "--seed"),
+    "boost-scan-seed": ("boost-scan", {"kernel": FIELD_KERNEL, "rapidities": [0.0], "seed": 1}, 2, "seed"),
+    "boost-scan-seed-flag": ("boost-scan", {"kernel": FIELD_KERNEL, "rapidities": [0.0]}, 2, "--seed"),
+    "boost-scan-tolerance": ("boost-scan", {"kernel": FIELD_KERNEL, "rapidities": [0.0], "tolerance": 1e-9}, 2, "tolerance"),
+    "boost-scan-tolerance-flag": ("boost-scan", {"kernel": FIELD_KERNEL, "rapidities": [0.0]}, 2, "--tolerance"),
+    "witness-seed": ("witness", {"kernel": K2_KERNEL, "pair": [1, 2], "seed": 1}, 2, "seed"),
+    "witness-seed-flag": ("witness", {"kernel": K2_KERNEL, "pair": [1, 2]}, 2, "--seed"),
+    "verify-matrix-pair": ("verify", {"kernel": K2_KERNEL, "pair": [2, 1]}, 2, "pair"),
+    "verify-gibbs-separations": ("verify", {"kernel": GIBBS_KERNEL, "separations": [12.0]}, 2, "separations"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED))
 def test_malformed_config_exit_code(tmp_path, capsys, name):
-    mode, payload, code = MALFORMED[name]
+    mode, payload, code, *unread = MALFORMED[name]
+    flags = [*unread, "1"] if unread and unread[0].startswith("--") else []
     # json.dumps writes NaN and Infinity, which Python's json.load accepts
     config = write_config(tmp_path, payload)
-    assert main([mode, "--config", config]) == code
+    assert main([mode, "--config", config, *flags]) == code
     captured = capsys.readouterr()
     assert "Traceback" not in captured.err
     expected = "config error" if code == 2 else "numerical failure"
     assert expected in captured.err
     assert "nan" not in captured.out.lower() and "inf" not in captured.out.lower()
+    if code == 2:
+        assert captured.out == ""
+    if unread:
+        assert captured.err.startswith("config error: ") and f"'{unread[0]}'" in captured.err
 
 
 # F^H W F overflows on an amplitude of 1e300; the Bose occupation 1 / (e^x - 1)
@@ -487,7 +532,7 @@ MODE_FIELDS = {"verify": {}, "moments": {"words": [[0, 1]]}, "gram": {"degree": 
 
 
 @pytest.mark.parametrize("kind", sorted(OVERFLOWING_KERNELS))
-@pytest.mark.parametrize("mode", cli.MODES)
+@pytest.mark.parametrize("mode", list(cli.FIELDS))
 def test_overflowing_field_kernel_is_a_numerical_failure(tmp_path, capsys, mode, kind):
     config = write_config(tmp_path, {"kernel": OVERFLOWING_KERNELS[kind], **MODE_FIELDS[mode]})
     with warnings.catch_warnings(record=True) as caught:
@@ -621,7 +666,7 @@ PAIRED_KERNEL = {
 }
 # A valid config of every mode and kernel kind; the fuzz below breaks them.
 VALID = [
-    ("verify", {"kernel": K2_KERNEL, "seed": 1, "tolerance": 1e-9, "pair": [1, 2]}),
+    ("verify", {"kernel": K2_KERNEL, "seed": 1, "tolerance": 1e-9}),
     ("verify", {"kernel": GIBBS_KERNEL}),
     ("verify", {"kernel": FIELD_KERNEL, "pair": [1, 0], "separations": [10.0, 12]}),
     ("moments", {"kernel": PAIRED_KERNEL, "words": [["a", "b"], ["V", 3, 3, "V", "a", "b"]]}),

@@ -88,3 +88,104 @@ def test_no_module_level_name_is_dead():
 def test_dead_code_detector_flags_an_unread_definition():
     source = "LIMIT = 3\ndef used():\n    return LIMIT\ndef unused():\n    pass\nclass Spare: ...\n"
     assert defined_names(source) - read_names(source + "used()\n") == {"unused", "Spare"}
+
+
+def _defaults(function: ast.FunctionDef, is_method: bool) -> dict:
+    """A function's defaulted parameters: {name: position in a call, or None if keyword-only}."""
+    args = function.args
+    positional = args.posonlyargs + args.args
+    if is_method:
+        positional = positional[1:]
+    defaulted = positional[len(positional) - len(args.defaults):]
+    found = {a.arg: positional.index(a) for a in defaulted}
+    found.update({a.arg: None for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None})
+    return found
+
+
+def _classes(trees) -> dict:
+    """Each class name: (its base names, whether it defines ``__init__``)."""
+    classes = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                bases = [b.id if isinstance(b, ast.Name) else getattr(b, "attr", None)
+                         for b in node.bases]
+                inits = any(isinstance(n, ast.FunctionDef) and n.name == "__init__"
+                            for n in node.body)
+                classes.setdefault(node.name, (bases, inits))
+    return classes
+
+
+def dead_defaults(defining: list, calling: list) -> set:
+    """Defaulted parameters of the functions and methods in ``defining`` that no
+    call in ``calling`` passes, as ``"name(parameter)"``.
+
+    A call is matched by the called name alone, so calls through any object
+    count; a class call, through the class or a subclass, and
+    ``super().__init__`` count as calls of the ``__init__`` the class inherits.
+    """
+    defined = {}  # label: (the name a call uses, the defaulted parameters)
+    for tree in map(ast.parse, defining):
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                defined[node.name] = (node.name, _defaults(node, False))
+            elif isinstance(node, ast.ClassDef):
+                for method in node.body:
+                    if not isinstance(method, ast.FunctionDef):
+                        continue
+                    static = any(getattr(d, "id", None) == "staticmethod" for d in method.decorator_list)
+                    label = f"{node.name}.{method.name}"
+                    key = label if method.name == "__init__" else method.name
+                    defined[label] = (key, _defaults(method, not static))
+    trees = [ast.parse(source) for source in calling]
+    classes = _classes(trees + [ast.parse(source) for source in defining])
+
+    def init_of(name, seen=()):
+        """The ``Class.__init__`` a call of class ``name`` runs, if it is defined."""
+        if name not in classes or name in seen:
+            return None
+        bases, inits = classes[name]
+        if inits:
+            return f"{name}.__init__"
+        return next(filter(None, (init_of(b, seen + (name,)) for b in bases)), None)
+
+    passed = set()
+    for tree in trees:
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+            if name == "__init__":
+                targets = {key for key, _ in defined.values() if key.endswith(".__init__")}
+            else:
+                targets = {name, init_of(name)}
+            for label, (key, parameters) in defined.items():
+                if key not in targets:
+                    continue
+                for parameter, position in parameters.items():
+                    by_position = position is not None and (
+                        position < len(call.args) or any(isinstance(a, ast.Starred) for a in call.args))
+                    by_keyword = any(k.arg in (parameter, None) for k in call.keywords)
+                    if by_position or by_keyword:
+                        passed.add((label, parameter))
+    return {f"{label}({parameter})" for label, (_, parameters) in defined.items()
+            for parameter in parameters if (label, parameter) not in passed}
+
+
+def test_no_default_parameter_is_dead():
+    calling = [path.read_text(encoding="utf-8")
+               for folder in READERS for path in (ROOT / folder).rglob("*.py")]
+    defining = [path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))]
+    assert sorted(dead_defaults(defining, calling)) == []
+
+
+def test_dead_default_detector_flags_a_parameter_no_call_passes():
+    source = (
+        "def f(a, b=1, *, c=2):\n    return a\n"
+        "class Base:\n    def __init__(self, x=0, y=1, z=2): ...\n"
+        "    def scaled(self, k=2): ...\n"
+        "class Child(Base): ...\n"
+        "class Grandchild(Child):\n    def __init__(self):\n        super().__init__(z=3)\n"
+        "f(1, c=3)\nChild(5)\nGrandchild().scaled()\n"
+    )
+    assert dead_defaults([source], [source]) == {"f(b)", "Base.__init__(y)", "Base.scaled(k)"}
