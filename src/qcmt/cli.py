@@ -121,7 +121,8 @@ def load_config(path: str | None, mode: str) -> dict:
             config = json.load(handle, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        # JSON is UTF-8, and a nesting too deep for the parser is malformed too
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(config, dict):
         raise ConfigError("config must be a JSON object")
@@ -217,15 +218,10 @@ def parse_kernel(config: dict):
     return None, spec, parsed
 
 
-def _gaussian(kernel, spec, packets) -> GaussianKernel:
-    """The parsed kernel as a Gaussian kernel; a field kernel's quadrature runs here."""
-    return kernel if spec is None else kernel_as_gaussian(spec, packets)
-
-
 def build_kernel(config: dict):
     """Kernel plus the optional field context (spec, packets) behind it."""
     kernel, spec, packets = parse_kernel(config)
-    return _gaussian(kernel, spec, packets), spec, packets
+    return kernel if spec is None else kernel_as_gaussian(spec, packets), spec, packets
 
 
 def _position(ref, packets: list, where: str) -> int:
@@ -266,11 +262,13 @@ def _check_basis_size(kernel, packets, degree: int, what: str):
         raise ConfigError(f"{what} over {n} indices has {size} words, over the cap of {BASIS_CAP}")
 
 
-def parse_config(config: dict, mode: str, flags) -> dict:
-    """The config and the flags that override it, as keyword arguments of the mode's runner.
+def parse_config(config: dict, mode: str, flags) -> tuple:
+    """The output path, and the config and flags as keyword arguments of the mode's runner.
 
-    Every field is read and checked here, once, so each config error
-    (exit 2) is raised before any numerical work starts.
+    Every field is read and checked first, once, so each config error
+    (exit 2) is raised before any numerical work starts.  The last step
+    builds the run's one Gaussian kernel; a field kernel's quadrature runs
+    there, for every mode but boost-scan, which pairs its packets itself.
     """
     declared = config.get("mode")
     if declared is not None and declared != mode:
@@ -287,7 +285,8 @@ def parse_config(config: dict, mode: str, flags) -> dict:
         if key not in config:
             raise ConfigError(f"mode '{mode}' requires field '{key}'")
     overrides = {key: getattr(flags, key) for key in ("seed", "tolerance", "out")}
-    # the config's own values are checked too where a flag overrides them: verify echoes them
+    # a config is valid on its own: a value a flag overrides is checked too, so
+    # whether a file is refused does not depend on the flags it is run with
     for values in (config, {**config, **{k: v for k, v in overrides.items() if v is not None}}):
         seed = values.get("seed", 0)
         if type(seed) is not int or seed < 0:
@@ -296,16 +295,22 @@ def parse_config(config: dict, mode: str, flags) -> dict:
         if tolerance < 0:
             raise ConfigError(f"field 'tolerance' must not be negative, not {tolerance!r}")
         out = values.get("out")
-        if out is not None and not isinstance(out, str):
-            raise ConfigError("field 'out' must be a path string")
+        if out is not None and (not isinstance(out, str) or not out):
+            raise ConfigError("field 'out' must be a non-empty path string")
     kernel, spec, packets = parse_kernel(config)
-    common = {"out": out, "kernel": kernel, "spec": spec, "packets": packets}
     # without a pair, one packet is paired with itself
     pair = config.get("pair", [0, 0] if packets is not None and len(packets) == 1 else [0, 1])
     if not isinstance(pair, list) or len(pair) != 2:
         raise ConfigError("field 'pair' must name two indices or packets")
     if spec is not None:
         f, g = (packets[_position(ref, packets, "pair")] for ref in pair)
+    if mode == "boost-scan":
+        if spec is None:
+            raise ConfigError("mode 'boost-scan' requires a field kernel")
+        if not spec.is_thermal:
+            raise ConfigError("field 'kernel.beta' must be finite for boost scans")
+        return out, {"spec": spec, "f": f, "g": g,
+                     "rapidities": _float_list(config["rapidities"], "rapidities")}
     if mode == "verify":
         for key in ("pair", "separations"):
             if spec is None and key in config:
@@ -316,27 +321,24 @@ def parse_config(config: dict, mode: str, flags) -> dict:
         _check_basis_size(kernel, packets, WICK_ORACLE_LENGTH,
                           f"the Wick oracle to length {WICK_ORACLE_LENGTH}")
         field = None if spec is None else (spec, f, g, separations)
-        return dict(common, seed=seed, tolerance=tolerance, field=field, config_echo=config)
-    if mode == "moments":
+        # the seed and tolerance the run uses, and no output path
+        echo = {key: value for key, value in values.items() if key != "out"}
+        settings = dict(seed=seed, tolerance=tolerance, field=field, config_echo=echo)
+    elif mode == "moments":
         words = config["words"]
         if not isinstance(words, list) or not all(isinstance(w, list) for w in words):
             raise ConfigError("field 'words' must be a list of lists")
-        return dict(common, words=[_word(w, kernel, packets) for w in words])
-    if mode == "gram":
+        settings = dict(words=[_word(w, kernel, packets) for w in words])
+    elif mode == "gram":
         degree = config.get("degree", 2)
         if type(degree) is not int or not 0 <= degree <= MATCHING_CAP // 2:
             raise ConfigError(f"field 'degree' must be an integer from 0 to {MATCHING_CAP // 2}")
         _check_basis_size(kernel, packets, degree, f"the degree-{degree} Gram basis")
-        return dict(common, tolerance=tolerance, degree=degree)
-    if mode == "witness":
+        settings = dict(tolerance=tolerance, degree=degree)
+    else:
         i, j = (_reference(ref, kernel, packets, "pair") for ref in pair)
-        return dict(common, tolerance=tolerance, pair=pair, i=i, j=j)
-    if spec is None:
-        raise ConfigError("mode 'boost-scan' requires a field kernel")
-    if not spec.is_thermal:
-        raise ConfigError("field 'kernel.beta' must be finite for boost scans")
-    return {"out": out, "spec": spec, "f": f, "g": g,
-            "rapidities": _float_list(config["rapidities"], "rapidities")}
+        settings = dict(tolerance=tolerance, pair=pair, i=i, j=j)
+    return out, dict(settings, kernel=kernel if spec is None else kernel_as_gaussian(spec, packets))
 
 
 def _float_repr(value: float) -> str:
@@ -356,26 +358,20 @@ def _write_text(path: str | None, text: str):
         raise ConfigError(f"cannot write output file: {exc}") from exc
 
 
-def _write_json(path: str | None, payload: dict):
-    """Write strict JSON; a NaN or an infinity in a report is a numerical failure."""
+def _json(payload: dict) -> str:
+    """Strict JSON; a NaN or an infinity in a report is a numerical failure."""
     try:
-        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+        return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
     except ValueError as exc:
         raise FloatingPointError(f"non-finite value in the report: {exc}") from exc
-    _write_text(path, text + "\n")
 
 
-def run_verify_mode(out, kernel, spec, packets, **settings) -> int:
-    kernel = _gaussian(kernel, spec, packets)
-    started = time.perf_counter()
+def run_verify_mode(kernel, **settings) -> tuple:
     report = run_verify(kernel, **settings)
-    logger.info("verify finished in %.2fs", time.perf_counter() - started)
-    _write_json(out, report.as_dict())
-    return EXIT_OK if report.passed else EXIT_CHECK_FAILED
+    return _json(report.as_dict()), EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
-def run_moments_mode(out, kernel, spec, packets, words) -> int:
-    kernel = _gaussian(kernel, spec, packets)
+def run_moments_mode(kernel, words) -> tuple:
     lines = ["word,re,im"]
     status = EXIT_OK
     for label, segments in words:
@@ -385,25 +381,15 @@ def run_moments_mode(out, kernel, spec, packets, words) -> int:
             continue
         value = extended_word_expect(kernel, segments)
         lines.append(f"{label},{_float_repr(value.real)},{_float_repr(value.imag)}")
-    _write_text(out, "\n".join(lines) + "\n")
-    return status
+    return "\n".join(lines) + "\n", status
 
 
-def run_gram_mode(out, tolerance, kernel, spec, packets, degree) -> int:
-    kernel = _gaussian(kernel, spec, packets)
-    basis = build_basis(kernel.indices, degree)
-    report = gram(basis, kernel, tolerance=tolerance)
-    logger.info(
-        "gram: dimension=%d null=%d min-eigenvalue=%.3e",
-        report.dimension,
-        report.null_dimension,
-        report.min_eigenvalue,
-    )
-    _write_json(out, report.as_dict())
-    return EXIT_OK if report.is_positive() else EXIT_CHECK_FAILED
+def run_gram_mode(kernel, tolerance, degree) -> tuple:
+    report = gram(build_basis(kernel.indices, degree), kernel, tolerance=tolerance)
+    return _json(report.as_dict()), EXIT_OK if report.is_positive() else EXIT_CHECK_FAILED
 
 
-def run_boost_scan_mode(out, spec, f, g, rapidities) -> int:
+def run_boost_scan_mode(spec, f, g, rapidities) -> tuple:
     vacuum_base = vacuum_kernel(spec, f, g)
     thermal_base = thermal_kernel(spec, f, g)
     lines = ["rapidity,vacuum_deviation,thermal_deviation"]
@@ -419,12 +405,10 @@ def run_boost_scan_mode(out, spec, f, g, rapidities) -> int:
         lines.append(
             f"{_float_repr(chi)},{_float_repr(vacuum_dev)},{_float_repr(thermal_dev)}"
         )
-    _write_text(out, "\n".join(lines) + "\n")
-    return status
+    return "\n".join(lines) + "\n", status
 
 
-def run_witness_mode(out, tolerance, kernel, spec, packets, pair, i, j) -> int:
-    kernel = _gaussian(kernel, spec, packets)
+def run_witness_mode(kernel, tolerance, pair, i, j) -> tuple:
     between, in_front = commutation_witness(kernel, i, j)
     factor_residual = abs(
         between - kernel.word_expect((i,)) * kernel.word_expect((j,))
@@ -440,8 +424,7 @@ def run_witness_mode(out, tolerance, kernel, spec, packets, pair, i, j) -> int:
         "factorization_residual": factor_residual,
         "passed": factor_residual <= tolerance,
     }
-    _write_json(out, payload)
-    return EXIT_OK if factor_residual <= tolerance else EXIT_CHECK_FAILED
+    return _json(payload), EXIT_OK if factor_residual <= tolerance else EXIT_CHECK_FAILED
 
 
 _RUNNERS = {
@@ -474,8 +457,12 @@ def main(argv=None) -> int:
         )
     args = build_parser().parse_args(argv)
     try:
-        config = load_config(args.config, args.mode)
-        return _RUNNERS[args.mode](**parse_config(config, args.mode, args))
+        out, settings = parse_config(load_config(args.config, args.mode), args.mode, args)
+        started = time.perf_counter()
+        text, status = _RUNNERS[args.mode](**settings)
+        logger.info("%s finished in %.2fs", args.mode, time.perf_counter() - started)
+        _write_text(out, text)
+        return status
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

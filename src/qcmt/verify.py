@@ -137,14 +137,17 @@ def check_wick_oracle(kernel: GaussianKernel) -> CheckResult:
     """Contraction recursion against generating-function differentiation.
 
     All words share one kernel, so later words read sub-word moments from
-    the memo that earlier words filled.
+    the memo that earlier words filled.  ``worst`` is the largest difference
+    over max(1, max |oracle moment|), the scale ``gram-psd`` is judged at,
+    so the check passes when it is at most the tolerance.
     """
-    worst = 0.0
+    defect, oracles = 0.0, []
     for length in range(WICK_ORACLE_LENGTH + 1):
         for w in product(kernel.indices, repeat=length):
-            direct = wick_expect(kernel, w)
             oracle = moment_from_generating_series(kernel, w)
-            worst = max(worst, abs(direct - oracle))
+            defect = max(defect, abs(wick_expect(kernel, w) - oracle))
+            oracles.append(oracle)
+    worst = defect / tolerance_bound(1.0, oracles)
     return CheckResult("wick-oracle", worst <= WICK_TOLERANCE, worst, WICK_TOLERANCE)
 
 

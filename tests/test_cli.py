@@ -94,6 +94,17 @@ def test_malformed_json_is_rejected(tmp_path):
     assert main(["verify", "--config", str(path)]) == 2
 
 
+@pytest.mark.parametrize("content", [b"[" * 100_000 + b"]" * 100_000, b"\xff\xfe{}"],
+                         ids=["nested-100000-deep", "not-utf-8"])
+def test_undecodable_config_is_a_config_error(tmp_path, capsys, content):
+    path = tmp_path / "config.json"
+    path.write_bytes(content)
+    assert main(["gram", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: ")
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
 @pytest.mark.parametrize("text,key", [
     ('{"kernel": {"type": "matrix", "indices": [1], "matrix": [[1]]}, "degree": 5, "degree": 1}',
      "degree"),
@@ -505,10 +516,18 @@ MALFORMED = {
 }
 
 
+# every entry point of numerical work that a CLI run reaches through ``cli``
+NUMERICAL_WORK = ("kernel_as_gaussian", "gram", "run_verify", "extended_word_expect",
+                  "commutation_witness", "vacuum_kernel", "thermal_kernel")
+
+
 @pytest.mark.parametrize("name", sorted(MALFORMED))
-def test_malformed_config_exit_code(tmp_path, capsys, name):
+def test_malformed_config_exit_code(tmp_path, capsys, monkeypatch, name):
     mode, payload, code, *unread = MALFORMED[name]
     flags = [*unread, "1"] if unread and unread[0].startswith("--") else []
+    if code == 2:  # a config error is raised before any numerical work starts
+        for work in NUMERICAL_WORK:
+            monkeypatch.setattr(cli, work, _refuse_numerical_work)
     # json.dumps writes NaN and Infinity, which Python's json.load accepts
     config = write_config(tmp_path, payload)
     assert main([mode, "--config", config, *flags]) == code
@@ -542,6 +561,23 @@ def test_overflowing_field_kernel_is_a_numerical_failure(tmp_path, capsys, mode,
     captured = capsys.readouterr()
     assert "the kernel sum F^H W F is not finite" in captured.err
     assert "Traceback" not in captured.err and captured.out == ""
+
+
+# Valid states whose moments reach 3e12 and 6e8: the engine and the oracle sum
+# them in different orders and differ by 1.2e-4 and 1.2e-7, round-off that an
+# absolute cut at 1e-8 failed.
+@pytest.mark.parametrize("kernel", [
+    {"type": "matrix", "indices": [1, 2, 3],
+     "matrix": [[1e6, 0.5, 0.2], [0.5, 1e6, 0.3], [0.2, 0.3, 1e6]]},
+    _field(packets=[{"center": [0.0, 0.0], "amplitude": 100},
+                    {"center": [0.0, 0.5], "amplitude": 100}]),
+], ids=["matrix-diagonal-1e6", "thermal-field-amplitude-100"])
+def test_wick_oracle_is_judged_at_the_moment_scale(tmp_path, kernel):
+    out = tmp_path / "report.json"
+    assert main(["verify", "--config", write_config(tmp_path, {"kernel": kernel}),
+                 "--out", str(out)]) == 0
+    check = json.loads(out.read_text())["checks"][1]
+    assert check["name"] == "wick-oracle" and 0 <= check["worst"] <= check["tolerance"]
 
 
 def test_gram_of_huge_gibbs_mass_is_a_state(tmp_path):
@@ -652,6 +688,21 @@ def test_config_value_under_a_flag_is_still_checked(tmp_path, capsys):
     assert "seed" in captured.err and captured.out == ""
 
 
+def test_verify_echoes_the_flags_it_used(tmp_path, capsys):
+    config = write_config(tmp_path, {"kernel": K2_KERNEL, "seed": 0, "tolerance": 1e-10,
+                                     "out": str(tmp_path / "unused.json")})
+    out = tmp_path / "report.json"
+    assert main(["verify", "--config", config, "--seed", "5", "--tolerance", "1e-9",
+                 "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["seed"] == 5
+    assert report["config"] == {"kernel": K2_KERNEL, "seed": 5, "tolerance": 1e-9}
+    # no output path is echoed, so the bytes do not depend on where they go
+    assert main(["verify", "--config", write_config(tmp_path, {"kernel": K2_KERNEL}, "bare.json"),
+                 "--seed", "5", "--tolerance", "1e-9"]) == 0
+    assert capsys.readouterr().out == out.read_text()
+
+
 def test_negative_seed_flag_is_a_config_error(capsys):
     assert main(["verify", "--seed", "-1"]) == 2
     captured = capsys.readouterr()
@@ -753,7 +804,7 @@ def _run(mode, path):
 
 
 def _refuse_numerical_work(*args, **kwargs):
-    raise AssertionError("numerical work started on a config over the basis cap")
+    raise AssertionError("numerical work started on a config that is refused")
 
 
 # the fewest indices whose basis to each degree exceeds the cap; degree 1

@@ -7,6 +7,9 @@ their bytes are compared only on the numpy and BLAS/LAPACK build they were
 recorded with, and skipped elsewhere.  Rewrite the record with
 
     PYTHONPATH=src python tests/test_golden_outputs.py
+
+which prints each run whose [exit code, hash] changed and the build it
+recorded on.
 """
 
 import contextlib
@@ -112,6 +115,7 @@ def test_build_bound_output_bytes(tmp_path, record, name):
 
 
 if __name__ == "__main__":
+    previous = json.loads(RECORD.read_text()) if RECORD.exists() else {}
     with tempfile.TemporaryDirectory() as scratch:
         directory = pathlib.Path(scratch)
         record = {
@@ -119,4 +123,8 @@ if __name__ == "__main__":
             "portable": {name: run(*case, directory) for name, case in PORTABLE.items()},
             "build_bound": {name: run(*case, directory) for name, case in BUILD_BOUND.items()},
         }
+    for group in ("portable", "build_bound"):
+        for name, result in record[group].items():
+            if previous.get(group, {}).get(name) != result:
+                print(f"{name}: {previous.get(group, {}).get(name)} -> {result}, on {record['build']}")
     RECORD.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
