@@ -125,6 +125,7 @@ if __name__ == "__main__":
         }
     for group in ("portable", "build_bound"):
         for name, result in record[group].items():
-            if previous.get(group, {}).get(name) != result:
-                print(f"{name}: {previous.get(group, {}).get(name)} -> {result}, on {record['build']}")
+            before = previous.get(group, {}).get(name)
+            if before != result:
+                print(f"{name}: {before} -> {result}, on {record['build']}")
     RECORD.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
