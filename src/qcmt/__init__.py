@@ -28,6 +28,7 @@ from .gaussian import (
 from .gns import GramReport, MonomialBasis, Representation, build_basis, gram, represent
 from .koopman import (
     PhaseSpacePolynomial,
+    PolynomialBatch,
     bracket_residuals,
     gibbs_oscillator_kernel,
     liouville_flow,

@@ -9,6 +9,8 @@ relation between measurements lives in the states, not in the algebra.
 
 from __future__ import annotations
 
+import math
+import random
 from typing import Hashable
 
 import numpy as np
@@ -234,10 +236,45 @@ def generator(index: Index) -> AlgebraElement:
     return AlgebraElement({(index,): 1.0})
 
 
+def draw_integers(rng: random.Random, low: int, high, shape) -> np.ndarray:
+    """Integers in [low, high) of ``shape`` from one ``rng.randbytes`` block.
+
+    ``high`` is an int or an array that broadcasts against ``shape``, and
+    every span ``high - low`` is from 1 to 2**32.  Each little-endian 32-bit
+    word w maps to ``low + (w * span) >> 32`` (multiply-shift), so every
+    value's probability is within span / 2**32 of uniform, relative.
+    """
+    words = np.frombuffer(rng.randbytes(4 * math.prod(shape)), dtype="<u4").reshape(shape)
+    span = (np.asarray(high, dtype=np.int64) - low).astype(np.uint64)
+    return ((words * span) >> np.uint64(32)).astype(np.int64) + low
+
+
+def draw_blocks(rng: random.Random, count, letters, max_terms, max_len, max_segments, min_len,
+                normal) -> tuple:
+    """The five blocks of ``draw_terms``, in draw order, as arrays of the maximal shape.
+
+    Term counts (count,), segment counts (count, max_terms), segment lengths
+    (count, max_terms, max_segments), letters (count, max_terms,
+    max_segments, max_len) and coefficient parts (count, max_terms, 2):
+    integers by ``draw_integers``, normal parts by ``rng.gauss``.
+    """
+    shape = (count, max_terms)
+    terms = draw_integers(rng, 1, max_terms + 1, (count,))
+    pieces = draw_integers(rng, 1, max_segments + 1, shape)
+    lengths = draw_integers(rng, min_len, max_len + 1, shape + (max_segments,))
+    high = np.reshape(letters, (-1, 1, 1, 1))
+    picks = draw_integers(rng, 0, high, shape + (max_segments, max_len))
+    if normal:
+        parts = np.reshape([rng.gauss(0.0, 1.0) for _ in range(2 * count * max_terms)], shape + (2,))
+    else:
+        parts = draw_integers(rng, -3, 4, shape + (2,))
+    return terms, pieces, lengths, picks, parts
+
+
 def draw_terms(
     seed, count, letters, max_terms, max_len, max_segments=1, min_len=0, normal=False
 ) -> list:
-    """``count`` random linear combinations of words, drawn as five batched arrays.
+    """``count`` random linear combinations of words, drawn as five batched blocks.
 
     Combination k has 1..``max_terms`` terms.  A term is 1..``max_segments``
     segments of ``min_len``..``max_len`` letters, each letter a position in
@@ -245,20 +282,15 @@ def draw_terms(
     count per combination, and a complex coefficient whose parts are
     integers in -3..3 (so cancellations are exact) or, with ``normal``,
     standard normal.  Term counts, segment counts, lengths, letters and
-    coefficient parts are each one array of the maximal shape, in that
-    order, so a seed (an int or a numpy Generator) makes the same draws for
-    the same arguments.  Returns per combination a list of
+    coefficient parts are each one block of the maximal shape, in that
+    order (``draw_blocks``), drawn from ``seed``: an int, or a
+    ``random.Random`` to draw on from.  The same seed makes the same draws
+    for the same arguments.  Returns per combination a list of
     ``(segments, coefficient)``, segments a tuple of tuples of positions.
     """
-    rng = np.random.default_rng(seed)
-    shape = (count, max_terms)
-    terms = rng.integers(1, max_terms + 1, size=count).tolist()
-    pieces = rng.integers(1, max_segments + 1, size=shape).tolist()
-    lengths = rng.integers(min_len, max_len + 1, size=shape + (max_segments,)).tolist()
-    high = np.reshape(letters, (-1, 1, 1, 1))
-    picks = rng.integers(0, high, size=shape + (max_segments, max_len)).tolist()
-    parts = rng.standard_normal(shape + (2,)) if normal else rng.integers(-3, 4, size=shape + (2,))
-    parts = parts.tolist()
+    rng = seed if isinstance(seed, random.Random) else random.Random(seed)
+    blocks = draw_blocks(rng, count, letters, max_terms, max_len, max_segments, min_len, normal)
+    terms, pieces, lengths, picks, parts = (block.tolist() for block in blocks)
     drawn = []
     for k, count_k in enumerate(terms):
         combination = []

@@ -9,12 +9,17 @@ of the bracket, and derivations close under the bracket.  Exponentiating
 derivations gives canonical flows (``liouville_flow``), while
 exponentiating multiplication operators rescales pointwise, a
 non-canonical transformation (``multiplication_flow``).
+
+Products, brackets, sums and differences of polynomials all run on one
+exact engine over trial-batched polynomials (``PolynomialBatch``); a
+single polynomial is a batch of one.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from functools import cache
 
 import numpy as np
 
@@ -25,6 +30,9 @@ DEFAULT_FLOW_STEP = 1e-3
 # Most RK4 steps ``liouville_flow`` takes per point, default or explicit; at the
 # default step it bounds the flow time by 1000.
 MAX_FLOW_STEPS = 10**6
+# Largest exponent a polynomial holds: every bracket weight a_i d_i - b_i c_i
+# of such exponents, and every exponent sum, is exact in int64.
+MAX_EXPONENT = 2**31 - 1
 
 
 def _is_integer(x) -> bool:
@@ -42,13 +50,15 @@ class PhaseSpacePolynomial(LinearCombination):
     """Complex-coefficient polynomial in canonical coordinates q_1..q_n, p_1..p_n.
 
     Terms map exponent tuples ``(a_1..a_n, b_1..b_n)`` for ``q^a p^b`` to
-    coefficients.  The ring operations are the algebra's, with exponent
-    addition as the word product.  Only exact zeros are pruned, so
-    integer-coefficient arithmetic cancels exactly and residual checks can
-    demand literal zero.  The constructor validates its input once: the
-    dimension must be a positive integer and every exponent a non-negative
-    one (Python or numpy, never bool).  Ring results are built without
-    re-validation.
+    coefficients.  Products, sums and differences run on the batch engine
+    as batches of one; negation, scalar multiples and the adjoint are the
+    algebra's.  Only exact zeros are pruned, so integer-coefficient
+    arithmetic cancels exactly and residual checks can demand literal zero.
+    The constructor validates its input once: the dimension must be a
+    positive integer and every exponent an integer from 0 to
+    ``MAX_EXPONENT`` (Python or numpy, never bool).  Ring results are built
+    without re-validation; one whose exponent would exceed ``MAX_EXPONENT``
+    raises ``ValueError``.
     """
 
     __slots__ = ("dimension",)
@@ -64,9 +74,11 @@ class PhaseSpacePolynomial(LinearCombination):
                 if not (
                     isinstance(exps, tuple)
                     and len(exps) == width
-                    and all(_is_integer(e) and e >= 0 for e in exps)
+                    and all(_is_integer(e) and 0 <= e <= MAX_EXPONENT for e in exps)
                 ):
-                    raise ValueError(f"exponent key {exps!r} is not {width} non-negative integers")
+                    raise ValueError(
+                        f"exponent key {exps!r} is not {width} integers from 0 to {MAX_EXPONENT}"
+                    )
                 exps = tuple(map(int, exps))
                 merged[exps] = merged.get(exps, 0j) + complex(c)
         super().__init__(merged)
@@ -78,10 +90,6 @@ class PhaseSpacePolynomial(LinearCombination):
         result = super()._like(terms)
         result.dimension = self.dimension
         return result
-
-    @staticmethod
-    def _word_product(left, right):
-        return tuple(map(operator.add, left, right))
 
     @staticmethod
     def _word_adjoint(w):
@@ -117,15 +125,18 @@ class PhaseSpacePolynomial(LinearCombination):
             )
 
     def __add__(self, other):
-        self._check_dimension(other)
-        return super().__add__(other)
+        if not isinstance(other, PhaseSpacePolynomial):
+            return NotImplemented
+        return _through_engine(operator.add, self, other)
 
     def __sub__(self, other):
-        self._check_dimension(other)
-        return super().__sub__(other)
+        if not isinstance(other, PhaseSpacePolynomial):
+            return NotImplemented
+        return _through_engine(operator.sub, self, other)
 
     def __mul__(self, other):
-        self._check_dimension(other)
+        if isinstance(other, PhaseSpacePolynomial):
+            return _through_engine(operator.mul, self, other)
         return super().__mul__(other)
 
     def __eq__(self, other):
@@ -193,51 +204,241 @@ class PhaseSpacePolynomial(LinearCombination):
         return " + ".join(f"({c:g})*{monomial(e)}" for e, c in self.terms.items())
 
 
-def poisson(u: PhaseSpacePolynomial, v: PhaseSpacePolynomial) -> PhaseSpacePolynomial:
+class PolynomialBatch:
+    """Phase-space polynomials of one dimension, one per trial, as flat arrays.
+
+    Row k is a term of trial ``trials[k]`` with exponent row
+    ``exponents[k]`` (width 2n, int64) and coefficient ``re[k] + i im[k]``
+    (float64).  Rows come trial by trial in ascending order and, within a
+    trial, in the key order ``PhaseSpacePolynomial`` would keep; like terms
+    are combined and exact zeros pruned.  Products, brackets, sums and
+    differences pair trial t of one batch with trial t of the other and
+    follow dict arithmetic step by step: like terms are summed from 0.0 in
+    the order a dict of terms would add them, a coefficient product is
+    ``(ar br - ai bi, ar bi + ai br)``, and an integer bracket weight
+    multiplies as the complex ``(w, 0.0)``, so every result, NaN and inf
+    included, is Python's complex arithmetic done term by term.  A polynomial of lower dimension joins a
+    batch with zero exponents on the extra axes, which leaves its products
+    and brackets unchanged.
+    """
+
+    __slots__ = ("dimension", "count", "trials", "exponents", "re", "im")
+
+    def __init__(self, dimension: int, count: int, trials, exponents, re, im):
+        self.dimension = dimension
+        self.count = count
+        self.trials = trials
+        self.exponents = exponents
+        self.re = re
+        self.im = im
+
+    @classmethod
+    def of(cls, polynomials) -> "PolynomialBatch":
+        """One trial per polynomial, each embedded in the largest dimension among them."""
+        n = max(p.dimension for p in polynomials)
+        trials, rows, coefficients = [], [], []
+        for t, p in enumerate(polynomials):
+            trials += [t] * len(p.terms)
+            rows += [embed_exponents(e, n) for e in p.terms] if p.dimension < n else list(p.terms)
+            coefficients += p.terms.values()
+        coefficients = np.array(coefficients, dtype=complex)
+        return cls(n, len(polynomials), np.array(trials, dtype=np.intp),
+                   np.array(rows, dtype=np.int64).reshape(-1, 2 * n),
+                   coefficients.real, coefficients.imag)
+
+    @classmethod
+    def summed(cls, dimension: int, count: int, trials, exponents, re, im) -> "PolynomialBatch":
+        """The batch of raw term rows, given trial by trial in ascending order.
+
+        Like terms of a trial are summed in row order, starting from 0.0;
+        the result keeps first-occurrence order and prunes exact zeros, while
+        a NaN is kept.  Grouping is one stable sort over the trial and
+        exponent columns (``_sort_keys``), exact for any exponent up to
+        ``MAX_EXPONENT``; a larger one raises ``ValueError``.
+        """
+        size = len(trials)
+        if not size:
+            return cls(dimension, count, trials, exponents, re, im)
+        highest = int(exponents.max())
+        if highest > MAX_EXPONENT:
+            raise ValueError(f"an exponent of the result exceeds {MAX_EXPONENT}")
+        keys = _sort_keys(count, trials, exponents, highest + 1)
+        order = np.lexsort(keys)
+        keys = keys[:, order]
+        starts = np.empty(size, dtype=bool)
+        starts[0] = True
+        np.any(keys[:, 1:] != keys[:, :-1], axis=0, out=starts[1:])
+        # the sort is stable: each group's rows stay in row order, earliest first
+        group = np.cumsum(starts) - 1
+        first = order[starts]
+        re = np.bincount(group, re[order], len(first))  # adds in row order
+        im = np.bincount(group, im[order], len(first))
+        emit = np.argsort(first)
+        re, im, first = re[emit], im[emit], first[emit]
+        kept = (re != 0) | (im != 0)  # a NaN part is kept
+        first = first[kept]
+        return cls(dimension, count, trials[first], exponents[first], re[kept], im[kept])
+
+    def polynomials(self) -> list:
+        """The trials as ``PhaseSpacePolynomial``s of the batch dimension, in trial order."""
+        keys = list(map(tuple, self.exponents.tolist()))
+        coefficients = list(map(complex, self.re.tolist(), self.im.tolist()))
+        bounds = np.searchsorted(self.trials, np.arange(self.count + 1)).tolist()
+        zero = PhaseSpacePolynomial.zero(self.dimension)
+        return [zero._like(dict(zip(keys[lo:hi], coefficients[lo:hi])))
+                for lo, hi in zip(bounds, bounds[1:])]
+
+    def max_abs_coeff(self) -> float:
+        """Largest coefficient magnitude over every trial; 0.0 for no terms, NaN if any part is NaN."""
+        return float(np.max(np.hypot(self.re, self.im))) if len(self.re) else 0.0
+
+    def _check(self, other):
+        if not isinstance(other, PolynomialBatch):
+            raise TypeError(f"cannot pair a PolynomialBatch with {type(other).__name__}")
+        if (self.dimension, self.count) != (other.dimension, other.count):
+            raise ValueError(
+                f"batch mismatch: dimension {self.dimension} vs {other.dimension}, "
+                f"{self.count} vs {other.count} trials"
+            )
+
+    def _pairs(self, other) -> tuple:
+        """Row indices (left, right) of every term pair within a trial, left term major."""
+        self._check(other)
+        per_trial = np.bincount(other.trials, minlength=self.count)
+        reps = per_trial[self.trials]
+        left = np.repeat(np.arange(len(self.trials)), reps)
+        offsets = np.arange(len(left)) - np.repeat(np.cumsum(reps) - reps, reps)
+        right = np.repeat((np.cumsum(per_trial) - per_trial)[self.trials], reps) + offsets
+        return left, right
+
+    # inf * 0.0 is NaN without a warning, as in Python's complex arithmetic
+    @np.errstate(invalid="ignore", over="ignore")
+    def __mul__(self, other):
+        if not isinstance(other, PolynomialBatch):
+            return NotImplemented
+        left, right = self._pairs(other)
+        ar, ai, br, bi = self.re[left], self.im[left], other.re[right], other.im[right]
+        return self.summed(self.dimension, self.count, self.trials[left],
+                           self.exponents[left] + other.exponents[right],
+                           ar * br - ai * bi, ar * bi + ai * br)
+
+    @np.errstate(invalid="ignore", over="ignore")
+    def bracket(self, other) -> "PolynomialBatch":
+        """{u, v} trial by trial: the term pairs of ``*``, axis minor (``_bracket_rows``)."""
+        left, right = self._pairs(other)
+        pair, weight, exponents = _bracket_rows(self.exponents[left], other.exponents[right],
+                                                self.dimension)
+        left, right = left[pair], right[pair]
+        ar, ai, br, bi = self.re[left], self.im[left], other.re[right], other.im[right]
+        pr, pi = ar * br - ai * bi, ar * bi + ai * br
+        w = weight.astype(float)
+        return self.summed(self.dimension, self.count, self.trials[left], exponents,
+                           w * pr - 0.0 * pi, w * pi + 0.0 * pr)
+
+    def _joined(self, other, re, im) -> "PolynomialBatch":
+        """Per trial, this batch's terms and then ``other``'s, with the coefficients given."""
+        self._check(other)
+        trials = np.concatenate([self.trials, other.trials])
+        order = np.argsort(trials, kind="stable")
+        exponents = np.concatenate([self.exponents, other.exponents])
+        return self.summed(self.dimension, self.count, trials[order], exponents[order],
+                           np.concatenate(re)[order], np.concatenate(im)[order])
+
+    def __add__(self, other):
+        if not isinstance(other, PolynomialBatch):
+            return NotImplemented
+        return self._joined(other, (self.re, other.re), (self.im, other.im))
+
+    def __sub__(self, other):
+        if not isinstance(other, PolynomialBatch):
+            return NotImplemented
+        return self._joined(other, (self.re, -other.re), (self.im, -other.im))
+
+
+def _sort_keys(count: int, trials, exponents, radix: int) -> np.ndarray:
+    """Int64 words, one row per word, that are equal in every word exactly where two
+    term rows have the same trial and exponent row.
+
+    The trial (below ``count``) and then each exponent (below ``radix``) are
+    digits in mixed radix.  A word takes digits while the product of its
+    radices stays below 2**63, so no word overflows; the next digit starts a
+    new word.
+    """
+    chunks, lo, capacity = [], 0, count
+    for j in range(exponents.shape[1]):
+        if capacity * radix >= 2**63:
+            chunks.append((lo, j))
+            lo, capacity = j, 1
+        capacity *= radix
+    chunks.append((lo, exponents.shape[1]))
+    words = []
+    for lo, hi in chunks:
+        powers = np.array([radix ** (hi - 1 - j) for j in range(lo, hi)], dtype=np.int64)
+        words.append(exponents[:, lo:hi] @ powers)
+    words[0] += trials * radix ** (chunks[0][1] - chunks[0][0])
+    return np.array(words)
+
+
+def embed_exponents(exponents: tuple, dimension: int) -> tuple:
+    """An exponent tuple of a lower dimension in ``dimension``: zero exponents on the extra q and p axes."""
+    m = len(exponents) // 2
+    pad = (0,) * (dimension - m)
+    return exponents[:m] + pad + exponents[m:] + pad
+
+
+def _bracket_rows(left, right, n: int) -> tuple:
+    """The nonzero terms of the bracket of term pairs with exponent rows ``left`` (q^a p^b) and
+    ``right`` (q^c p^d): (pair index, integer weight a_i d_i - b_i c_i, exponent row
+    (a + c - e_i, b + d - e_i)) for each pair and axis i with a nonzero weight, pair major."""
+    weights = left[:, :n] * right[:, n:] - left[:, n:] * right[:, :n]
+    pair, axis = np.nonzero(weights)
+    exponents = left[pair] + right[pair] - _lowering(n)[axis]
+    return pair, weights[pair, axis], exponents
+
+
+@cache
+def _lowering(n: int) -> np.ndarray:
+    """Row i: the exponent row e_i on both the q and the p axis of i."""
+    return np.tile(np.eye(n, dtype=np.int64), 2)
+
+
+def _through_engine(operation, u: PhaseSpacePolynomial, v: PhaseSpacePolynomial):
+    """``operation`` of two polynomials of one dimension, each as a batch of one."""
+    u._check_dimension(v)
+    (result,) = operation(PolynomialBatch.of([u]), PolynomialBatch.of([v])).polynomials()
+    return result
+
+
+def poisson(u, v):
     """Canonical Poisson bracket {u, v} = sum_i du/dq_i dv/dp_i - du/dp_i dv/dq_i.
 
-    One pass over term pairs: for ``q^a p^b`` with ``q^c p^d``, axis i adds
-    ``(a_i d_i - b_i c_i)`` times both coefficients to the term with
-    exponent ``(a + c - e_i, b + d - e_i)``.  The exponent sum and the
-    coefficient product are formed only for pairs with a nonzero weight.
+    Of two polynomials (as batches of one) or, trial by trial, of two
+    batches.  Term ``q^a p^b`` with ``q^c p^d`` gives, on each axis i with
+    a nonzero weight ``a_i d_i - b_i c_i``, that weight times both
+    coefficients at exponent ``(a + c - e_i, b + d - e_i)``.
     """
-    u._check_dimension(v)
-    n = u.dimension
-    axes = range(n)
-    right = v.terms.items()
-    out = {}
-    get = out.get
-    for ea, ca in u.terms.items():
-        for eb, cb in right:
-            product = None
-            for i in axes:
-                weight = ea[i] * eb[n + i] - ea[n + i] * eb[i]
-                if weight:
-                    if product is None:
-                        product = [x + y for x, y in zip(ea, eb)]
-                        coeff = ca * cb
-                    lowered = list(product)
-                    lowered[i] -= 1
-                    lowered[n + i] -= 1
-                    key = tuple(lowered)
-                    out[key] = get(key, 0j) + weight * coeff
-    return u._like(out)
+    if isinstance(u, PolynomialBatch):
+        return u.bracket(v)
+    return _through_engine(PolynomialBatch.bracket, u, v)
 
 
 def bracket_residuals(u, v, f):
-    """Residual polynomials of the three commutation relations applied to f, and of Jacobi.
+    """Residuals of the three commutation relations applied to f, and of Jacobi.
 
     With Mul_u f = u*f and Der_u f = {u, f}, returns
     ([Mul_u, Mul_v] f,
      ([Der_u, Mul_v] - Mul_{u,v}) f,
      ([Der_u, Der_v] - Der_{u,v}) f,
      {u, {v, f}} + {v, {f, u}} + {f, {u, v}});
-    all four must vanish identically.  Each bracket is formed once.
+    all four must vanish identically.  u, v and f are batches (every
+    trial at once) or polynomials; each of the ten brackets, and each product, is
+    formed once.
     """
     uv, uf, vf = poisson(u, v), poisson(u, f), poisson(v, f)
     u_vf = poisson(u, vf)
-    r1 = u * (v * f) - v * (u * f)
-    r2 = poisson(u, v * f) - v * uf - uv * f
+    v_times_f = v * f
+    r1 = u * v_times_f - v * (u * f)
+    r2 = poisson(u, v_times_f) - v * uf - uv * f
     r3 = u_vf - poisson(v, uf) - poisson(uv, f)
     jacobi = u_vf + poisson(v, poisson(f, u)) + poisson(f, uv)
     return r1, r2, r3, jacobi

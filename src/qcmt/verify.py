@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import logging
 import math
+import random
 from dataclasses import dataclass, field, replace
 from functools import cache
 from itertools import product
 
 import numpy as np
 
-from .algebra import AlgebraElement, Index, draw_terms, paired_indices
+from .algebra import AlgebraElement, Index, draw_blocks, draw_integers, draw_terms, paired_indices
 from .fields import (
     FieldKernelSpec,
     PoincareElement,
@@ -33,7 +34,7 @@ from .gaussian import (
     wick_expect,
 )
 from .gns import GramReport, build_basis, gram
-from .koopman import PhaseSpacePolynomial, bracket_residuals
+from .koopman import PolynomialBatch, bracket_residuals, embed_exponents
 
 logger = logging.getLogger(__name__)
 
@@ -90,6 +91,16 @@ class RunReport:
         }
 
 
+def _worst(residuals) -> float:
+    """The largest of 0.0 and ``residuals``, or NaN if any residual is NaN.
+
+    ``max(0.0, nan)`` is 0.0, so a running maximum would read a NaN residual
+    as a pass; a NaN ``worst`` fails its check instead.
+    """
+    residuals = list(residuals)
+    return math.nan if any(map(math.isnan, residuals)) else max([0.0, *residuals])
+
+
 def _random_elements(rng, pool, count, max_terms=3, max_len=3, normal=False) -> list:
     """``count`` random elements over ``pool``, each term a word of ``draw_terms``."""
     elements = []
@@ -106,30 +117,33 @@ def check_algebra_laws(seed: int = 0) -> CheckResult:
 
     Integer coefficients keep every cancellation exact.
     """
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     a1, a1c = paired_indices("a", "a*")
     pool = (Index(1), Index(2), a1, a1c)
     elements = _random_elements(rng, pool, 3 * ALGEBRA_TRIALS)
-    scalars = rng.integers(-3, 4, size=(ALGEBRA_TRIALS, 4)).tolist()
-    picks = rng.integers(0, len(pool), size=ALGEBRA_TRIALS).tolist()
-    worst = 0.0
+    scalars = draw_integers(rng, -3, 4, (ALGEBRA_TRIALS, 4)).tolist()
+    picks = draw_integers(rng, 0, len(pool), (ALGEBRA_TRIALS,)).tolist()
+    residuals = []
     for t in range(ALGEBRA_TRIALS):
         a, b, c = elements[3 * t : 3 * t + 3]
         lam, mu = complex(*scalars[t][:2]), complex(*scalars[t][2:])
-        worst = max(worst, ((a * b) * c - a * (b * c)).max_abs_coeff())
-        worst = max(worst, ((a * b).adjoint() - b.adjoint() * a.adjoint()).max_abs_coeff())
         anti = (lam * a + mu * b).adjoint() - (
             lam.conjugate() * a.adjoint() + mu.conjugate() * b.adjoint()
         )
-        worst = max(worst, anti.max_abs_coeff())
-        worst = max(worst, (a.adjoint().adjoint() - a).max_abs_coeff())
+        residuals += [
+            ((a * b) * c - a * (b * c)).max_abs_coeff(),
+            ((a * b).adjoint() - b.adjoint() * a.adjoint()).max_abs_coeff(),
+            anti.max_abs_coeff(),
+            (a.adjoint().adjoint() - a).max_abs_coeff(),
+        ]
         i = pool[picks[t]]
         once = i.involve()
         twice = once.involve()
         if (once.tag, once.ctag) != (i.ctag, i.tag) or (twice.tag, twice.ctag) != (i.tag, i.ctag):
-            worst = max(worst, 1.0)
+            residuals.append(1.0)
     if AlgebraElement.identity().adjoint() != AlgebraElement.identity():
-        worst = max(worst, 1.0)
+        residuals.append(1.0)
+    worst = _worst(residuals)
     return CheckResult("algebra-laws", worst <= ALGEBRA_TOLERANCE, worst, ALGEBRA_TOLERANCE)
 
 
@@ -141,13 +155,13 @@ def check_wick_oracle(kernel: GaussianKernel) -> CheckResult:
     over max(1, max |oracle moment|), the scale ``gram-psd`` is judged at,
     so the check passes when it is at most the tolerance.
     """
-    defect, oracles = 0.0, []
+    defects, oracles = [], []
     for length in range(WICK_ORACLE_LENGTH + 1):
         for w in product(kernel.indices, repeat=length):
             oracle = moment_from_generating_series(kernel, w)
-            defect = max(defect, abs(wick_expect(kernel, w) - oracle))
+            defects.append(abs(wick_expect(kernel, w) - oracle))
             oracles.append(oracle)
-    worst = defect / tolerance_bound(1.0, oracles)
+    worst = _worst(defects) / tolerance_bound(1.0, oracles)
     return CheckResult("wick-oracle", worst <= WICK_TOLERANCE, worst, WICK_TOLERANCE)
 
 
@@ -159,37 +173,47 @@ def _monomials(dimension: int) -> tuple:
     )
 
 
-def _random_polynomials(rng, dimensions) -> list:
-    """One polynomial per dimension: 1-4 terms on uniform monomials of degree <= 3.
+@cache
+def _monomial_table(dimension: int) -> np.ndarray:
+    """Entry [m, k]: monomial k of dimension m, as ``_monomials(m)`` lists it, embedded in
+    ``dimension``; m runs to ``dimension``, and entries past a list are zero."""
+    table = np.zeros((dimension + 1, len(_monomials(dimension)), 2 * dimension), dtype=np.int64)
+    for m in range(1, dimension + 1):
+        table[m, : len(_monomials(m))] = [embed_exponents(e, dimension) for e in _monomials(m)]
+    return table
 
-    A term is a one-letter word of ``draw_terms`` over the monomial list;
-    its coefficient is the real part, an integer in -3..3.  The cached
-    monomials are valid exponent keys, so each polynomial is built by
-    ``_like`` without re-validation.
+
+def _random_batch(rng, dimensions) -> PolynomialBatch:
+    """One polynomial per entry of ``dimensions``: 1-4 terms on uniform monomials of degree <= 3.
+
+    The draws are the blocks of ``draw_terms`` for one-letter words over
+    each polynomial's monomial list, read straight into term rows: a
+    coefficient is the real part, an integer in -3..3, and a repeated
+    monomial adds its draws.  Each polynomial is embedded in the largest of
+    ``dimensions``, which leaves its brackets unchanged.
     """
-    monomials = [_monomials(n) for n in dimensions]
-    letters = [len(m) for m in monomials]
-    drawn = draw_terms(rng, len(dimensions), letters, max_terms=4, max_len=1, min_len=1)
-    zeros = {n: PhaseSpacePolynomial.zero(n) for n in set(dimensions)}
-    polynomials = []
-    for n, listed, terms in zip(dimensions, monomials, drawn):
-        merged = {}
-        for ((k,),), c in terms:
-            merged[listed[k]] = merged.get(listed[k], 0j) + c.real
-        polynomials.append(zeros[n]._like(merged))
-    return polynomials
+    n = max(dimensions)
+    letters = [len(_monomials(m)) for m in dimensions]
+    terms, _, _, picks, parts = draw_blocks(rng, len(dimensions), letters, max_terms=4, max_len=1,
+                                            max_segments=1, min_len=1, normal=False)
+    drawn = np.arange(4) < terms[:, None]
+    trials = np.nonzero(drawn)[0]
+    rows = _monomial_table(n)[np.asarray(dimensions)[trials], picks[drawn][:, 0, 0]]
+    re = parts[drawn][:, 0].astype(float)
+    return PolynomialBatch.summed(n, len(dimensions), trials, rows, re, np.zeros(len(re)))
 
 
 def check_bracket_relations(seed: int = 0) -> CheckResult:
-    """The three commutation relations plus the Jacobi identity, exactly."""
-    rng = np.random.default_rng(seed)
-    dimensions = rng.integers(1, 3, size=BRACKET_TRIALS).tolist()
-    polynomials = _random_polynomials(rng, [n for n in dimensions for _ in range(3)])
-    worst = 0.0
-    for t in range(BRACKET_TRIALS):
-        u, v, f = polynomials[3 * t : 3 * t + 3]
-        for residual in bracket_residuals(u, v, f):
-            worst = max(worst, residual.max_abs_coeff())
+    """The three commutation relations plus the Jacobi identity, exactly.
+
+    All trials run at once: u, v and f are batches of ``BRACKET_TRIALS``
+    polynomials of dimension 1 or 2, and ``bracket_residuals`` forms each
+    bracket once for every trial.
+    """
+    rng = random.Random(seed)
+    dimensions = draw_integers(rng, 1, 3, (BRACKET_TRIALS,)).tolist()
+    u, v, f = (_random_batch(rng, dimensions) for _ in range(3))
+    worst = _worst(residual.max_abs_coeff() for residual in bracket_residuals(u, v, f))
     return CheckResult("bracket-relations", worst == 0.0, worst, 0.0)
 
 
@@ -222,7 +246,7 @@ def check_extended_positivity(report: GramReport) -> CheckResult:
     verdict is ``report.is_positive()``, and ``worst`` is the violation of
     ``gram-psd``, clipped at 0.
     """
-    worst = max(0.0, _violation(report))
+    worst = _worst([_violation(report)])
     return CheckResult("extended-positivity", report.is_positive(), worst, report.tolerance)
 
 
@@ -231,7 +255,7 @@ def check_vacuum_boost_invariance(
 ) -> CheckResult:
     base = vacuum_kernel(spec, f, g)
     deviations = (boost_deviation(vacuum_kernel, spec, f, g, chi, base) for chi in BOOST_RAPIDITIES)
-    worst = max(0.0, *deviations)
+    worst = _worst(deviations)
     return CheckResult("vacuum-boost-invariance", worst <= BOOST_TOLERANCE, worst, BOOST_TOLERANCE)
 
 
@@ -255,15 +279,15 @@ def check_thermal_vacuum_limit(spec: FieldKernelSpec, f: Wavepacket, g: Wavepack
 def check_microcausality(spec: FieldKernelSpec, f: Wavepacket, g: Wavepacket, separations) -> list:
     """Commutator decay at spacelike separation, plus its beta independence."""
     vacuum_spec = replace(spec, beta=math.inf)
-    worst_decay = 0.0
-    worst_beta = 0.0
+    decays, betas = [], []
     for sep in separations:
         shift = PoincareElement.translate(0.0, float(sep))
         moved = poincare_act(shift, g)
         comm = commutator_kernel(vacuum_spec, f, moved)
-        worst_decay = max(worst_decay, abs(comm))
+        decays.append(abs(comm))
         if spec.is_thermal:
-            worst_beta = max(worst_beta, abs(commutator_kernel(spec, f, moved) - comm))
+            betas.append(abs(commutator_kernel(spec, f, moved) - comm))
+    worst_decay, worst_beta = _worst(decays), _worst(betas)
     results = [CheckResult("microcausality-decay", worst_decay <= DECAY_TOLERANCE, worst_decay,
                            DECAY_TOLERANCE)]
     if spec.is_thermal:

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -31,9 +33,14 @@ def rng():
     return np.random.default_rng(20220815)
 
 
+def seeded(rng) -> random.Random:
+    """A ``random.Random`` for the draw helpers, seeded from the numpy ``rng`` fixture."""
+    return random.Random(int(rng.integers(2**32)))
+
+
 def random_element(rng, pool, max_terms=3, max_len=3, integer=True):
     """Random algebra element; integer coefficients keep cancellations exact."""
-    (element,) = _random_elements(rng, pool, 1, max_terms, max_len, normal=not integer)
+    (element,) = _random_elements(seeded(rng), pool, 1, max_terms, max_len, normal=not integer)
     return element
 
 

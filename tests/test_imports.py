@@ -1,12 +1,17 @@
-"""Every name a ``qcmt`` module imports is read somewhere in that module, and
+"""Every name a ``qcmt`` module imports is read somewhere in that module,
 every module-level function, class and constant of ``qcmt`` is read somewhere
-in the project.
+in the project, and no ``qcmt`` module uses ``numpy.random``.
 
 ``__init__.py`` is skipped by the import check: its imports are the package's
 exports.
 """
 
 import ast
+import json
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -189,3 +194,29 @@ def test_dead_default_detector_flags_a_parameter_no_call_passes():
         "f(1, c=3)\nChild(5)\nGrandchild().scaled()\n"
     )
     assert dead_defaults([source], [source]) == {"f(b)", "Base.__init__(y)", "Base.scaled(k)"}
+
+
+def test_no_module_names_numpy_random():
+    # the randomized checks draw from random.Random; numpy.random costs a verify process ~5 MB
+    named = [p.name for p in sorted(PACKAGE.glob("*.py"))
+             if re.search(r"\b(np|numpy)\.random\b", p.read_text(encoding="utf-8"))]
+    assert named == []
+
+
+def test_verify_never_imports_numpy_random(tmp_path):
+    config = tmp_path / "thermal.json"
+    config.write_text(json.dumps({"kernel": {
+        "type": "field", "mass": 1.0, "beta": 1.0,
+        "packets": [{"center": [0.0, 0.0]}, {"center": [0.0, 0.5]}],
+    }}))
+    script = (
+        "import contextlib, io, sys\n"
+        "from qcmt import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [cli.main(['verify']), cli.main(['verify', '--config', {str(config)!r}])]\n"
+        "print(codes, 'numpy.random' in sys.modules)\n"
+    )
+    env = dict(os.environ, QCMT_LOG="warning", PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            env=env, check=True)
+    assert result.stdout.split("\n")[-2] == "[0, 0] False"

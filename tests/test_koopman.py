@@ -8,24 +8,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from oracles import exact_quadratic_flow, poisson_by_derivatives, sympy_poisson
+from conftest import seeded
+from oracles import exact_quadratic_flow, poisson_by_derivatives, poisson_by_terms, sympy_poisson
 from qcmt import koopman
 from qcmt.algebra import AlgebraElement, Index
 from qcmt.gaussian import commutator_factor, hermitian_spectrum, wick_expect
 from qcmt.koopman import (
+    MAX_EXPONENT,
     MAX_FLOW_STEPS,
     PhaseSpacePolynomial,
     bracket_residuals,
+    embed_exponents,
     gibbs_oscillator_kernel,
     liouville_flow,
     multiplication_flow,
     poisson,
 )
-from qcmt.verify import _monomials, _random_polynomials, check_bracket_relations
+from qcmt.verify import _monomials, _random_batch, check_bracket_relations
 
 
 def random_polynomial(rng, n):
-    (u,) = _random_polynomials(rng, [n])
+    """One polynomial of dimension n as the bracket check draws it."""
+    (u,) = _random_batch(seeded(rng), [n]).polynomials()
     return u
 
 
@@ -42,6 +46,7 @@ def test_polynomial_validation():
     for dimension, terms in (
         (1, {(1,): 1.0}),
         (1, {(-1, 0): 1.0}),
+        (1, {(MAX_EXPONENT + 1, 0): 1.0}),
         (0, None),
         (1, {(1.7, 0): 1}),
         (1, {(np.float64(1.0), 0): 1}),
@@ -226,18 +231,21 @@ def test_monomial_list_is_every_exponent_of_degree_at_most_three(n, count):
 
 
 def test_random_polynomial_draws_from_the_monomial_list(rng):
-    # one batched draw of 400 polynomials per dimension, and one of both dimensions mixed
+    # one batched draw of 400 polynomials per dimension, and one of both dimensions mixed,
+    # where a dimension-1 polynomial has zero exponents on the second axis
     for dimensions in ([1] * 400, [2] * 400, [1, 2] * 200):
+        width = max(dimensions)
+        listed = {n: {embed_exponents(e, width) for e in _monomials(n)} for n in set(dimensions)}
         seen = set()
-        for n, u in zip(dimensions, _random_polynomials(rng, dimensions)):
-            assert u.dimension == n and len(u) <= 4
+        for n, u in zip(dimensions, _random_batch(seeded(rng), dimensions).polynomials()):
+            assert u.dimension == width and len(u) <= 4
             # up to four draws in -3..3; a repeated monomial adds its draws
             assert sum(abs(c) for c in u.terms.values()) <= 12
             for exps, c in u.terms.items():
-                assert exps in _monomials(n)
+                assert exps in listed[n]
                 assert c.imag == 0 and c.real == int(c.real)
             seen.update(u.terms)
-        assert seen == {e for n in set(dimensions) for e in _monomials(n)}
+        assert seen == set().union(*listed.values())
 
 
 def _bracket_without_second_term(u, v):
@@ -254,9 +262,61 @@ def _bracket_without_second_term(u, v):
     return PhaseSpacePolynomial(n, out)
 
 
+def _mutated_rows(mutation):
+    """``koopman._bracket_rows`` with one defect, named by ``mutation``."""
+
+    def rows(left, right, n):
+        forward = left[:, :n] * right[:, n:]  # a_i d_i
+        backward = left[:, n:] * right[:, :n]  # b_i c_i
+        weights = {
+            "drop the -b_i c_i half": forward,
+            "flip the sign of the b_i c_i half": forward + backward,
+            "flip the weight's sign": backward - forward,
+        }.get(mutation, forward - backward)
+        if mutation == "drop a pair's axes after its first":
+            weights = np.where(np.cumsum(weights != 0, axis=1) > 1, 0, weights)
+        if mutation == "drop the last axis":
+            weights = np.where(np.arange(n) == n - 1, 0, weights)
+        pair, axis = np.nonzero(weights)
+        lowered = np.tile(np.eye(n, dtype=np.int64), 2)[axis]
+        if mutation == "leave the p exponent unlowered":
+            lowered[:, n:] = 0
+        return pair, weights[pair, axis], left[pair] + right[pair] - lowered
+
+    return rows
+
+
+@pytest.mark.parametrize("mutation", [
+    "drop the -b_i c_i half",
+    "flip the sign of the b_i c_i half",
+    "drop a pair's axes after its first",
+])
+def test_bracket_check_fails_on_a_mutated_engine(monkeypatch, mutation):
+    # each mutated bracket fails to be a biderivation or fails Jacobi
+    assert check_bracket_relations(seed=0).passed
+    monkeypatch.setattr(koopman, "_bracket_rows", _mutated_rows(mutation))
+    for seed in (0, 1):
+        result = check_bracket_relations(seed=seed)
+        assert not result.passed and result.worst > 0
+
+
+@pytest.mark.parametrize("mutation", [
+    "flip the weight's sign",
+    "drop the last axis",
+    "leave the p exponent unlowered",
+])
+def test_other_poisson_structures_pass_the_relations_but_not_the_oracle(monkeypatch, mutation):
+    # these give the brackets of -omega, of a degenerate structure and of sum_i p_i dq_i ^ dp_i:
+    # Poisson bivectors all, so all four relations hold and the check passes; the oracle does not
+    monkeypatch.setattr(koopman, "_bracket_rows", _mutated_rows(mutation))
+    assert check_bracket_relations(seed=0).passed
+    q, p = coords(2)
+    assert any(poisson(q[i], p[i]).terms != poisson_by_terms(q[i], p[i]).terms for i in range(2))
+
+
 def test_bracket_check_fails_on_a_broken_bracket(monkeypatch):
     assert check_bracket_relations(seed=0).passed
-    monkeypatch.setattr(koopman, "poisson", _bracket_without_second_term)
+    monkeypatch.setattr(koopman, "_bracket_rows", _mutated_rows("drop the -b_i c_i half"))
     result = check_bracket_relations(seed=0)
     assert not result.passed and result.worst > 0
 
@@ -265,11 +325,22 @@ def test_fourth_residual_is_the_jacobi_sum(monkeypatch):
     (q,), (p,) = coords()
     u, v, f = q, q + p, p * p
     broken = _bracket_without_second_term
-    monkeypatch.setattr(koopman, "poisson", broken)
+    monkeypatch.setattr(koopman, "_bracket_rows", _mutated_rows("drop the -b_i c_i half"))
+    for x, y in ((u, v), (v, f), (f, u), (q * p, p * q * q)):
+        assert poisson(x, y) == broken(x, y)  # the engine now computes the broken bracket
     *_, jacobi = bracket_residuals(u, v, f)
     expected = broken(u, broken(v, f)) + broken(v, broken(f, u)) + broken(f, broken(u, v))
     assert not expected.is_zero()
     assert (jacobi - expected).is_zero()
+
+
+def test_results_past_the_exponent_bound_are_refused():
+    (q,), (p,) = coords()
+    top = PhaseSpacePolynomial(1, {(MAX_EXPONENT, 1): 1.0})
+    assert (top * p).terms == {(MAX_EXPONENT, 2): 1}
+    for operation in (lambda: top * q, lambda: poisson(top * p, q * q)):
+        with pytest.raises(ValueError, match=str(MAX_EXPONENT)):
+            operation()
 
 
 def test_jacobi_identity_exact(rng):
