@@ -92,19 +92,20 @@ def word_label(w: Word) -> str:
     return "*".join(f"M{i.tag}" for i in w) if w else "1"
 
 
+# Coefficients of magnitude at most this are pruned from a linear combination.
+TERM_TOLERANCE = 1e-14
+
+
 class LinearCombination:
     """Finite complex-linear combination of hashable words.
 
     Subclasses provide the word product and word adjoint; addition, scalar
     action, products, and the adjoint are shared.  Coefficients of magnitude
-    at most ``tol`` are pruned so canonical forms stay comparable; a ring
-    that must cancel exactly sets ``tol = 0.0`` and prunes exact zeros
-    only.  The constructor validates its input; every ring result is built
-    once through ``_like(terms)`` from Python complex coefficients and
-    valid words, and only pruned.
+    at most ``TERM_TOLERANCE`` are pruned so canonical forms stay
+    comparable; a NaN is kept.  The constructor validates its input; every
+    ring result is built once through ``_like(terms)`` from Python complex
+    coefficients and valid words, and only pruned.
     """
-
-    tol = 1e-14
 
     __slots__ = ("terms",)
 
@@ -113,15 +114,14 @@ class LinearCombination:
         if terms:
             for w, c in terms.items():
                 c = complex(c)
-                if not abs(c) <= self.tol:  # a NaN is kept, never pruned as small
+                if not abs(c) <= TERM_TOLERANCE:  # a NaN is kept, never pruned as small
                     clean[w] = c
         object.__setattr__(self, "terms", clean)
 
     # hooks -----------------------------------------------------------
     def _like(self, terms):
         result = object.__new__(type(self))
-        tol = self.tol
-        result.terms = {w: c for w, c in terms.items() if not abs(c) <= tol}
+        result.terms = {w: c for w, c in terms.items() if not abs(c) <= TERM_TOLERANCE}
         return result
 
     @staticmethod
@@ -249,28 +249,6 @@ def draw_integers(rng: random.Random, low: int, high, shape) -> np.ndarray:
     return ((words * span) >> np.uint64(32)).astype(np.int64) + low
 
 
-def draw_blocks(rng: random.Random, count, letters, max_terms, max_len, max_segments, min_len,
-                normal) -> tuple:
-    """The five blocks of ``draw_terms``, in draw order, as arrays of the maximal shape.
-
-    Term counts (count,), segment counts (count, max_terms), segment lengths
-    (count, max_terms, max_segments), letters (count, max_terms,
-    max_segments, max_len) and coefficient parts (count, max_terms, 2):
-    integers by ``draw_integers``, normal parts by ``rng.gauss``.
-    """
-    shape = (count, max_terms)
-    terms = draw_integers(rng, 1, max_terms + 1, (count,))
-    pieces = draw_integers(rng, 1, max_segments + 1, shape)
-    lengths = draw_integers(rng, min_len, max_len + 1, shape + (max_segments,))
-    high = np.reshape(letters, (-1, 1, 1, 1))
-    picks = draw_integers(rng, 0, high, shape + (max_segments, max_len))
-    if normal:
-        parts = np.reshape([rng.gauss(0.0, 1.0) for _ in range(2 * count * max_terms)], shape + (2,))
-    else:
-        parts = draw_integers(rng, -3, 4, shape + (2,))
-    return terms, pieces, lengths, picks, parts
-
-
 def draw_terms(
     seed, count, letters, max_terms, max_len, max_segments=1, min_len=0, normal=False
 ) -> list:
@@ -278,19 +256,27 @@ def draw_terms(
 
     Combination k has 1..``max_terms`` terms.  A term is 1..``max_segments``
     segments of ``min_len``..``max_len`` letters, each letter a position in
-    range(``letters``), or in range(``letters[k]``) when ``letters`` gives one
-    count per combination, and a complex coefficient whose parts are
-    integers in -3..3 (so cancellations are exact) or, with ``normal``,
-    standard normal.  Term counts, segment counts, lengths, letters and
-    coefficient parts are each one block of the maximal shape, in that
-    order (``draw_blocks``), drawn from ``seed``: an int, or a
-    ``random.Random`` to draw on from.  The same seed makes the same draws
-    for the same arguments.  Returns per combination a list of
-    ``(segments, coefficient)``, segments a tuple of tuples of positions.
+    range(``letters``), and a complex coefficient whose parts are integers
+    in -3..3 (so cancellations are exact) or, with ``normal``, standard
+    normal.  Term counts, segment counts, lengths, letters and coefficient
+    parts are each one block of the maximal shape, in that order, drawn
+    from ``seed``: an int, or a ``random.Random`` to draw on from.  Integers
+    come from ``draw_integers``, normal parts from ``rng.gauss``.  The same
+    seed makes the same draws for the same arguments.  Returns per
+    combination a list of ``(segments, coefficient)``, segments a tuple of
+    tuples of positions.
     """
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    blocks = draw_blocks(rng, count, letters, max_terms, max_len, max_segments, min_len, normal)
-    terms, pieces, lengths, picks, parts = (block.tolist() for block in blocks)
+    shape = (count, max_terms)
+    terms = draw_integers(rng, 1, max_terms + 1, (count,)).tolist()
+    pieces = draw_integers(rng, 1, max_segments + 1, shape).tolist()
+    lengths = draw_integers(rng, min_len, max_len + 1, shape + (max_segments,)).tolist()
+    picks = draw_integers(rng, 0, letters, shape + (max_segments, max_len)).tolist()
+    if normal:
+        parts = np.reshape([rng.gauss(0.0, 1.0) for _ in range(2 * count * max_terms)], shape + (2,))
+    else:
+        parts = draw_integers(rng, -3, 4, shape + (2,))
+    parts = parts.tolist()
     drawn = []
     for k, count_k in enumerate(terms):
         combination = []

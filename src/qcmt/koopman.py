@@ -10,20 +10,19 @@ derivations gives canonical flows (``liouville_flow``), while
 exponentiating multiplication operators rescales pointwise, a
 non-canonical transformation (``multiplication_flow``).
 
-Products, brackets, sums and differences of polynomials all run on one
-exact engine over trial-batched polynomials (``PolynomialBatch``); a
-single polynomial is a batch of one.
+A polynomial (``PhaseSpacePolynomial``) is a batch of one trial of
+``PolynomialBatch``, the one exact engine: products, brackets, sums,
+differences, negation, scalar multiples, the adjoint and derivatives all
+run on its arrays, for one polynomial or for every trial at once.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from functools import cache
 
 import numpy as np
 
-from .algebra import LinearCombination
 from .gaussian import GaussianKernel, tolerance_bound
 
 DEFAULT_FLOW_STEP = 1e-3
@@ -46,180 +45,23 @@ def _dimension(value) -> int:
     return int(value)
 
 
-class PhaseSpacePolynomial(LinearCombination):
-    """Complex-coefficient polynomial in canonical coordinates q_1..q_n, p_1..p_n.
-
-    Terms map exponent tuples ``(a_1..a_n, b_1..b_n)`` for ``q^a p^b`` to
-    coefficients.  Products, sums and differences run on the batch engine
-    as batches of one; negation, scalar multiples and the adjoint are the
-    algebra's.  Only exact zeros are pruned, so integer-coefficient
-    arithmetic cancels exactly and residual checks can demand literal zero.
-    The constructor validates its input once: the dimension must be a
-    positive integer and every exponent an integer from 0 to
-    ``MAX_EXPONENT`` (Python or numpy, never bool).  Ring results are built
-    without re-validation; one whose exponent would exceed ``MAX_EXPONENT``
-    raises ``ValueError``.
-    """
-
-    __slots__ = ("dimension",)
-
-    tol = 0.0
-
-    def __init__(self, dimension: int, terms=None):
-        dimension = _dimension(dimension)
-        width = 2 * dimension
-        merged = {}
-        if terms:
-            for exps, c in terms.items():
-                if not (
-                    isinstance(exps, tuple)
-                    and len(exps) == width
-                    and all(_is_integer(e) and 0 <= e <= MAX_EXPONENT for e in exps)
-                ):
-                    raise ValueError(
-                        f"exponent key {exps!r} is not {width} integers from 0 to {MAX_EXPONENT}"
-                    )
-                exps = tuple(map(int, exps))
-                merged[exps] = merged.get(exps, 0j) + complex(c)
-        super().__init__(merged)
-        self.dimension = dimension
-
-    def _like(self, terms):
-        # Ring results are valid by construction: sums of valid exponent
-        # tuples, or tuples lowered only where both entries are >= 1.
-        result = super()._like(terms)
-        result.dimension = self.dimension
-        return result
-
-    @staticmethod
-    def _word_adjoint(w):
-        return w
-
-    # constructors -------------------------------------------------------
-    @classmethod
-    def zero(cls, dimension: int) -> "PhaseSpacePolynomial":
-        return cls(dimension)
-
-    @classmethod
-    def constant(cls, dimension: int, value: complex) -> "PhaseSpacePolynomial":
-        dimension = _dimension(dimension)
-        return cls(dimension, {(0,) * (2 * dimension): value})
-
-    @classmethod
-    def coordinate(cls, dimension: int, kind: str, axis: int = 0) -> "PhaseSpacePolynomial":
-        """The coordinate function q_axis or p_axis."""
-        dimension = _dimension(dimension)
-        if kind not in ("q", "p"):
-            raise ValueError("kind must be 'q' or 'p'")
-        if not (_is_integer(axis) and 0 <= axis < dimension):
-            raise ValueError(f"axis {axis} out of range for dimension {dimension}")
-        pos = axis if kind == "q" else dimension + axis
-        exps = tuple(1 if s == pos else 0 for s in range(2 * dimension))
-        return cls(dimension, {exps: 1.0})
-
-    # ring structure -------------------------------------------------------
-    def _check_dimension(self, other):
-        if isinstance(other, PhaseSpacePolynomial) and self.dimension != other.dimension:
-            raise ValueError(
-                f"dimension mismatch: {self.dimension} vs {other.dimension}"
-            )
-
-    def __add__(self, other):
-        if not isinstance(other, PhaseSpacePolynomial):
-            return NotImplemented
-        return _through_engine(operator.add, self, other)
-
-    def __sub__(self, other):
-        if not isinstance(other, PhaseSpacePolynomial):
-            return NotImplemented
-        return _through_engine(operator.sub, self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, PhaseSpacePolynomial):
-            return _through_engine(operator.mul, self, other)
-        return super().__mul__(other)
-
-    def __eq__(self, other):
-        if isinstance(other, PhaseSpacePolynomial) and self.dimension != other.dimension:
-            return False
-        return super().__eq__(other)
-
-    # calculus -------------------------------------------------------------
-    def diff(self, var: int) -> "PhaseSpacePolynomial":
-        """Partial derivative along flat coordinate ``var`` in 0..2n-1."""
-        if not 0 <= var < 2 * self.dimension:
-            raise ValueError(f"variable {var} out of range")
-        out = {}
-        for exps, c in self.terms.items():
-            e = exps[var]
-            if e == 0:
-                continue
-            lowered = tuple(x - 1 if s == var else x for s, x in enumerate(exps))
-            out[lowered] = out.get(lowered, 0j) + e * c
-        return self._like(out)
-
-    def __call__(self, point) -> complex:
-        """Evaluate at a flat point (q_1..q_n, p_1..p_n); an overflow raises ``ValueError``."""
-        point = tuple(point)
-        if len(point) != 2 * self.dimension:
-            raise ValueError(f"point has length {len(point)}, expected {2 * self.dimension}")
-        total = 0j
-        try:
-            for exps, c in self.terms.items():
-                value = c
-                for x, e in zip(point, exps):
-                    if e:
-                        value *= x**e
-                total += value
-        except OverflowError as exc:
-            raise ValueError(f"evaluation at {point} overflows the floats") from exc
-        return total
-
-    # inspection -------------------------------------------------------------
-    def degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(sum(e) for e in self.terms)
-
-    def max_imag_coeff(self) -> float:
-        if not self.terms:
-            return 0.0
-        return max(abs(c.imag) for c in self.terms.values())
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        names = [f"q{s}" for s in range(self.dimension)] + [
-            f"p{s}" for s in range(self.dimension)
-        ]
-
-        def monomial(exps):
-            factors = [
-                f"{names[s]}" + (f"^{e}" if e > 1 else "")
-                for s, e in enumerate(exps)
-                if e
-            ]
-            return "*".join(factors) if factors else "1"
-
-        return " + ".join(f"({c:g})*{monomial(e)}" for e, c in self.terms.items())
-
-
 class PolynomialBatch:
     """Phase-space polynomials of one dimension, one per trial, as flat arrays.
 
     Row k is a term of trial ``trials[k]`` with exponent row
     ``exponents[k]`` (width 2n, int64) and coefficient ``re[k] + i im[k]``
     (float64).  Rows come trial by trial in ascending order and, within a
-    trial, in the key order ``PhaseSpacePolynomial`` would keep; like terms
-    are combined and exact zeros pruned.  Products, brackets, sums and
-    differences pair trial t of one batch with trial t of the other and
-    follow dict arithmetic step by step: like terms are summed from 0.0 in
-    the order a dict of terms would add them, a coefficient product is
-    ``(ar br - ai bi, ar bi + ai br)``, and an integer bracket weight
-    multiplies as the complex ``(w, 0.0)``, so every result, NaN and inf
-    included, is Python's complex arithmetic done term by term.  A polynomial of lower dimension joins a
+    trial, in first-occurrence order; like terms are combined and exact
+    zeros pruned.  Products, brackets, sums and differences pair trial t of
+    one batch with trial t of the other; negation, scalar multiples, the
+    adjoint and ``diff`` act on every row.  Each follows dict arithmetic
+    step by step: like terms are summed from 0.0 in the order a dict of
+    terms would add them, a coefficient product is ``(ar br - ai bi, ar bi
+    + ai br)``, and a real or integer factor multiplies as the complex
+    ``(w, 0.0)``, so every result, NaN and inf included, is Python's complex
+    arithmetic done term by term.  A polynomial of lower dimension joins a
     batch with zero exponents on the extra axes, which leaves its products
-    and brackets unchanged.
+    and brackets unchanged.  Every result has the type of the left operand.
     """
 
     __slots__ = ("dimension", "count", "trials", "exponents", "re", "im")
@@ -233,32 +75,38 @@ class PolynomialBatch:
         self.im = im
 
     @classmethod
+    def _rows(cls, dimension: int, count: int, trials, exponents, re, im):
+        """A ``cls`` over ready arrays, past any validating constructor."""
+        batch = object.__new__(cls)
+        PolynomialBatch.__init__(batch, dimension, count, trials, exponents, re, im)
+        return batch
+
+    @classmethod
     def of(cls, polynomials) -> "PolynomialBatch":
         """One trial per polynomial, each embedded in the largest dimension among them."""
         n = max(p.dimension for p in polynomials)
-        trials, rows, coefficients = [], [], []
-        for t, p in enumerate(polynomials):
-            trials += [t] * len(p.terms)
-            rows += [embed_exponents(e, n) for e in p.terms] if p.dimension < n else list(p.terms)
-            coefficients += p.terms.values()
-        coefficients = np.array(coefficients, dtype=complex)
-        return cls(n, len(polynomials), np.array(trials, dtype=np.intp),
-                   np.array(rows, dtype=np.int64).reshape(-1, 2 * n),
-                   coefficients.real, coefficients.imag)
+        # zero columns after each polynomial's q block and after its p block
+        rows = [np.insert(p.exponents, [p.dimension] * (n - p.dimension)
+                          + [2 * p.dimension] * (n - p.dimension), 0, axis=1) for p in polynomials]
+        trials = np.repeat(np.arange(len(rows)), [len(r) for r in rows])
+        return cls._rows(n, len(rows), trials, np.concatenate(rows),
+                         np.concatenate([p.re for p in polynomials]),
+                         np.concatenate([p.im for p in polynomials]))
 
     @classmethod
     def summed(cls, dimension: int, count: int, trials, exponents, re, im) -> "PolynomialBatch":
-        """The batch of raw term rows, given trial by trial in ascending order.
+        """The batch of raw term rows, given in any order.
 
         Like terms of a trial are summed in row order, starting from 0.0;
-        the result keeps first-occurrence order and prunes exact zeros, while
-        a NaN is kept.  Grouping is one stable sort over the trial and
-        exponent columns (``_sort_keys``), exact for any exponent up to
-        ``MAX_EXPONENT``; a larger one raises ``ValueError``.
+        the result holds the trials in ascending order, each in
+        first-occurrence order, and prunes exact zeros, while a NaN is kept.
+        Grouping is one stable sort over the trial and exponent columns
+        (``_sort_keys``), exact for any exponent up to ``MAX_EXPONENT``; a
+        larger one raises ``ValueError``.
         """
         size = len(trials)
         if not size:
-            return cls(dimension, count, trials, exponents, re, im)
+            return cls._rows(dimension, count, trials, exponents, re, im)
         highest = int(exponents.max())
         if highest > MAX_EXPONENT:
             raise ValueError(f"an exponent of the result exceeds {MAX_EXPONENT}")
@@ -273,19 +121,20 @@ class PolynomialBatch:
         first = order[starts]
         re = np.bincount(group, re[order], len(first))  # adds in row order
         im = np.bincount(group, im[order], len(first))
-        emit = np.argsort(first)
+        emit = np.lexsort((first, trials[first]))
         re, im, first = re[emit], im[emit], first[emit]
         kept = (re != 0) | (im != 0)  # a NaN part is kept
         first = first[kept]
-        return cls(dimension, count, trials[first], exponents[first], re[kept], im[kept])
+        return cls._rows(dimension, count, trials[first], exponents[first], re[kept], im[kept])
+
+    def _summed(self, trials, exponents, re, im):
+        return self.summed(self.dimension, self.count, trials, exponents, re, im)
 
     def polynomials(self) -> list:
         """The trials as ``PhaseSpacePolynomial``s of the batch dimension, in trial order."""
-        keys = list(map(tuple, self.exponents.tolist()))
-        coefficients = list(map(complex, self.re.tolist(), self.im.tolist()))
         bounds = np.searchsorted(self.trials, np.arange(self.count + 1)).tolist()
-        zero = PhaseSpacePolynomial.zero(self.dimension)
-        return [zero._like(dict(zip(keys[lo:hi], coefficients[lo:hi])))
+        return [PhaseSpacePolynomial._rows(self.dimension, 1, np.zeros(hi - lo, dtype=np.intp),
+                                           self.exponents[lo:hi], self.re[lo:hi], self.im[lo:hi])
                 for lo, hi in zip(bounds, bounds[1:])]
 
     def max_abs_coeff(self) -> float:
@@ -314,13 +163,25 @@ class PolynomialBatch:
     # inf * 0.0 is NaN without a warning, as in Python's complex arithmetic
     @np.errstate(invalid="ignore", over="ignore")
     def __mul__(self, other):
-        if not isinstance(other, PolynomialBatch):
-            return NotImplemented
-        left, right = self._pairs(other)
-        ar, ai, br, bi = self.re[left], self.im[left], other.re[right], other.im[right]
-        return self.summed(self.dimension, self.count, self.trials[left],
-                           self.exponents[left] + other.exponents[right],
-                           ar * br - ai * bi, ar * bi + ai * br)
+        if isinstance(other, PolynomialBatch):
+            left, right = self._pairs(other)
+            product = _product(self.re[left], self.im[left], other.re[right], other.im[right])
+            return self._summed(self.trials[left], self.exponents[left] + other.exponents[right],
+                                *product)
+        if isinstance(other, (int, float, complex)):
+            scalar = complex(other)
+            return self._summed(self.trials, self.exponents,
+                                *_product(self.re, self.im, scalar.real, scalar.imag))
+        return NotImplemented
+
+    __rmul__ = __mul__  # a batch on the left takes its own __mul__; scalar products commute
+
+    def __neg__(self):
+        return self._summed(self.trials, self.exponents, -self.re, -self.im)
+
+    def adjoint(self):
+        """Conjugate every coefficient; the coordinate functions are real, so exponents stay."""
+        return self._summed(self.trials, self.exponents, self.re, -self.im)
 
     @np.errstate(invalid="ignore", over="ignore")
     def bracket(self, other) -> "PolynomialBatch":
@@ -329,30 +190,143 @@ class PolynomialBatch:
         pair, weight, exponents = _bracket_rows(self.exponents[left], other.exponents[right],
                                                 self.dimension)
         left, right = left[pair], right[pair]
-        ar, ai, br, bi = self.re[left], self.im[left], other.re[right], other.im[right]
-        pr, pi = ar * br - ai * bi, ar * bi + ai * br
-        w = weight.astype(float)
-        return self.summed(self.dimension, self.count, self.trials[left], exponents,
-                           w * pr - 0.0 * pi, w * pi + 0.0 * pr)
+        product = _product(self.re[left], self.im[left], other.re[right], other.im[right])
+        return self._summed(self.trials[left], exponents,
+                            *_product(weight.astype(float), 0.0, *product))
 
-    def _joined(self, other, re, im) -> "PolynomialBatch":
-        """Per trial, this batch's terms and then ``other``'s, with the coefficients given."""
+    @np.errstate(invalid="ignore", over="ignore")
+    def diff(self, var: int) -> "PolynomialBatch":
+        """Partial derivative along flat coordinate ``var`` in 0..2n-1: each term with exponent
+        e > 0 on ``var`` gives e times its coefficient at that exponent lowered by one."""
+        if not 0 <= var < 2 * self.dimension:
+            raise ValueError(f"variable {var} out of range")
+        (rows,) = np.nonzero(self.exponents[:, var])
+        exponents = self.exponents[rows]
+        weight = exponents[:, var].astype(float)
+        exponents[:, var] -= 1
+        return self._summed(self.trials[rows], exponents,
+                            *_product(weight, 0.0, self.re[rows], self.im[rows]))
+
+    def _joined(self, other, sign: float):
+        """Per trial, this batch's terms and then ``other``'s times ``sign``."""
+        if not isinstance(other, PolynomialBatch):
+            return NotImplemented
         self._check(other)
-        trials = np.concatenate([self.trials, other.trials])
-        order = np.argsort(trials, kind="stable")
-        exponents = np.concatenate([self.exponents, other.exponents])
-        return self.summed(self.dimension, self.count, trials[order], exponents[order],
-                           np.concatenate(re)[order], np.concatenate(im)[order])
+        return self._summed(np.concatenate([self.trials, other.trials]),
+                            np.concatenate([self.exponents, other.exponents]),
+                            np.concatenate([self.re, sign * other.re]),
+                            np.concatenate([self.im, sign * other.im]))
 
     def __add__(self, other):
-        if not isinstance(other, PolynomialBatch):
-            return NotImplemented
-        return self._joined(other, (self.re, other.re), (self.im, other.im))
+        return self._joined(other, 1.0)
 
     def __sub__(self, other):
-        if not isinstance(other, PolynomialBatch):
+        return self._joined(other, -1.0)
+
+
+class PhaseSpacePolynomial(PolynomialBatch):
+    """Complex-coefficient polynomial in canonical coordinates q_1..q_n, p_1..p_n: a batch of one.
+
+    ``terms`` maps exponent tuples ``(a_1..a_n, b_1..b_n)`` for ``q^a p^b``
+    to coefficients, read from the rows.  All arithmetic is the batch's.
+    Only exact zeros are pruned, so integer-coefficient arithmetic cancels
+    exactly and residual checks can demand literal zero.  The constructor
+    validates its input once: the dimension must be a positive integer and
+    every exponent an integer from 0 to ``MAX_EXPONENT`` (Python or numpy,
+    never bool).  Ring results are built without re-validation; one whose
+    exponent would exceed ``MAX_EXPONENT`` raises ``ValueError``, and one
+    with a polynomial of another dimension raises ``ValueError`` too.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, dimension: int, terms=None):
+        dimension = _dimension(dimension)
+        width = 2 * dimension
+        merged = {}
+        for exps, c in (terms or {}).items():
+            if not (
+                isinstance(exps, tuple)
+                and len(exps) == width
+                and all(_is_integer(e) and 0 <= e <= MAX_EXPONENT for e in exps)
+            ):
+                raise ValueError(
+                    f"exponent key {exps!r} is not {width} integers from 0 to {MAX_EXPONENT}"
+                )
+            exps = tuple(map(int, exps))
+            merged[exps] = merged.get(exps, 0j) + complex(c)
+        merged = {exps: c for exps, c in merged.items() if c != 0}  # a NaN is kept
+        coefficients = np.array(list(merged.values()), dtype=complex)
+        super().__init__(dimension, 1, np.zeros(len(merged), dtype=np.intp),
+                         np.array(list(merged), dtype=np.int64).reshape(-1, width),
+                         coefficients.real, coefficients.imag)
+
+    # constructors -------------------------------------------------------
+    @classmethod
+    def zero(cls, dimension: int) -> "PhaseSpacePolynomial":
+        return cls(dimension)
+
+    @classmethod
+    def constant(cls, dimension: int, value: complex) -> "PhaseSpacePolynomial":
+        dimension = _dimension(dimension)
+        return cls(dimension, {(0,) * (2 * dimension): value})
+
+    @classmethod
+    def coordinate(cls, dimension: int, kind: str, axis: int = 0) -> "PhaseSpacePolynomial":
+        """The coordinate function q_axis or p_axis."""
+        dimension = _dimension(dimension)
+        if kind not in ("q", "p"):
+            raise ValueError("kind must be 'q' or 'p'")
+        if not (_is_integer(axis) and 0 <= axis < dimension):
+            raise ValueError(f"axis {axis} out of range for dimension {dimension}")
+        pos = axis if kind == "q" else dimension + axis
+        exps = tuple(1 if s == pos else 0 for s in range(2 * dimension))
+        return cls(dimension, {exps: 1.0})
+
+    @property
+    def terms(self) -> dict:
+        """Exponent tuple to Python complex coefficient, in row order."""
+        return dict(zip(map(tuple, self.exponents.tolist()),
+                        map(complex, self.re.tolist(), self.im.tolist())))
+
+    def __eq__(self, other):
+        if not isinstance(other, PhaseSpacePolynomial):
             return NotImplemented
-        return self._joined(other, (self.re, -other.re), (self.im, -other.im))
+        return self.dimension == other.dimension and self.terms == other.terms
+
+    def __call__(self, point) -> complex:
+        """Evaluate at a flat point (q_1..q_n, p_1..p_n); an overflow raises ``ValueError``."""
+        return _evaluator(self)(point)
+
+    # inspection -------------------------------------------------------------
+    def is_zero(self) -> bool:
+        return not len(self.re)
+
+    def __len__(self):
+        return len(self.re)
+
+    def degree(self) -> int:
+        return int(self.exponents.sum(axis=1).max()) if len(self.re) else 0
+
+    def max_imag_coeff(self) -> float:
+        return float(np.max(np.abs(self.im))) if len(self.im) else 0.0
+
+    def __repr__(self):
+        if self.is_zero():
+            return "0"
+        names = [f"q{s}" for s in range(self.dimension)] + [
+            f"p{s}" for s in range(self.dimension)
+        ]
+
+        def monomial(exps):
+            factors = [
+                f"{names[s]}" + (f"^{e}" if e > 1 else "")
+                for s, e in enumerate(exps)
+                if e
+            ]
+            return "*".join(factors) if factors else "1"
+
+        return " + ".join(f"({c:g})*{monomial(e)}" for e, c in self.terms.items())
 
 
 def _sort_keys(count: int, trials, exponents, radix: int) -> np.ndarray:
@@ -402,24 +376,20 @@ def _lowering(n: int) -> np.ndarray:
     return np.tile(np.eye(n, dtype=np.int64), 2)
 
 
-def _through_engine(operation, u: PhaseSpacePolynomial, v: PhaseSpacePolynomial):
-    """``operation`` of two polynomials of one dimension, each as a batch of one."""
-    u._check_dimension(v)
-    (result,) = operation(PolynomialBatch.of([u]), PolynomialBatch.of([v])).polynomials()
-    return result
+def _product(ar, ai, br, bi) -> tuple:
+    """The parts of Python's complex product (ar + i ai)(br + i bi), one row at a time."""
+    return ar * br - ai * bi, ar * bi + ai * br
 
 
 def poisson(u, v):
     """Canonical Poisson bracket {u, v} = sum_i du/dq_i dv/dp_i - du/dp_i dv/dq_i.
 
-    Of two polynomials (as batches of one) or, trial by trial, of two
-    batches.  Term ``q^a p^b`` with ``q^c p^d`` gives, on each axis i with
-    a nonzero weight ``a_i d_i - b_i c_i``, that weight times both
-    coefficients at exponent ``(a + c - e_i, b + d - e_i)``.
+    Trial by trial of two batches; a polynomial is a batch of one.  Term
+    ``q^a p^b`` with ``q^c p^d`` gives, on each axis i with a nonzero weight
+    ``a_i d_i - b_i c_i``, that weight times both coefficients at exponent
+    ``(a + c - e_i, b + d - e_i)``.
     """
-    if isinstance(u, PolynomialBatch):
-        return u.bracket(v)
-    return _through_engine(PolynomialBatch.bracket, u, v)
+    return u.bracket(v)
 
 
 def bracket_residuals(u, v, f):
@@ -430,9 +400,9 @@ def bracket_residuals(u, v, f):
      ([Der_u, Mul_v] - Mul_{u,v}) f,
      ([Der_u, Der_v] - Der_{u,v}) f,
      {u, {v, f}} + {v, {f, u}} + {f, {u, v}});
-    all four must vanish identically.  u, v and f are batches (every
-    trial at once) or polynomials; each of the ten brackets, and each product, is
-    formed once.
+    all four must vanish identically.  u, v and f are batches, every trial
+    at once, or polynomials, each a batch of one; each of the ten brackets,
+    and each product, is formed once.
     """
     uv, uf, vf = poisson(u, v), poisson(u, f), poisson(v, f)
     u_vf = poisson(u, vf)
@@ -442,6 +412,29 @@ def bracket_residuals(u, v, f):
     r3 = u_vf - poisson(v, uf) - poisson(uv, f)
     jacobi = u_vf + poisson(v, poisson(f, u)) + poisson(f, uv)
     return r1, r2, r3, jacobi
+
+
+def _evaluator(polynomial: PhaseSpacePolynomial):
+    """``polynomial.__call__`` with the terms read once, for repeated evaluation."""
+    terms, width = list(polynomial.terms.items()), 2 * polynomial.dimension
+
+    def evaluate(point) -> complex:
+        point = tuple(point)
+        if len(point) != width:
+            raise ValueError(f"point has length {len(point)}, expected {width}")
+        total = 0j
+        try:
+            for exps, c in terms:
+                value = c
+                for x, e in zip(point, exps):
+                    if e:
+                        value *= x**e
+                total += value
+        except OverflowError as exc:
+            raise ValueError(f"evaluation at {point} overflows the floats") from exc
+        return total
+
+    return evaluate
 
 
 def _flow_input(symbol: PhaseSpacePolynomial, time, points) -> tuple:
@@ -494,8 +487,8 @@ def liouville_flow(symbol: PhaseSpacePolynomial, time, points, steps: int | None
     elif not (_is_integer(steps) and 1 <= steps <= MAX_FLOW_STEPS):
         raise ValueError(f"steps must be an integer from 1 to {MAX_FLOW_STEPS}, not {steps!r}")
     n = symbol.dimension
-    dq = [symbol.diff(n + i) for i in range(n)]  # du/dp_i
-    dp = [symbol.diff(i) for i in range(n)]  # du/dq_i
+    dq = [_evaluator(symbol.diff(n + i)) for i in range(n)]  # du/dp_i
+    dp = [_evaluator(symbol.diff(i)) for i in range(n)]  # du/dq_i
 
     def velocity(x):
         return [d(x).real for d in dq] + [-d(x).real for d in dp]

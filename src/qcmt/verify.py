@@ -16,7 +16,7 @@ from itertools import product
 
 import numpy as np
 
-from .algebra import AlgebraElement, Index, draw_blocks, draw_integers, draw_terms, paired_indices
+from .algebra import AlgebraElement, Index, draw_integers, draw_terms, paired_indices
 from .fields import (
     FieldKernelSpec,
     PoincareElement,
@@ -34,7 +34,7 @@ from .gaussian import (
     wick_expect,
 )
 from .gns import GramReport, build_basis, gram
-from .koopman import PolynomialBatch, bracket_residuals, embed_exponents
+from .koopman import PhaseSpacePolynomial, PolynomialBatch, bracket_residuals, embed_exponents
 
 logger = logging.getLogger(__name__)
 
@@ -186,34 +186,49 @@ def _monomial_table(dimension: int) -> np.ndarray:
 def _random_batch(rng, dimensions) -> PolynomialBatch:
     """One polynomial per entry of ``dimensions``: 1-4 terms on uniform monomials of degree <= 3.
 
-    The draws are the blocks of ``draw_terms`` for one-letter words over
-    each polynomial's monomial list, read straight into term rows: a
-    coefficient is the real part, an integer in -3..3, and a repeated
-    monomial adds its draws.  Each polynomial is embedded in the largest of
-    ``dimensions``, which leaves its brackets unchanged.
+    Term counts, monomial picks from each polynomial's monomial list, and
+    real integer coefficients in -3..3 are three ``draw_integers`` blocks,
+    read straight into term rows; a repeated monomial adds its draws.  Each
+    polynomial is embedded in the largest of ``dimensions``, which leaves
+    its brackets unchanged.
     """
-    n = max(dimensions)
-    letters = [len(_monomials(m)) for m in dimensions]
-    terms, _, _, picks, parts = draw_blocks(rng, len(dimensions), letters, max_terms=4, max_len=1,
-                                            max_segments=1, min_len=1, normal=False)
+    n, count = max(dimensions), len(dimensions)
+    choices = np.array([len(_monomials(m)) for m in dimensions])
+    terms = draw_integers(rng, 1, 5, (count,))
+    picks = draw_integers(rng, 0, choices[:, None], (count, 4))
+    re = draw_integers(rng, -3, 4, (count, 4)).astype(float)
     drawn = np.arange(4) < terms[:, None]
     trials = np.nonzero(drawn)[0]
-    rows = _monomial_table(n)[np.asarray(dimensions)[trials], picks[drawn][:, 0, 0]]
-    re = parts[drawn][:, 0].astype(float)
-    return PolynomialBatch.summed(n, len(dimensions), trials, rows, re, np.zeros(len(re)))
+    rows = _monomial_table(n)[np.asarray(dimensions)[trials], picks[drawn]]
+    return PolynomialBatch.summed(n, count, trials, rows, re[drawn], np.zeros(len(trials)))
+
+
+@cache
+def _canonical_pairs() -> tuple:
+    """Batches x, y and J of the 16 ordered pairs of the coordinates (q_0, q_1, p_0, p_1):
+    trial 4a + b holds x_a, x_b and the constant J_ab of the canonical structure."""
+    axes = [PhaseSpacePolynomial.coordinate(2, kind, i) for kind in "qp" for i in range(2)]
+    structure = [0, 0, 1, 0, 0, 0, 0, 1, -1, 0, 0, 0, 0, -1, 0, 0]  # J = [[0, 1], [-1, 0]]
+    return (PolynomialBatch.of([a for a in axes for _ in axes]),
+            PolynomialBatch.of([b for _ in axes for b in axes]),
+            PolynomialBatch.of([PhaseSpacePolynomial.constant(2, j) for j in structure]))
 
 
 def check_bracket_relations(seed: int = 0) -> CheckResult:
-    """The three commutation relations plus the Jacobi identity, exactly.
+    """The three commutation relations plus the Jacobi identity, exactly, and the normalization.
 
     All trials run at once: u, v and f are batches of ``BRACKET_TRIALS``
     polynomials of dimension 1 or 2, and ``bracket_residuals`` forms each
-    bracket once for every trial.
+    bracket once for every trial.  The four relations hold for every
+    Poisson structure, so the residual {x_a, x_b} - J_ab over the canonical
+    coordinates of dimension 2 (``_canonical_pairs``) pins the canonical one.
     """
     rng = random.Random(seed)
     dimensions = draw_integers(rng, 1, 3, (BRACKET_TRIALS,)).tolist()
     u, v, f = (_random_batch(rng, dimensions) for _ in range(3))
-    worst = _worst(residual.max_abs_coeff() for residual in bracket_residuals(u, v, f))
+    x, y, structure = _canonical_pairs()
+    residuals = (*bracket_residuals(u, v, f), x.bracket(y) - structure)
+    worst = _worst(residual.max_abs_coeff() for residual in residuals)
     return CheckResult("bracket-relations", worst == 0.0, worst, 0.0)
 
 

@@ -7,7 +7,7 @@ differences of the generating function, sympy symbolic brackets and
 brackets assembled from derivative polynomials, matrix exponentials for
 quadratic flows, the element E^dagger E multiplied out word by word and
 evaluated segment by segment by matching enumeration against y^H G_2 y over
-the degree-2 Gram matrix, ring results rebuilt
+the degree-2 Gram matrix, ring results and derivatives rebuilt
 term by term through the validating constructors, direct position-space
 packet evaluation for Fourier conventions, and two momentum-space routes
 for field kernels:
@@ -92,6 +92,12 @@ def negation_by_terms(x):
 
 def scalar_multiple_by_terms(x, scalar):
     return _rebuild(x, [(w, c * scalar) for w, c in x.terms.items()])
+
+
+def derivative_by_terms(x, var):
+    """d/dx_var term by term: ``e * c`` at the key with exponent e on ``var`` lowered by one."""
+    return _rebuild(x, [(w[:var] + (w[var] - 1,) + w[var + 1:], w[var] * c)
+                        for w, c in x.terms.items() if w[var]])
 
 
 def product_by_terms(x, y):

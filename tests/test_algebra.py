@@ -201,20 +201,18 @@ def test_draw_terms_is_deterministic_per_seed_and_in_range(seed, count, max_term
                                                            max_len, data):
     min_len = data.draw(st.integers(0, max_len))
     normal = data.draw(st.booleans())
-    # one letter count for all combinations, or one per combination
-    letters = data.draw(st.integers(1, 5) | st.lists(st.integers(1, 5), min_size=count, max_size=count))
+    letters = data.draw(st.integers(1, 5))
     args = (count, letters, max_terms, max_len, max_segments, min_len, normal)
     drawn = draw_terms(seed, *args)
     assert drawn == draw_terms(seed, *args) == draw_terms(random.Random(seed), *args)
     assert len(drawn) == count
-    for k, combination in enumerate(drawn):
-        high = letters[k] if isinstance(letters, list) else letters
+    for combination in drawn:
         assert 1 <= len(combination) <= max_terms
         for segments, c in combination:
             assert 1 <= len(segments) <= max_segments
             for s in segments:
                 assert min_len <= len(s) <= max_len
-                assert all(type(x) is int and 0 <= x < high for x in s)
+                assert all(type(x) is int and 0 <= x < letters for x in s)
             assert type(c) is complex and math.isfinite(c.real) and math.isfinite(c.imag)
             if not normal:
                 assert all(p == int(p) and -3 <= p <= 3 for p in (c.real, c.imag))

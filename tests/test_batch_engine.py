@@ -1,10 +1,10 @@
 """The trial-batched engine against the term-by-term oracles.
 
 A batch holds one polynomial per trial, each embedded in the batch's
-dimension.  Every operation must give, trial by trial, exactly the terms of
-``tests/oracles.py`` in the same key order, with the same coefficient bits
-up to the sign of a NaN, whatever the coefficients: integers, floats,
-infinities or NaN.
+dimension; a polynomial is a batch of one.  Every operation, binary or
+unary, must give, trial by trial, exactly the terms of ``tests/oracles.py``
+in the same key order, with the same coefficient bits up to the sign of a
+NaN, whatever the coefficients: integers, floats, infinities or NaN.
 """
 
 import math
@@ -15,7 +15,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import difference_by_terms, poisson_by_terms, product_by_terms, sum_by_terms
+from oracles import (
+    adjoint_by_terms,
+    derivative_by_terms,
+    difference_by_terms,
+    negation_by_terms,
+    poisson_by_terms,
+    product_by_terms,
+    scalar_multiple_by_terms,
+    sum_by_terms,
+)
 from qcmt.koopman import (
     MAX_EXPONENT,
     PhaseSpacePolynomial,
@@ -35,6 +44,9 @@ OPERATIONS = [
 _parts = (st.integers(-3, 3).map(float) | st.floats(-4.0, 4.0)
           | st.sampled_from([math.nan, math.inf, -math.inf, -0.0]))
 _coefficients = st.builds(complex, _parts, _parts)
+# every scalar type a polynomial multiplies by, numpy's included
+_scalars = (st.integers(-3, 3) | st.booleans() | _parts | _coefficients
+            | _parts.map(np.float64) | _coefficients.map(np.complex128))
 
 
 @st.composite
@@ -51,19 +63,51 @@ def _exact(terms: dict, width: int) -> list:
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(st.lists(trial_pairs(), min_size=1, max_size=4))
-def test_batches_match_the_oracles_term_for_term(pairs):
+@given(st.lists(trial_pairs(), min_size=1, max_size=4), _scalars)
+def test_batches_match_the_oracles_term_for_term(pairs, scalar):
     xs, ys = zip(*pairs)
     left, right = PolynomialBatch.of(xs), PolynomialBatch.of(ys)
     width = max(x.dimension for x in xs)
     assert (left.dimension, left.count) == (width, len(pairs))
-    for operation, oracle in OPERATIONS:
-        results = operation(left, right).polynomials()
+    # an np.complex128 scalar takes numpy's complex product in the oracle, which warns on inf * 0
+    with np.errstate(invalid="ignore", over="ignore"):
+        cases = [(operation(left, right), [oracle(x, y) for x, y in pairs])
+                 for operation, oracle in OPERATIONS]
+        multiples = [scalar_multiple_by_terms(x, scalar) for x in xs]
+        cases += [(-left, [negation_by_terms(x) for x in xs]),
+                  (left.adjoint(), [adjoint_by_terms(x) for x in xs]),
+                  (left * scalar, multiples), (scalar * left, multiples)]
+    for batch, expected in cases:
+        results = batch.polynomials()
         assert len(results) == len(pairs)
-        for (x, y), result in zip(pairs, results):
+        for result, want in zip(results, expected):
             assert result.dimension == width
             assert all(type(c) is complex for c in result.terms.values())
-            assert _exact(result.terms, width) == _exact(oracle(x, y).terms, width)
+            assert _exact(result.terms, width) == _exact(want.terms, width)
+    for x in xs:
+        for var in range(2 * x.dimension):
+            want = derivative_by_terms(x, var)
+            assert _exact(x.diff(var).terms, x.dimension) == _exact(want.terms, x.dimension)
+
+
+def _same_rows(a, b):
+    assert (a.dimension, a.count) == (b.dimension, b.count)
+    for name in ("trials", "exponents", "re", "im"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))
+
+
+_rows = st.tuples(st.integers(0, 2), st.tuples(*[st.integers(0, 2)] * 4), st.integers(-3, 3),
+                  st.integers(-3, 3))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.lists(_rows, min_size=1, max_size=12))
+def test_summed_takes_rows_in_any_trial_order(rows):
+    def summed(rows):
+        trials, exponents, re, im = map(np.array, zip(*rows))
+        return PolynomialBatch.summed(2, 3, trials, exponents, re.astype(float), im.astype(float))
+
+    _same_rows(summed(rows), summed(sorted(rows, key=lambda row: row[0])))
 
 
 def test_like_terms_group_exactly_at_the_largest_exponents():
@@ -112,9 +156,11 @@ def test_batches_of_different_shape_do_not_pair():
         for a, b in ((one, two), (one, pair)):
             with pytest.raises(ValueError, match="batch mismatch"):
                 operation(a, b)
-    with pytest.raises(TypeError):
-        poisson(one, q1)
-    assert one.__mul__(q1) is NotImplemented and one.__add__(2) is NotImplemented
+    # a polynomial is a batch of one, so it pairs with one
+    p1 = PhaseSpacePolynomial.coordinate(1, "p")
+    for u, v in ((q1, q1), (q1, p1)):
+        _same_rows(poisson(PolynomialBatch.of([u]), v), poisson(u, v))
+    assert one.__add__(2) is NotImplemented
 
 
 def test_max_abs_coeff_sees_nan():

@@ -1,5 +1,6 @@
 import math
 import operator
+import random
 import time
 
 import numpy as np
@@ -118,7 +119,7 @@ def test_results_keep_their_dimension():
 
 
 def test_only_exact_zeros_are_pruned():
-    # the polynomial ring sets tol = 0.0; the algebra prunes below 1e-14
+    # a polynomial prunes exact zeros only; the algebra prunes up to TERM_TOLERANCE = 1e-14
     tiny = 1e-20
     (q,), _ = coords()
     assert PhaseSpacePolynomial(1, {(1, 0): tiny}).terms == {(1, 0): tiny}
@@ -307,9 +308,15 @@ def test_bracket_check_fails_on_a_mutated_engine(monkeypatch, mutation):
 ])
 def test_other_poisson_structures_pass_the_relations_but_not_the_oracle(monkeypatch, mutation):
     # these give the brackets of -omega, of a degenerate structure and of sum_i p_i dq_i ^ dp_i:
-    # Poisson bivectors all, so all four relations hold and the check passes; the oracle does not
+    # Poisson bivectors all, so all four relations hold; the check still fails, on its
+    # normalization residual {x_a, x_b} - J_ab, and so does the oracle
     monkeypatch.setattr(koopman, "_bracket_rows", _mutated_rows(mutation))
-    assert check_bracket_relations(seed=0).passed
+    rng = random.Random(0)
+    u, v, f = (_random_batch(rng, [1, 2] * 50) for _ in range(3))
+    assert all(residual.max_abs_coeff() == 0.0 for residual in bracket_residuals(u, v, f))
+    for seed in (0, 1):
+        result = check_bracket_relations(seed=seed)
+        assert not result.passed and result.worst > 0
     q, p = coords(2)
     assert any(poisson(q[i], p[i]).terms != poisson_by_terms(q[i], p[i]).terms for i in range(2))
 
