@@ -249,13 +249,11 @@ def draw_integers(rng: random.Random, low: int, high, shape) -> np.ndarray:
     return ((words * span) >> np.uint64(32)).astype(np.int64) + low
 
 
-def draw_terms(
-    seed, count, letters, max_terms, max_len, max_segments=1, min_len=0, normal=False
-) -> list:
+def draw_terms(seed, count, letters, max_terms, max_len, max_segments=1, normal=False) -> list:
     """``count`` random linear combinations of words, drawn as five batched blocks.
 
     Combination k has 1..``max_terms`` terms.  A term is 1..``max_segments``
-    segments of ``min_len``..``max_len`` letters, each letter a position in
+    segments of 0..``max_len`` letters, each letter a position in
     range(``letters``), and a complex coefficient whose parts are integers
     in -3..3 (so cancellations are exact) or, with ``normal``, standard
     normal.  Term counts, segment counts, lengths, letters and coefficient
@@ -270,7 +268,7 @@ def draw_terms(
     shape = (count, max_terms)
     terms = draw_integers(rng, 1, max_terms + 1, (count,)).tolist()
     pieces = draw_integers(rng, 1, max_segments + 1, shape).tolist()
-    lengths = draw_integers(rng, min_len, max_len + 1, shape + (max_segments,)).tolist()
+    lengths = draw_integers(rng, 0, max_len + 1, shape + (max_segments,)).tolist()
     picks = draw_integers(rng, 0, letters, shape + (max_segments, max_len)).tolist()
     if normal:
         parts = np.reshape([rng.gauss(0.0, 1.0) for _ in range(2 * count * max_terms)], shape + (2,))

@@ -390,14 +390,15 @@ def run_gram_mode(kernel, tolerance, degree) -> tuple:
 
 
 def run_boost_scan_mode(spec, f, g, rapidities) -> tuple:
-    vacuum_base = vacuum_kernel(spec, f, g)
+    vacuum = spec.vacuum
+    vacuum_base = vacuum_kernel(vacuum, f, g)
     thermal_base = thermal_kernel(spec, f, g)
     lines = ["rapidity,vacuum_deviation,thermal_deviation"]
     status = EXIT_OK
     for chi in rapidities:
         try:
-            vacuum_dev = boost_deviation(vacuum_kernel, spec, f, g, chi, vacuum_base)
-            thermal_dev = boost_deviation(thermal_kernel, spec, f, g, chi, thermal_base)
+            vacuum_dev = boost_deviation(vacuum, f, g, chi, vacuum_base)
+            thermal_dev = boost_deviation(spec, f, g, chi, thermal_base)
         except QuadratureError:
             lines.append(f"{_float_repr(chi)},ERROR,ERROR")
             status = EXIT_NUMERICAL

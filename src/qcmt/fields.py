@@ -307,6 +307,10 @@ class FieldKernelSpec:
     def is_thermal(self) -> bool:
         return math.isfinite(self.beta)
 
+    @property
+    def vacuum(self) -> "FieldKernelSpec":
+        return replace(self, beta=math.inf)
+
     def frame_rapidity(self) -> float:
         ut, ux = self.rest_frame
         return math.atanh(ux / ut)
@@ -356,21 +360,21 @@ def _grid_window(mass: float, packets, branches) -> tuple:
 # One errstate per kernel: an overflowing amplitude or occupation makes the
 # sums inf or NaN without a numpy warning, and the halving error reports it.
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _kernel_matrix(spec: FieldKernelSpec, packets, thermal: bool) -> np.ndarray:
+def _kernel_matrix(spec: FieldKernelSpec, packets) -> np.ndarray:
     """Pairings of a packet family, hbar/(4 pi) F^H W F on a halved theta grid.
 
-    The vacuum weight is 1 on the positive branch; the thermal weights are
-    1 + n on the positive branch and n on the negative one, with packets
-    boosted into the rest frame first.  A non-finite kernel sum raises
-    ``QuadratureError`` at the first halving.
+    The weight is 1 on the positive branch at beta = inf, which reads only
+    mass and hbar; at finite beta it is 1 + n there and n on the negative
+    branch, with packets boosted into the rest frame first.  A non-finite
+    kernel sum raises ``QuadratureError`` at the first halving.
     """
-    if thermal:
+    if spec.is_thermal:
         chi = spec.frame_rapidity()
         if chi != 0.0:
             into_frame = PoincareElement.boost(-chi)
             packets = [poincare_act(into_frame, f) for f in packets]
     m = spec.mass
-    lo, hi, step = _grid_window(m, packets, (1, -1) if thermal else (1,))
+    lo, hi, step = _grid_window(m, packets, (1, -1) if spec.is_thermal else (1,))
     comps = [c for f in packets for c in f.components]
     firsts = np.cumsum([0] + [len(f.components) for f in packets[:-1]])
     amplitude = np.array([complex(c.amplitude) for c in comps])[:, None]
@@ -380,7 +384,7 @@ def _kernel_matrix(spec: FieldKernelSpec, packets, thermal: bool) -> np.ndarray:
 
     def weighted_sum(theta, ends):
         weights = {1: ends}
-        if thermal:
+        if spec.is_thermal:
             # Bose occupation 1 / (e^x - 1) in a form that underflows to 0
             x = spec.beta * spec.hbar * m * np.cosh(theta)
             occupation = np.exp(-x) / -np.expm1(-x)
@@ -417,7 +421,7 @@ def _kernel_matrix(spec: FieldKernelSpec, packets, thermal: bool) -> np.ndarray:
             error=error,
             h=h,
             step=step,
-            kind="thermal" if thermal else "vacuum",
+            kind="thermal" if spec.is_thermal else "vacuum",
         )
 
     while True:
@@ -452,7 +456,9 @@ def _kernel_matrix(spec: FieldKernelSpec, packets, thermal: bool) -> np.ndarray:
 
 def vacuum_kernel(spec: FieldKernelSpec, f: Wavepacket, g: Wavepacket) -> complex:
     """Poincare-invariant two-point pairing (f, g) = rho(M_f^dagger M_g) at beta = inf."""
-    return complex(_kernel_matrix(spec, [f, g], thermal=False)[0, 1])
+    if spec.is_thermal:
+        raise ValueError("vacuum_kernel needs beta = inf; use thermal_kernel or spec.vacuum")
+    return complex(_kernel_matrix(spec, [f, g])[0, 1])
 
 
 def thermal_kernel(spec: FieldKernelSpec, f: Wavepacket, g: Wavepacket) -> complex:
@@ -463,7 +469,7 @@ def thermal_kernel(spec: FieldKernelSpec, f: Wavepacket, g: Wavepacket) -> compl
     """
     if not spec.is_thermal:
         raise ValueError("thermal_kernel needs finite beta; use vacuum_kernel")
-    return complex(_kernel_matrix(spec, [f, g], thermal=True)[0, 1])
+    return complex(_kernel_matrix(spec, [f, g])[0, 1])
 
 
 def kernel_pairing(spec: FieldKernelSpec, f: Wavepacket, g: Wavepacket) -> complex:
@@ -473,10 +479,10 @@ def kernel_pairing(spec: FieldKernelSpec, f: Wavepacket, g: Wavepacket) -> compl
     return vacuum_kernel(spec, f, g)
 
 
-def boost_deviation(pairing, spec: FieldKernelSpec, f, g, rapidity: float, base: complex) -> float:
-    """|pairing(spec, boosted f, boosted g) - base|; the caller passes in its field kernel."""
+def boost_deviation(spec: FieldKernelSpec, f, g, rapidity: float, base: complex) -> float:
+    """|kernel_pairing(spec, boosted f, boosted g) - base|; a beta = inf spec gives the vacuum's."""
     move = PoincareElement.boost(rapidity)
-    return abs(pairing(spec, poincare_act(move, f), poincare_act(move, g)) - base)
+    return abs(kernel_pairing(spec, poincare_act(move, f), poincare_act(move, g)) - base)
 
 
 def commutator_kernel(spec: FieldKernelSpec, f: Wavepacket, g: Wavepacket) -> complex:
@@ -514,5 +520,5 @@ def kernel_as_gaussian(spec: FieldKernelSpec, packets) -> GaussianKernel:
     family = packet_family(packets)
     if not family:
         raise ValueError("need at least one packet")
-    matrix = _kernel_matrix(spec, family, thermal=spec.is_thermal)
+    matrix = _kernel_matrix(spec, family)
     return GaussianKernel([packet_index(f) for f in family], matrix, tol=QUADRATURE_TOL)

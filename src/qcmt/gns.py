@@ -19,6 +19,8 @@ import numpy as np
 from .algebra import Index, Word, word_adjoint
 from .gaussian import State, hermitian_spectrum
 
+GRAM_TOLERANCE = 1e-10  # ``gram``'s default, and where ``represent`` cuts null spaces
+
 
 @dataclass(frozen=True)
 class MonomialBasis:
@@ -92,7 +94,7 @@ def _gram_matrix(basis: MonomialBasis, state: State) -> np.ndarray:
     return g
 
 
-def gram(basis: MonomialBasis, state: State, tolerance: float = 1e-10) -> GramReport:
+def gram(basis: MonomialBasis, state: State, tolerance: float = GRAM_TOLERANCE) -> GramReport:
     """Gram matrix G_ab = rho(w_a^dagger w_b) with eigenvalues and null count."""
     g = _gram_matrix(basis, state)
     eig, _, bound = hermitian_spectrum(g, tolerance)
@@ -148,12 +150,12 @@ class Representation:
         return complex(np.vdot(omega, vec))
 
 
-def represent(basis: MonomialBasis, state: State, tolerance: float = 1e-10) -> Representation:
+def represent(basis: MonomialBasis, state: State) -> Representation:
     """GNS representation data for all degrees up to ``basis.degree`` + 1.
 
     Needs the state on words up to length 2*degree + 2.  Each Gram matrix's
-    bound from ``hermitian_spectrum`` refuses an eigenvalue below -bound as
-    a non-state and cuts the null space at +bound.
+    bound from ``hermitian_spectrum`` at ``GRAM_TOLERANCE`` refuses an
+    eigenvalue below -bound as a non-state and cuts the null space at +bound.
     """
     d = basis.degree
     top = build_basis(basis.indices, d + 1)
@@ -165,7 +167,7 @@ def represent(basis: MonomialBasis, state: State, tolerance: float = 1e-10) -> R
     isometries = []
     pseudo_inverses = []
     for j, size in enumerate(sizes):
-        eig, vectors, bound = hermitian_spectrum(top_gram[:size, :size], tolerance, vectors=True)
+        eig, vectors, bound = hermitian_spectrum(top_gram[:size, :size], GRAM_TOLERANCE, vectors=True)
         if eig[0] < -bound:
             raise ValueError(f"Gram matrix at degree {j} has eigenvalue {eig[0]:.3e}; not a state")
         keep = eig > bound

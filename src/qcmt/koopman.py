@@ -26,8 +26,8 @@ import numpy as np
 from .gaussian import GaussianKernel, tolerance_bound
 
 DEFAULT_FLOW_STEP = 1e-3
-# Most RK4 steps ``liouville_flow`` takes per point, default or explicit; at the
-# default step it bounds the flow time by 1000.
+# Most RK4 steps ``liouville_flow`` takes per point; at ``DEFAULT_FLOW_STEP``
+# it bounds the flow time by 1000.
 MAX_FLOW_STEPS = 10**6
 # Largest exponent a polynomial holds: every bracket weight a_i d_i - b_i c_i
 # of such exponents, and every exponent sum, is exact in int64.
@@ -467,25 +467,21 @@ def multiplication_flow(symbol: PhaseSpacePolynomial, time, points) -> list:
     return [math.exp(e) for e in exponents]
 
 
-def liouville_flow(symbol: PhaseSpacePolynomial, time, points, steps: int | None = None) -> list:
+def liouville_flow(symbol: PhaseSpacePolynomial, time, points) -> list:
     """The points moved by the flow exp(t Der_u), as tuples.
 
     Integrates Hamilton's equations of the symbol (dq/dt = du/dp,
-    dp/dt = -du/dq) with fixed-step RK4; for quadratic symbols this
-    reproduces the exact linear symplectic map to integrator accuracy.
-    Bad input (see ``_flow_input``), a step count (``steps``, or
-    ``|t| / DEFAULT_FLOW_STEP`` rounded up) that is not an integer from 1
-    to ``MAX_FLOW_STEPS``, and a flow that leaves the floats raise
-    ``ValueError``.
+    dp/dt = -du/dq) with fixed-step RK4 in ``|t| / DEFAULT_FLOW_STEP``
+    steps rounded up, at least one; for quadratic symbols this reproduces
+    the exact linear symplectic map to integrator accuracy.  Bad input (see
+    ``_flow_input``), a flow time that needs over ``MAX_FLOW_STEPS`` steps,
+    and a flow that leaves the floats raise ``ValueError``.
     """
     t, points = _flow_input(symbol, time, points)
-    if steps is None:
-        span = abs(t) / DEFAULT_FLOW_STEP
-        if span > MAX_FLOW_STEPS:
-            raise ValueError(f"flow time {t!r} needs over {MAX_FLOW_STEPS} steps of {DEFAULT_FLOW_STEP}")
-        steps = max(1, math.ceil(span))
-    elif not (_is_integer(steps) and 1 <= steps <= MAX_FLOW_STEPS):
-        raise ValueError(f"steps must be an integer from 1 to {MAX_FLOW_STEPS}, not {steps!r}")
+    span = abs(t) / DEFAULT_FLOW_STEP
+    if span > MAX_FLOW_STEPS:
+        raise ValueError(f"flow time {t!r} needs over {MAX_FLOW_STEPS} steps of {DEFAULT_FLOW_STEP}")
+    steps = max(1, math.ceil(span))
     n = symbol.dimension
     dq = [_evaluator(symbol.diff(n + i)) for i in range(n)]  # du/dp_i
     dp = [_evaluator(symbol.diff(i)) for i in range(n)]  # du/dq_i

@@ -101,10 +101,10 @@ def _worst(residuals) -> float:
     return math.nan if any(map(math.isnan, residuals)) else max([0.0, *residuals])
 
 
-def _random_elements(rng, pool, count, max_terms=3, max_len=3, normal=False) -> list:
-    """``count`` random elements over ``pool``, each term a word of ``draw_terms``."""
+def _random_elements(rng, pool, count) -> list:
+    """``count`` elements over ``pool``: 1-3 ``draw_terms`` words of 0-3 letters, integer coefficients."""
     elements = []
-    for drawn in draw_terms(rng, count, len(pool), max_terms, max_len, normal=normal):
+    for drawn in draw_terms(rng, count, len(pool), 3, 3):
         merged = {}
         for (segment,), c in drawn:
             merged[segment] = merged.get(segment, 0j) + c
@@ -126,15 +126,14 @@ def check_algebra_laws(seed: int = 0) -> CheckResult:
     residuals = []
     for t in range(ALGEBRA_TRIALS):
         a, b, c = elements[3 * t : 3 * t + 3]
+        ab, a_dagger, b_dagger = a * b, a.adjoint(), b.adjoint()
         lam, mu = complex(*scalars[t][:2]), complex(*scalars[t][2:])
-        anti = (lam * a + mu * b).adjoint() - (
-            lam.conjugate() * a.adjoint() + mu.conjugate() * b.adjoint()
-        )
+        anti = (lam * a + mu * b).adjoint() - (lam.conjugate() * a_dagger + mu.conjugate() * b_dagger)
         residuals += [
-            ((a * b) * c - a * (b * c)).max_abs_coeff(),
-            ((a * b).adjoint() - b.adjoint() * a.adjoint()).max_abs_coeff(),
+            (ab * c - a * (b * c)).max_abs_coeff(),
+            (ab.adjoint() - b_dagger * a_dagger).max_abs_coeff(),
             anti.max_abs_coeff(),
-            (a.adjoint().adjoint() - a).max_abs_coeff(),
+            (a_dagger.adjoint() - a).max_abs_coeff(),
         ]
         i = pool[picks[t]]
         once = i.involve()
@@ -156,11 +155,10 @@ def check_wick_oracle(kernel: GaussianKernel) -> CheckResult:
     so the check passes when it is at most the tolerance.
     """
     defects, oracles = [], []
-    for length in range(WICK_ORACLE_LENGTH + 1):
-        for w in product(kernel.indices, repeat=length):
-            oracle = moment_from_generating_series(kernel, w)
-            defects.append(abs(wick_expect(kernel, w) - oracle))
-            oracles.append(oracle)
+    for w in build_basis(kernel.indices, WICK_ORACLE_LENGTH).words:
+        oracle = moment_from_generating_series(kernel, w)
+        defects.append(abs(wick_expect(kernel, w) - oracle))
+        oracles.append(oracle)
     worst = _worst(defects) / tolerance_bound(1.0, oracles)
     return CheckResult("wick-oracle", worst <= WICK_TOLERANCE, worst, WICK_TOLERANCE)
 
@@ -187,20 +185,20 @@ def _random_batch(rng, dimensions) -> PolynomialBatch:
     """One polynomial per entry of ``dimensions``: 1-4 terms on uniform monomials of degree <= 3.
 
     Term counts, monomial picks from each polynomial's monomial list, and
-    real integer coefficients in -3..3 are three ``draw_integers`` blocks,
-    read straight into term rows; a repeated monomial adds its draws.  Each
-    polynomial is embedded in the largest of ``dimensions``, which leaves
-    its brackets unchanged.
+    the real and imaginary parts of the coefficients, integers in -3..3, are
+    three ``draw_integers`` blocks, read straight into term rows; a repeated
+    monomial adds its draws.  Each polynomial is embedded in the largest of
+    ``dimensions``, which leaves its brackets unchanged.
     """
     n, count = max(dimensions), len(dimensions)
     choices = np.array([len(_monomials(m)) for m in dimensions])
     terms = draw_integers(rng, 1, 5, (count,))
     picks = draw_integers(rng, 0, choices[:, None], (count, 4))
-    re = draw_integers(rng, -3, 4, (count, 4)).astype(float)
+    re, im = draw_integers(rng, -3, 4, (2, count, 4)).astype(float)
     drawn = np.arange(4) < terms[:, None]
     trials = np.nonzero(drawn)[0]
     rows = _monomial_table(n)[np.asarray(dimensions)[trials], picks[drawn]]
-    return PolynomialBatch.summed(n, count, trials, rows, re[drawn], np.zeros(len(trials)))
+    return PolynomialBatch.summed(n, count, trials, rows, re[drawn], im[drawn])
 
 
 @cache
@@ -269,7 +267,7 @@ def check_vacuum_boost_invariance(
     spec: FieldKernelSpec, f: Wavepacket, g: Wavepacket
 ) -> CheckResult:
     base = vacuum_kernel(spec, f, g)
-    deviations = (boost_deviation(vacuum_kernel, spec, f, g, chi, base) for chi in BOOST_RAPIDITIES)
+    deviations = (boost_deviation(spec, f, g, chi, base) for chi in BOOST_RAPIDITIES)
     worst = _worst(deviations)
     return CheckResult("vacuum-boost-invariance", worst <= BOOST_TOLERANCE, worst, BOOST_TOLERANCE)
 
@@ -279,7 +277,7 @@ def check_thermal_boost_discrimination(
 ) -> CheckResult:
     """The thermal kernel must move under a boost; pass means above threshold."""
     base = thermal_kernel(spec, f, g)
-    deviation = boost_deviation(thermal_kernel, spec, f, g, THERMAL_RAPIDITY, base)
+    deviation = boost_deviation(spec, f, g, THERMAL_RAPIDITY, base)
     return CheckResult("thermal-boost-discrimination", deviation > THERMAL_THRESHOLD, deviation,
                        THERMAL_THRESHOLD)
 
@@ -287,13 +285,13 @@ def check_thermal_boost_discrimination(
 def check_thermal_vacuum_limit(spec: FieldKernelSpec, f: Wavepacket, g: Wavepacket) -> CheckResult:
     """At beta hbar omega_min = 40 the Bose occupation is dead: thermal = vacuum."""
     cold = replace(spec, beta=40.0 / (spec.hbar * spec.mass))
-    gap = abs(thermal_kernel(cold, f, g) - vacuum_kernel(spec, f, g))
+    gap = abs(thermal_kernel(cold, f, g) - vacuum_kernel(spec.vacuum, f, g))
     return CheckResult("thermal-vacuum-limit", gap <= LIMIT_TOLERANCE, gap, LIMIT_TOLERANCE)
 
 
 def check_microcausality(spec: FieldKernelSpec, f: Wavepacket, g: Wavepacket, separations) -> list:
     """Commutator decay at spacelike separation, plus its beta independence."""
-    vacuum_spec = replace(spec, beta=math.inf)
+    vacuum_spec = spec.vacuum
     decays, betas = [], []
     for sep in separations:
         shift = PoincareElement.translate(0.0, float(sep))
@@ -311,13 +309,12 @@ def check_microcausality(spec: FieldKernelSpec, f: Wavepacket, g: Wavepacket, se
     return results
 
 
-def run_verify(kernel: GaussianKernel, seed: int, tolerance: float, field=None,
-               config_echo=None) -> RunReport:
+def run_verify(kernel: GaussianKernel, seed: int, tolerance: float, field, config_echo: dict) -> RunReport:
     """The full verification suite over one kernel configuration.
 
-    ``field``, for a field kernel, is ``(spec, f, g, separations)``: the field
-    checks pair the packets f and g, and microcausality shifts g by each
-    spacelike separation.
+    ``field`` is None, or for a field kernel ``(spec, f, g, separations)``:
+    the field checks pair the packets f and g, and microcausality shifts g
+    by each spacelike separation.  ``config_echo`` is the report's config.
     """
     checks = [
         check_algebra_laws(seed=seed),
@@ -328,11 +325,11 @@ def run_verify(kernel: GaussianKernel, seed: int, tolerance: float, field=None,
     checks += [check_gram_psd(report), check_extended_positivity(report)]
     if field is not None:
         spec, f, g, separations = field
-        checks.append(check_vacuum_boost_invariance(spec, f, g))
+        checks.append(check_vacuum_boost_invariance(spec.vacuum, f, g))
         if spec.is_thermal:
             checks.append(check_thermal_boost_discrimination(spec, f, g))
             checks.append(check_thermal_vacuum_limit(spec, f, g))
         checks.extend(check_microcausality(spec, f, g, separations))
     for c in checks:
         logger.info("check %-32s passed=%s worst=%.3e", c.name, c.passed, c.worst)
-    return RunReport(mode="verify", seed=seed, checks=checks, config=config_echo or {})
+    return RunReport(mode="verify", seed=seed, checks=checks, config=config_echo)

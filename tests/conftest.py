@@ -3,9 +3,8 @@ import random
 import numpy as np
 import pytest
 
-from qcmt.algebra import Index, paired_indices
+from qcmt.algebra import AlgebraElement, Index, draw_terms, paired_indices
 from qcmt.gaussian import GaussianKernel
-from qcmt.verify import _random_elements
 
 K2 = [[1.0, 0.5], [0.5, 1.0]]
 K3 = [[1.0, 0.5, 0.2], [0.5, 1.0, 0.3], [0.2, 0.3, 1.0]]
@@ -39,9 +38,14 @@ def seeded(rng) -> random.Random:
 
 
 def random_element(rng, pool, max_terms=3, max_len=3, integer=True):
-    """Random algebra element; integer coefficients keep cancellations exact."""
-    (element,) = _random_elements(seeded(rng), pool, 1, max_terms, max_len, normal=not integer)
-    return element
+    """Random algebra element of one-segment ``draw_terms`` words; integer coefficients keep
+    cancellations exact."""
+    (drawn,) = draw_terms(seeded(rng), 1, len(pool), max_terms, max_len, normal=not integer)
+    terms = {}
+    for (segment,), c in drawn:
+        word = tuple(pool[k] for k in segment)
+        terms[word] = terms.get(word, 0j) + c
+    return AlgebraElement(terms)
 
 
 def index_pool():

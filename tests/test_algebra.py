@@ -199,10 +199,9 @@ def test_algebra_laws_catch_an_involution_that_drops_the_partner(monkeypatch):
        st.integers(0, 3), st.data())
 def test_draw_terms_is_deterministic_per_seed_and_in_range(seed, count, max_terms, max_segments,
                                                            max_len, data):
-    min_len = data.draw(st.integers(0, max_len))
     normal = data.draw(st.booleans())
     letters = data.draw(st.integers(1, 5))
-    args = (count, letters, max_terms, max_len, max_segments, min_len, normal)
+    args = (count, letters, max_terms, max_len, max_segments, normal)
     drawn = draw_terms(seed, *args)
     assert drawn == draw_terms(seed, *args) == draw_terms(random.Random(seed), *args)
     assert len(drawn) == count
@@ -211,7 +210,7 @@ def test_draw_terms_is_deterministic_per_seed_and_in_range(seed, count, max_term
         for segments, c in combination:
             assert 1 <= len(segments) <= max_segments
             for s in segments:
-                assert min_len <= len(s) <= max_len
+                assert len(s) <= max_len
                 assert all(type(x) is int and 0 <= x < letters for x in s)
             assert type(c) is complex and math.isfinite(c.real) and math.isfinite(c.imag)
             if not normal:

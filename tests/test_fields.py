@@ -273,6 +273,15 @@ def test_thermal_kernel_requires_finite_beta():
         thermal_kernel(VACUUM, f, g)
 
 
+def test_vacuum_kernel_pairs_the_spec_it_is_given_at_beta_inf():
+    f, g = packet_pair()
+    warm = FieldKernelSpec(mass=1.3, hbar=0.7, beta=0.5, rest_frame=(math.cosh(0.4), math.sinh(0.4)))
+    with pytest.raises(ValueError, match="beta = inf"):
+        vacuum_kernel(warm, f, g)
+    assert warm.vacuum == FieldKernelSpec(mass=1.3, hbar=0.7, rest_frame=warm.rest_frame)
+    assert vacuum_kernel(warm.vacuum, f, g) == vacuum_kernel(FieldKernelSpec(mass=1.3, hbar=0.7), f, g)
+
+
 def test_thermal_kernel_matches_simpson_grid():
     f, g = packet_pair()
     assert abs(thermal_kernel(THERMAL, f, g) - simpson_pairing(THERMAL, f, g)) < 1e-8

@@ -7,7 +7,7 @@ import pytest
 
 from qcmt.algebra import Index, paired_indices
 from qcmt.gaussian import GaussianKernel
-from qcmt.gns import build_basis, gram, represent
+from qcmt.gns import GRAM_TOLERANCE, build_basis, gram, represent
 from qcmt.verify import check_extended_positivity, check_gram_psd
 
 
@@ -83,7 +83,7 @@ def test_gram_psd_for_gaussian_states(k3):
 def test_one_positivity_verdict_at_the_tolerance_bound(depth, positive):
     # spectrum {-depth * bound, 4}, bound = tol * max(1, 4); the degree-1
     # Gram matrix of self-conjugate tags has spectrum {1} and the kernel's
-    tol = 1e-10
+    tol = GRAM_TOLERANCE  # the tolerance represent cuts at
     lowest = -depth * tol * 4.0
     c, s = math.cos(0.3), math.sin(0.3)
     rotation = np.array([[c, -s], [s, c]])
@@ -101,7 +101,7 @@ def test_one_positivity_verdict_at_the_tolerance_bound(depth, positive):
     verdicts["check_gram_psd"] = check_gram_psd(report).passed
     verdicts["check_extended_positivity"] = check_extended_positivity(report).passed
     try:
-        represent(build_basis(kernel.indices, 0), state, tolerance=tol)
+        represent(build_basis(kernel.indices, 0), state)
         verdicts["represent"] = True
     except ValueError:
         verdicts["represent"] = False

@@ -1,6 +1,7 @@
 """Every name a ``qcmt`` module imports is read somewhere in that module,
 every module-level function, class and constant of ``qcmt`` is read somewhere
-in the project, and no ``qcmt`` module uses ``numpy.random``.
+in the project, every defaulted parameter is passed by some call in ``src/``,
+``demos/`` or ``perfbench/``, and no ``qcmt`` module uses ``numpy.random``.
 
 ``__init__.py`` is skipped by the import check: its imports are the package's
 exports.
@@ -22,6 +23,8 @@ PACKAGE = Path(qcmt.__file__).parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 ROOT = PACKAGE.parents[1]
 READERS = ("src", "tests", "demos", "perfbench")
+# production callers: a default that only tests set is a test-only option
+CALLERS = ("src", "demos", "perfbench")
 
 
 def unused_imports(source: str) -> list:
@@ -77,11 +80,12 @@ def read_names(source: str) -> set:
     return read
 
 
+def sources(folders) -> list:
+    return [path.read_text(encoding="utf-8") for folder in folders for path in (ROOT / folder).rglob("*.py")]
+
+
 def test_no_module_level_name_is_dead():
-    read = set()
-    for folder in READERS:
-        for path in (ROOT / folder).rglob("*.py"):
-            read |= read_names(path.read_text(encoding="utf-8"))
+    read = set().union(*map(read_names, sources(READERS)))
     dead = {
         f"{path.name}:{name}"
         for path in sorted(PACKAGE.glob("*.py"))
@@ -178,10 +182,8 @@ def dead_defaults(defining: list, calling: list) -> set:
 
 
 def test_no_default_parameter_is_dead():
-    calling = [path.read_text(encoding="utf-8")
-               for folder in READERS for path in (ROOT / folder).rglob("*.py")]
     defining = [path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))]
-    assert sorted(dead_defaults(defining, calling)) == []
+    assert sorted(dead_defaults(defining, sources(CALLERS))) == []
 
 
 def test_dead_default_detector_flags_a_parameter_no_call_passes():
@@ -194,6 +196,13 @@ def test_dead_default_detector_flags_a_parameter_no_call_passes():
         "f(1, c=3)\nChild(5)\nGrandchild().scaled()\n"
     )
     assert dead_defaults([source], [source]) == {"f(b)", "Base.__init__(y)", "Base.scaled(k)"}
+
+
+def test_dead_default_detector_counts_production_calls_only():
+    source = "def draw(count, steps=None):\n    return count\n"
+    production, test = "draw(3)\n", "draw(3, steps=7)\ndraw(3, 7)\n"
+    assert dead_defaults([source], [source, production]) == {"draw(steps)"}
+    assert dead_defaults([source], [source, production, test]) == set()
 
 
 def test_no_module_names_numpy_random():
