@@ -127,8 +127,13 @@ class PolynomialBatch:
         first = first[kept]
         return cls._rows(dimension, count, trials[first], exponents[first], re[kept], im[kept])
 
-    def _summed(self, trials, exponents, re, im):
-        return self.summed(self.dimension, self.count, trials, exponents, re, im)
+    def _summed(self, columns) -> "PolynomialBatch":
+        """``summed`` of the raw rows ``columns`` = (trials, exponents, re, im) in this batch's shape."""
+        return self.summed(self.dimension, self.count, *columns)
+
+    def _columns(self) -> tuple:
+        """The rows as (trials, exponents, re, im), the columns ``summed`` takes."""
+        return self.trials, self.exponents, self.re, self.im
 
     def polynomials(self) -> list:
         """The trials as ``PhaseSpacePolynomial``s of the batch dimension, in trial order."""
@@ -162,37 +167,44 @@ class PolynomialBatch:
 
     # inf * 0.0 is NaN without a warning, as in Python's complex arithmetic
     @np.errstate(invalid="ignore", over="ignore")
-    def __mul__(self, other):
-        if isinstance(other, PolynomialBatch):
-            left, right = self._pairs(other)
-            product = _product(self.re[left], self.im[left], other.re[right], other.im[right])
-            return self._summed(self.trials[left], self.exponents[left] + other.exponents[right],
-                                *product)
-        if isinstance(other, (int, float, complex)):
-            scalar = complex(other)
-            return self._summed(self.trials, self.exponents,
-                                *_product(self.re, self.im, scalar.real, scalar.imag))
-        return NotImplemented
-
-    __rmul__ = __mul__  # a batch on the left takes its own __mul__; scalar products commute
-
-    def __neg__(self):
-        return self._summed(self.trials, self.exponents, -self.re, -self.im)
-
-    def adjoint(self):
-        """Conjugate every coefficient; the coordinate functions are real, so exponents stay."""
-        return self._summed(self.trials, self.exponents, self.re, -self.im)
+    def _product_rows(self, other) -> tuple:
+        """The raw rows of ``self * other`` for a batch ``other``: one per term pair (``_pairs``)."""
+        left, right = self._pairs(other)
+        product = _product(self.re[left], self.im[left], other.re[right], other.im[right])
+        return self.trials[left], self.exponents[left] + other.exponents[right], *product
 
     @np.errstate(invalid="ignore", over="ignore")
-    def bracket(self, other) -> "PolynomialBatch":
-        """{u, v} trial by trial: the term pairs of ``*``, axis minor (``_bracket_rows``)."""
+    def _poisson_rows(self, other) -> tuple:
+        """The raw rows of ``{self, other}``: the term pairs of ``*``, axis minor (``_bracket_rows``)."""
         left, right = self._pairs(other)
         pair, weight, exponents = _bracket_rows(self.exponents[left], other.exponents[right],
                                                 self.dimension)
         left, right = left[pair], right[pair]
         product = _product(self.re[left], self.im[left], other.re[right], other.im[right])
-        return self._summed(self.trials[left], exponents,
-                            *_product(weight.astype(float), 0.0, *product))
+        return self.trials[left], exponents, *_product(weight.astype(float), 0.0, *product)
+
+    @np.errstate(invalid="ignore", over="ignore")
+    def __mul__(self, other):
+        if isinstance(other, PolynomialBatch):
+            return self._summed(self._product_rows(other))
+        if isinstance(other, (int, float, complex)):
+            scalar = complex(other)
+            return self._summed((self.trials, self.exponents,
+                                 *_product(self.re, self.im, scalar.real, scalar.imag)))
+        return NotImplemented
+
+    __rmul__ = __mul__  # a batch on the left takes its own __mul__; scalar products commute
+
+    def __neg__(self):
+        return self._summed(_negated(self._columns()))
+
+    def adjoint(self):
+        """Conjugate every coefficient; the coordinate functions are real, so exponents stay."""
+        return self._summed((self.trials, self.exponents, self.re, -self.im))
+
+    def bracket(self, other) -> "PolynomialBatch":
+        """{u, v} trial by trial."""
+        return self._summed(self._poisson_rows(other))
 
     @np.errstate(invalid="ignore", over="ignore")
     def diff(self, var: int) -> "PolynomialBatch":
@@ -204,24 +216,22 @@ class PolynomialBatch:
         exponents = self.exponents[rows]
         weight = exponents[:, var].astype(float)
         exponents[:, var] -= 1
-        return self._summed(self.trials[rows], exponents,
-                            *_product(weight, 0.0, self.re[rows], self.im[rows]))
+        return self._summed((self.trials[rows], exponents,
+                             *_product(weight, 0.0, self.re[rows], self.im[rows])))
 
-    def _joined(self, other, sign: float):
-        """Per trial, this batch's terms and then ``other``'s times ``sign``."""
+    def _joined(self, other, negate: bool):
+        """Per trial, this batch's terms and then ``other``'s, negated if ``negate``."""
         if not isinstance(other, PolynomialBatch):
             return NotImplemented
         self._check(other)
-        return self._summed(np.concatenate([self.trials, other.trials]),
-                            np.concatenate([self.exponents, other.exponents]),
-                            np.concatenate([self.re, sign * other.re]),
-                            np.concatenate([self.im, sign * other.im]))
+        columns = other._columns()
+        return self._summed(_concatenated(self._columns(), _negated(columns) if negate else columns))
 
     def __add__(self, other):
-        return self._joined(other, 1.0)
+        return self._joined(other, False)
 
     def __sub__(self, other):
-        return self._joined(other, -1.0)
+        return self._joined(other, True)
 
 
 class PhaseSpacePolynomial(PolynomialBatch):
@@ -353,6 +363,17 @@ def _sort_keys(count: int, trials, exponents, radix: int) -> np.ndarray:
     return np.array(words)
 
 
+def _negated(columns) -> tuple:
+    """Row columns (trials, exponents, re, im) with both coefficient parts negated."""
+    trials, exponents, re, im = columns
+    return trials, exponents, -re, -im
+
+
+def _concatenated(*columns) -> tuple:
+    """Row columns (trials, exponents, re, im) of several row sets, one after the other."""
+    return tuple(np.concatenate(part) for part in zip(*columns))
+
+
 def embed_exponents(exponents: tuple, dimension: int) -> tuple:
     """An exponent tuple of a lower dimension in ``dimension``: zero exponents on the extra q and p axes."""
     m = len(exponents) // 2
@@ -401,16 +422,25 @@ def bracket_residuals(u, v, f):
      ([Der_u, Der_v] - Der_{u,v}) f,
      {u, {v, f}} + {v, {f, u}} + {f, {u, v}});
     all four must vanish identically.  u, v and f are batches, every trial
-    at once, or polynomials, each a batch of one; each of the ten brackets,
-    and each product, is formed once.
+    at once, or polynomials, each a batch of one.  {u, v}, {u, f}, {v, f},
+    {u, {v, f}}, {f, u}, v*f and u*f are formed once each; then each
+    residual is one ``summed`` over the raw rows of its terms, a subtracted
+    term's rows negated, so no row is grouped twice.  Integer-valued rows
+    sum exactly under any grouping, so on integer coefficients, as in
+    ``verify``, a residual that vanishes is exactly zero.  On float
+    coefficients a residual can differ from the same expression written
+    with ``*``, ``poisson``, ``+`` and ``-`` by round-off, since it adds
+    the same products in another grouping.
     """
     uv, uf, vf = poisson(u, v), poisson(u, f), poisson(v, f)
-    u_vf = poisson(u, vf)
-    v_times_f = v * f
-    r1 = u * v_times_f - v * (u * f)
-    r2 = poisson(u, v_times_f) - v * uf - uv * f
-    r3 = u_vf - poisson(v, uf) - poisson(uv, f)
-    jacobi = u_vf + poisson(v, poisson(f, u)) + poisson(f, uv)
+    u_vf, fu = poisson(u, vf), poisson(f, u)
+    v_times_f, u_times_f = v * f, u * f
+    r1 = u._summed(_concatenated(u._product_rows(v_times_f), _negated(v._product_rows(u_times_f))))
+    r2 = u._summed(_concatenated(u._poisson_rows(v_times_f), _negated(v._product_rows(uf)),
+                                 _negated(uv._product_rows(f))))
+    r3 = u._summed(_concatenated(u_vf._columns(), _negated(v._poisson_rows(uf)),
+                                 _negated(uv._poisson_rows(f))))
+    jacobi = u._summed(_concatenated(u_vf._columns(), v._poisson_rows(fu), f._poisson_rows(uv)))
     return r1, r2, r3, jacobi
 
 

@@ -16,7 +16,7 @@ from itertools import product
 
 import numpy as np
 
-from .algebra import AlgebraElement, Index, draw_integers, draw_terms, paired_indices
+from .algebra import AlgebraElement, Index, draw_integers, draw_terms, generator, paired_indices
 from .fields import (
     FieldKernelSpec,
     PoincareElement,
@@ -115,6 +115,8 @@ def _random_elements(rng, pool, count) -> list:
 def check_algebra_laws(seed: int = 0) -> CheckResult:
     """Associativity, adjoint anti-homomorphism and anti-linearity, involution laws.
 
+    The adjoint of each pool generator must be the generator of its involved
+    index: every other law also holds for an adjoint that only reverses words.
     Integer coefficients keep every cancellation exact.
     """
     rng = random.Random(seed)
@@ -140,6 +142,7 @@ def check_algebra_laws(seed: int = 0) -> CheckResult:
         twice = once.involve()
         if (once.tag, once.ctag) != (i.ctag, i.tag) or (twice.tag, twice.ctag) != (i.tag, i.ctag):
             residuals.append(1.0)
+    residuals += [(generator(i).adjoint() - generator(i.involve())).max_abs_coeff() for i in pool]
     if AlgebraElement.identity().adjoint() != AlgebraElement.identity():
         residuals.append(1.0)
     worst = _worst(residuals)

@@ -4,7 +4,8 @@ Each helper recomputes a quantity along a different route than the
 implementation under test: explicit perfect-matching enumeration for Wick
 moments, the generating series over exponent tuples and finite
 differences of the generating function, sympy symbolic brackets and
-brackets assembled from derivative polynomials, matrix exponentials for
+brackets assembled from derivative polynomials, the bracket relations
+written with the ring's operators, matrix exponentials for
 quadratic flows, the element E^dagger E multiplied out word by word and
 evaluated segment by segment by matching enumeration against y^H G_2 y over
 the degree-2 Gram matrix, ring results and derivatives rebuilt
@@ -26,7 +27,7 @@ from scipy.linalg import expm
 
 from qcmt.fields import PoincareElement, poincare_act
 from qcmt.gaussian import generating_function
-from qcmt.koopman import PhaseSpacePolynomial
+from qcmt.koopman import PhaseSpacePolynomial, poisson
 from qcmt.vacuum import ExtendedElement
 
 
@@ -275,6 +276,16 @@ def poisson_by_derivatives(u, v):
     for i in range(n):
         out = out + u.diff(i) * v.diff(n + i) - u.diff(n + i) * v.diff(i)
     return out
+
+
+def bracket_residuals_by_operators(u, v, f):
+    """``koopman.bracket_residuals`` term by term through ``*``, ``poisson``, ``+`` and ``-``:
+    every product, bracket, sum and difference is its own ``summed`` batch."""
+    r1 = u * (v * f) - v * (u * f)
+    r2 = poisson(u, v * f) - v * poisson(u, f) - poisson(u, v) * f
+    r3 = poisson(u, poisson(v, f)) - poisson(v, poisson(u, f)) - poisson(poisson(u, v), f)
+    jacobi = poisson(u, poisson(v, f)) + poisson(v, poisson(f, u)) + poisson(f, poisson(u, v))
+    return r1, r2, r3, jacobi
 
 
 def exact_quadratic_flow(symbol, time, point):

@@ -5,10 +5,14 @@ dimension; a polynomial is a batch of one.  Every operation, binary or
 unary, must give, trial by trial, exactly the terms of ``tests/oracles.py``
 in the same key order, with the same coefficient bits up to the sign of a
 NaN, whatever the coefficients: integers, floats, infinities or NaN.
+``bracket_residuals`` adds the same rows as its operator route in other
+groupings, so its terms match exactly on integers and to round-off on floats.
 """
 
+import contextlib
 import math
 import operator
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +21,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     adjoint_by_terms,
+    bracket_residuals_by_operators,
     derivative_by_terms,
     difference_by_terms,
     negation_by_terms,
@@ -25,14 +30,18 @@ from oracles import (
     scalar_multiple_by_terms,
     sum_by_terms,
 )
+from qcmt import koopman
+from qcmt.gaussian import tolerance_bound
 from qcmt.koopman import (
     MAX_EXPONENT,
     PhaseSpacePolynomial,
     PolynomialBatch,
     _sort_keys,
+    bracket_residuals,
     embed_exponents,
     poisson,
 )
+from test_koopman import _mutated_rows
 
 OPERATIONS = [
     (operator.mul, product_by_terms),
@@ -166,3 +175,56 @@ def test_batches_of_different_shape_do_not_pair():
 def test_max_abs_coeff_sees_nan():
     nan = PhaseSpacePolynomial(1, {(1, 0): complex(math.nan, 0.0), (0, 1): 5.0})
     assert math.isnan(PolynomialBatch.of([nan]).max_abs_coeff())
+
+
+# the exact engine, whose residuals vanish, and two defects under which they do not, so the
+# two routes have terms to agree on
+ENGINES = [
+    contextlib.nullcontext,
+    lambda: mock.patch.object(koopman, "_bracket_rows", _mutated_rows("drop the -b_i c_i half")),
+    # the conjugate of the product: u (v f) and v (u f) then differ
+    lambda: mock.patch.object(koopman, "_product", lambda ar, ai, br, bi: (ar * br - ai * bi,
+                                                                           -ar * bi - ai * br)),
+]
+
+
+def _routes(triple):
+    """Pairs of a ``bracket_residuals`` residual of ``triple`` and the operator route's, on each engine."""
+    for engine in ENGINES:
+        with engine():
+            yield from zip(bracket_residuals(*triple), bracket_residuals_by_operators(*triple))
+
+
+@st.composite
+def residual_triples(draw, parts):
+    """Batches u, v and f of 1..4 trials, each of dimension 1 or 2 with 0..4 terms of
+    exponents 0..2 and coefficient parts from ``parts``; in some draws v is u."""
+    dimensions = draw(st.lists(st.integers(1, 2), min_size=1, max_size=4))
+    coefficients = st.builds(complex, parts, parts)
+
+    def batch():
+        return PolynomialBatch.of([PhaseSpacePolynomial(n, draw(st.dictionaries(
+            st.tuples(*[st.integers(0, 2)] * (2 * n)), coefficients, max_size=4)))
+            for n in dimensions])
+
+    u = batch()
+    return u, u if draw(st.booleans()) else batch(), batch()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(residual_triples(st.integers(-3, 3).map(float)))
+def test_bracket_residuals_match_the_operator_route_term_for_term(triple):
+    for ours, want in _routes(triple):
+        assert [p.terms for p in ours.polynomials()] == [p.terms for p in want.polynomials()]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(residual_triples(st.floats(-4.0, 4.0)))
+def test_bracket_residuals_match_the_operator_route_to_round_off(triple):
+    # both routes add the same weighted products of three coefficients in other groupings;
+    # allow 1e-12, about 4,500 ulps, of the largest such product
+    bound = tolerance_bound(1e-12, [math.prod(x.max_abs_coeff() for x in triple)])
+    for ours, want in _routes(triple):
+        for a, b in zip(ours.polynomials(), want.polynomials()):
+            a, b = a.terms, b.terms
+            assert all(abs(a.get(k, 0) - b.get(k, 0)) <= bound for k in a.keys() | b.keys())

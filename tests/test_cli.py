@@ -68,6 +68,15 @@ def test_verify_fails_on_non_psd_kernel(tmp_path):
         assert checks["extended-positivity"]["worst"] == checks["gram-psd"]["worst"] > 0
 
 
+def test_verify_fails_when_the_adjoint_skips_the_involution(monkeypatch, tmp_path):
+    # an adjoint that reverses words without involving their letters keeps every other law
+    monkeypatch.setattr("qcmt.algebra.word_adjoint", lambda w: tuple(reversed(w)))
+    out = tmp_path / "report.json"
+    assert main(["verify", "--out", str(out)]) == 1
+    checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+    assert not checks["algebra-laws"]["passed"] and checks["algebra-laws"]["worst"] == 1.0
+
+
 def test_unknown_field_is_rejected(tmp_path, capsys):
     config = write_config(tmp_path, {"kernel": K2_KERNEL, "frobnicate": 1})
     assert main(["verify", "--config", config]) == 2

@@ -342,6 +342,19 @@ def test_bracket_check_sees_the_imaginary_part_of_products(monkeypatch):
         assert not result.passed and result.worst > 0
 
 
+def test_bracket_check_groups_each_relation_once(monkeypatch):
+    # 3 draws, 7 brackets and products formed once, one combine per relation and 2 for the
+    # normalization make 16; grouping each product and bracket before the subtractions makes 28
+    calls = []
+    summed = koopman.PolynomialBatch.summed.__func__
+    monkeypatch.setattr(koopman.PolynomialBatch, "summed",
+                        classmethod(lambda cls, *columns: calls.append(cls) or summed(cls, *columns)))
+    for seed in (0, 1):
+        calls.clear()
+        assert check_bracket_relations(seed=seed).passed
+        assert len(calls) <= 16
+
+
 def test_fourth_residual_is_the_jacobi_sum(monkeypatch):
     (q,), (p,) = coords()
     u, v, f = q, q + p, p * p
