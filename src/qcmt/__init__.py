@@ -1,6 +1,6 @@
 """Measurement algebras, Gaussian states, Koopman operators, and field kernels."""
 
-from .algebra import AlgebraElement, Index, generator, paired_indices, word_adjoint, word_label
+from .algebra import AlgebraElement, Index, generator, paired_indices, star_residuals, word_adjoint, word_label
 from .fields import (
     FieldKernelSpec,
     PacketComponent,

@@ -23,6 +23,7 @@ from functools import cache
 
 import numpy as np
 
+from .algebra import _concatenated, _grouped, _negated, _product, _term_pairs
 from .gaussian import GaussianKernel, tolerance_bound
 
 DEFAULT_FLOW_STEP = 1e-3
@@ -100,32 +101,18 @@ class PolynomialBatch:
         Like terms of a trial are summed in row order, starting from 0.0;
         the result holds the trials in ascending order, each in
         first-occurrence order, and prunes exact zeros, while a NaN is kept.
-        Grouping is one stable sort over the trial and exponent columns
-        (``_sort_keys``), exact for any exponent up to ``MAX_EXPONENT``; a
-        larger one raises ``ValueError``.
+        The combine step is the word ring's, ``algebra._grouped``: one stable
+        sort over the trial and exponent columns (``_sort_keys``), exact for
+        any exponent up to ``MAX_EXPONENT``; a larger one raises ``ValueError``.
         """
-        size = len(trials)
-        if not size:
+        if not len(trials):
             return cls._rows(dimension, count, trials, exponents, re, im)
         highest = int(exponents.max())
         if highest > MAX_EXPONENT:
             raise ValueError(f"an exponent of the result exceeds {MAX_EXPONENT}")
         keys = _sort_keys(count, trials, exponents, highest + 1)
-        order = np.lexsort(keys)
-        keys = keys[:, order]
-        starts = np.empty(size, dtype=bool)
-        starts[0] = True
-        np.any(keys[:, 1:] != keys[:, :-1], axis=0, out=starts[1:])
-        # the sort is stable: each group's rows stay in row order, earliest first
-        group = np.cumsum(starts) - 1
-        first = order[starts]
-        re = np.bincount(group, re[order], len(first))  # adds in row order
-        im = np.bincount(group, im[order], len(first))
-        emit = np.lexsort((first, trials[first]))
-        re, im, first = re[emit], im[emit], first[emit]
-        kept = (re != 0) | (im != 0)  # a NaN part is kept
-        first = first[kept]
-        return cls._rows(dimension, count, trials[first], exponents[first], re[kept], im[kept])
+        first, re, im = _grouped(keys, trials, re, im, 0.0)
+        return cls._rows(dimension, count, trials[first], exponents[first], re, im)
 
     def _summed(self, columns) -> "PolynomialBatch":
         """``summed`` of the raw rows ``columns`` = (trials, exponents, re, im) in this batch's shape."""
@@ -158,12 +145,7 @@ class PolynomialBatch:
     def _pairs(self, other) -> tuple:
         """Row indices (left, right) of every term pair within a trial, left term major."""
         self._check(other)
-        per_trial = np.bincount(other.trials, minlength=self.count)
-        reps = per_trial[self.trials]
-        left = np.repeat(np.arange(len(self.trials)), reps)
-        offsets = np.arange(len(left)) - np.repeat(np.cumsum(reps) - reps, reps)
-        right = np.repeat((np.cumsum(per_trial) - per_trial)[self.trials], reps) + offsets
-        return left, right
+        return _term_pairs(self.count, self.trials, other.trials)
 
     # inf * 0.0 is NaN without a warning, as in Python's complex arithmetic
     @np.errstate(invalid="ignore", over="ignore")
@@ -363,17 +345,6 @@ def _sort_keys(count: int, trials, exponents, radix: int) -> np.ndarray:
     return np.array(words)
 
 
-def _negated(columns) -> tuple:
-    """Row columns (trials, exponents, re, im) with both coefficient parts negated."""
-    trials, exponents, re, im = columns
-    return trials, exponents, -re, -im
-
-
-def _concatenated(*columns) -> tuple:
-    """Row columns (trials, exponents, re, im) of several row sets, one after the other."""
-    return tuple(np.concatenate(part) for part in zip(*columns))
-
-
 def embed_exponents(exponents: tuple, dimension: int) -> tuple:
     """An exponent tuple of a lower dimension in ``dimension``: zero exponents on the extra q and p axes."""
     m = len(exponents) // 2
@@ -395,11 +366,6 @@ def _bracket_rows(left, right, n: int) -> tuple:
 def _lowering(n: int) -> np.ndarray:
     """Row i: the exponent row e_i on both the q and the p axis of i."""
     return np.tile(np.eye(n, dtype=np.int64), 2)
-
-
-def _product(ar, ai, br, bi) -> tuple:
-    """The parts of Python's complex product (ar + i ai)(br + i bi), one row at a time."""
-    return ar * br - ai * bi, ar * bi + ai * br
 
 
 def poisson(u, v):

@@ -3,10 +3,13 @@
 Adjoining a projector symbol V to the algebra, with the defining state
 factorization rho(A V B) = rho(A) rho(B), makes even a commutative
 measurement algebra noncommutative: rho(M_i V M_j) = rho(M_i) rho(M_j)
-while rho(V M_i M_j) = rho(M_i M_j).  Extended words are stored as the
-sequence of plain-algebra segments between projector symbols; dropping
-inner identity segments realizes V*V = V as a normal form, and reversing
-segments (adjointing each) realizes V^dagger = V.
+while rho(V M_i M_j) = rho(M_i M_j).  An extended element is a batch of
+the packed word ring with V as one more letter, ``PROJECTOR``, always the
+first of its alphabet (digit 1).  A word in normal form holds no two V in
+a row, which realizes V*V = V: the product drops one V where the left word
+ends and the right word begins with it.  V is its own involution partner,
+so the ring's adjoint realizes V^dagger = V.  ``terms`` reads each word as
+the sequence of plain-algebra segments between the V letters.
 
 Conditioning a state by an element X, A -> rho(X^dagger A X)/rho(X^dagger X),
 produces new states that are generally not invariant under the symmetry
@@ -17,7 +20,9 @@ from __future__ import annotations
 
 import math
 
-from .algebra import AlgebraElement, LinearCombination, Word, draw_terms, word_adjoint
+import numpy as np
+
+from .algebra import AlgebraElement, Index, LinearCombination, Word, _mapped, _radix, _union, draw_terms, word_label
 from .gaussian import State
 
 # An extended word is a tuple of plain words (segments); k+1 segments mean
@@ -25,6 +30,22 @@ from .gaussian import State
 ExtendedWord = tuple
 
 NORM_FLOOR = 1e-12  # the least norm rho(X^dagger X) of a conditioner X
+
+
+class _ProjectorTag:
+    """The tag of the projector letter: one object, pickled by reference."""
+
+    __slots__ = ()
+
+    def __reduce__(self):
+        return "PROJECTOR_TAG"
+
+    def __repr__(self):
+        return "V"
+
+
+PROJECTOR_TAG = _ProjectorTag()
+PROJECTOR = Index(PROJECTOR_TAG)  # the letter V, its own involution partner
 
 
 def normalize_segments(segments) -> ExtendedWord:
@@ -39,27 +60,56 @@ def normalize_segments(segments) -> ExtendedWord:
 
 
 class ExtendedElement(LinearCombination):
-    """Linear combination of extended words over the projector extension."""
+    """Linear combinations of extended words over the projector extension, one per trial."""
 
     __slots__ = ()
+    _prefix = (PROJECTOR,)
 
-    def __init__(self, terms=None):
-        if terms:
-            merged = {}
-            for segments, c in terms.items():
-                w = normalize_segments(segments)
-                merged[w] = merged.get(w, 0j) + complex(c)
-            terms = merged
-        super().__init__(terms)
+    @staticmethod
+    def _spelled(segments) -> tuple:
+        """The letters of the normal form of ``segments``, a V between each two."""
+        letters = []
+        for k, segment in enumerate(normalize_segments(segments)):
+            if k:
+                letters.append(PROJECTOR)
+            letters.extend(segment)
+        return tuple(letters)
+
+    @staticmethod
+    def _key(letters: tuple) -> ExtendedWord:
+        """The segments between the V letters."""
+        segments = [[]]
+        for x in letters:
+            if x == PROJECTOR:
+                segments.append([])
+            else:
+                segments[-1].append(x)
+        return tuple(map(tuple, segments))
+
+    def _glued(self, base, left, left_lengths, right, right_lengths) -> tuple:
+        """The word products in normal form: a right word that begins with V (digit 1) loses
+        that V where its left word ends with one, since V*V = V."""
+        capacity, powers = _radix(base)
+        top = np.maximum(right_lengths - 1, 0)
+        rows, column, power = np.arange(len(top)), top // capacity, powers[top % capacity]
+        merged = ((left_lengths > 0) & (left[:, 0] % base == 1)
+                  & (right_lengths > 0) & (right[rows, column] // power == 1))
+        if merged.any():
+            right = right.copy()
+            right[rows[merged], column[merged]] -= power[merged]
+        return super()._glued(base, left, left_lengths, right, right_lengths - merged)
 
     @staticmethod
     def _word_product(left: ExtendedWord, right: ExtendedWord) -> ExtendedWord:
-        glued = left[:-1] + (left[-1] + right[0],) + right[1:]
-        return normalize_segments(glued)
+        """The normal form of the word product left*right, read from the ring."""
+        (w,) = (ExtendedElement({left: 1.0}) * ExtendedElement({right: 1.0})).terms
+        return w
 
     @staticmethod
     def _word_adjoint(w: ExtendedWord) -> ExtendedWord:
-        return normalize_segments(tuple(word_adjoint(s) for s in reversed(w)))
+        """The adjoint of one extended word, read from the ring."""
+        (w,) = ExtendedElement({w: 1.0}).adjoint().terms
+        return w
 
     @classmethod
     def projector(cls) -> "ExtendedElement":
@@ -75,18 +125,14 @@ class ExtendedElement(LinearCombination):
 
     @classmethod
     def embed(cls, element: AlgebraElement) -> "ExtendedElement":
-        return cls({(w,): c for w, c in element.terms.items()})
+        """Every trial of ``element`` as one-segment extended words."""
+        alphabet, table = _union(cls._prefix, element.alphabet)
+        codes = _mapped(element.codes, element.lengths, element._base, table, len(alphabet) + 1)
+        return cls._rows(alphabet, element.count, element.trials, codes, element.lengths,
+                         element.re, element.im)
 
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-
-        def label(segments):
-            from .algebra import word_label
-
-            return " V ".join(word_label(s) for s in segments)
-
-        return " + ".join(f"({c:g})*[{label(w)}]" for w, c in self.terms.items())
+    def _label(self, key) -> str:
+        return "[" + " V ".join(word_label(s) for s in key) + "]"
 
 
 def extended_word_expect(state: State, segments) -> complex:
@@ -118,17 +164,20 @@ def commutation_witness(state: State, i, j) -> tuple:
 class ConditionedState(State):
     """State A -> rho(X^dagger A X) / rho(X^dagger X) built from a base state.
 
-    A conditioner whose norm is at most ``NORM_FLOOR`` raises ``ValueError``.
+    The adjoint X^dagger is formed once.  A conditioner whose norm is at
+    most ``NORM_FLOOR`` raises ``ValueError``.
     """
 
     def __init__(self, base: State, conditioner: AlgebraElement):
-        norm = base.expect(conditioner.adjoint() * conditioner)
+        adjoint = conditioner.adjoint()
+        norm = base.expect(adjoint * conditioner)
         if norm.real <= NORM_FLOOR:
             raise ValueError(
                 f"conditioner has vanishing norm rho(X^dagger X) = {norm.real:.3e}"
             )
         self.base = base
         self.conditioner = conditioner
+        self._adjoint = adjoint
         self.normalization = norm.real
 
     @property
@@ -136,20 +185,19 @@ class ConditionedState(State):
         return self.base.indices
 
     def word_expect(self, w: Word) -> complex:
-        sandwich = (
-            self.conditioner.adjoint() * AlgebraElement.from_word(w) * self.conditioner
-        )
+        sandwich = self._adjoint * AlgebraElement.from_word(w) * self.conditioner
         return self.base.expect(sandwich) / self.normalization
 
 
 def extended_positivity_probe(state: State, trials: int, seed: int = 0) -> float:
     """Worst case of Re rho(E^dagger E) over randomized extended elements E.
 
-    One ``draw_terms`` call draws every trial at once, so the elements
-    depend on the seed and on ``trials`` and a result is deterministic per
-    seed.  Each element sums at most three extended words of at most three
-    segments, each segment of length at most two, and rho(E^dagger E) is
-    taken through the extended ring.  On a Hermitian kernel rho(E^dagger E)
+    One ``draw_terms`` call draws every trial at once, into one batch of
+    ``trials`` elements, so the elements depend on the seed and on
+    ``trials`` and a result is deterministic per seed.  Each element sums
+    at most three extended words of at most three segments, each segment of
+    length at most two, and rho(E^dagger E) is taken through the extended
+    ring, every trial at once.  On a Hermitian kernel rho(E^dagger E)
     = y^H G_2 y over the degree-2 Gram matrix G_2, whose spectrum decides
     positivity exactly (``verify.check_extended_positivity``); this is a
     random search for a negative direction of G_2.  Genuine states stay
@@ -160,10 +208,9 @@ def extended_positivity_probe(state: State, trials: int, seed: int = 0) -> float
     pool = tuple(state.indices)
     if not pool:
         raise ValueError("no indices available to build probe elements")
-    worst = math.inf
-    for drawn in draw_terms(seed, trials, len(pool), 3, 2, 3, normal=True):
-        e = ExtendedElement()
-        for segments, c in drawn:
-            e = e + ExtendedElement({tuple(tuple(pool[k] for k in s) for s in segments): c})
-        worst = min(worst, extended_expect(state, e.adjoint() * e).real)
-    return worst
+    rows = [(t, tuple(tuple(pool[k] for k in s) for s in segments), c)
+            for t, drawn in enumerate(draw_terms(seed, trials, len(pool), 3, 2, 3, normal=True))
+            for segments, c in drawn]
+    ids, words, coefficients = zip(*rows)
+    e = ExtendedElement.from_words(trials, np.array(ids), words, coefficients)
+    return min(extended_expect(state, x).real for x in (e.adjoint() * e).elements())

@@ -16,7 +16,7 @@ from itertools import product
 
 import numpy as np
 
-from .algebra import AlgebraElement, Index, draw_integers, draw_terms, generator, paired_indices
+from .algebra import AlgebraElement, Index, draw_integers, paired_indices, star_residuals
 from .fields import (
     FieldKernelSpec,
     PoincareElement,
@@ -101,51 +101,54 @@ def _worst(residuals) -> float:
     return math.nan if any(map(math.isnan, residuals)) else max([0.0, *residuals])
 
 
-def _random_elements(rng, pool, count) -> list:
-    """``count`` elements over ``pool``: 1-3 ``draw_terms`` words of 0-3 letters, integer coefficients."""
-    elements = []
-    for drawn in draw_terms(rng, count, len(pool), 3, 3):
-        merged = {}
-        for (segment,), c in drawn:
-            merged[segment] = merged.get(segment, 0j) + c
-        elements.append(AlgebraElement({tuple(pool[k] for k in w): c for w, c in merged.items()}))
-    return elements
+def _random_elements(rng, pool, batches, count) -> list:
+    """``batches`` batches of ``count`` elements over ``pool``: 1-3 terms of words of 0-3 letters.
+
+    Term counts, word lengths, letters (positions in ``pool``) and the real
+    and imaginary parts of the coefficients, integers in -3..3, are four
+    ``draw_integers`` blocks of the maximal shape, read straight into term
+    rows; a repeated word adds its draws.
+    """
+    terms = draw_integers(rng, 1, 4, (batches, count))
+    lengths = draw_integers(rng, 0, 4, (batches, count, 3))
+    picks = draw_integers(rng, 0, len(pool), (batches, count, 3, 3))
+    re, im = draw_integers(rng, -3, 4, (2, batches, count, 3)).astype(float)
+    drawn = np.arange(3) < terms[..., None]
+    return [AlgebraElement.packed(pool, count, np.nonzero(d)[0], p[d], n[d], r[d], i[d])
+            for d, p, n, r, i in zip(drawn, picks, lengths, re, im)]
 
 
 def check_algebra_laws(seed: int = 0) -> CheckResult:
     """Associativity, adjoint anti-homomorphism and anti-linearity, involution laws.
 
-    The adjoint of each pool generator must be the generator of its involved
-    index: every other law also holds for an adjoint that only reverses words.
-    Integer coefficients keep every cancellation exact.
+    Every law is one residual over all trials at once: a, b and c are
+    batches of ``ALGEBRA_TRIALS`` elements, and anti-linearity takes one
+    pair of scalars per trial (``star_residuals``).  Those laws also hold
+    for an adjoint that only reverses words, and in the opposite ring, whose
+    product concatenates right to left.  So the product uv of every u, v in
+    {1} and the pool letters, 25 trials, must adjoin to (uv)^c, the word uv
+    reversed with each letter involved: 1, x^c, and y^c x^c for each of the
+    16 ordered pairs xy.  Integer coefficients keep every cancellation exact.
     """
     rng = random.Random(seed)
     a1, a1c = paired_indices("a", "a*")
     pool = (Index(1), Index(2), a1, a1c)
-    elements = _random_elements(rng, pool, 3 * ALGEBRA_TRIALS)
-    scalars = draw_integers(rng, -3, 4, (ALGEBRA_TRIALS, 4)).tolist()
-    picks = draw_integers(rng, 0, len(pool), (ALGEBRA_TRIALS,)).tolist()
-    residuals = []
-    for t in range(ALGEBRA_TRIALS):
-        a, b, c = elements[3 * t : 3 * t + 3]
-        ab, a_dagger, b_dagger = a * b, a.adjoint(), b.adjoint()
-        lam, mu = complex(*scalars[t][:2]), complex(*scalars[t][2:])
-        anti = (lam * a + mu * b).adjoint() - (lam.conjugate() * a_dagger + mu.conjugate() * b_dagger)
-        residuals += [
-            (ab * c - a * (b * c)).max_abs_coeff(),
-            (ab.adjoint() - b_dagger * a_dagger).max_abs_coeff(),
-            anti.max_abs_coeff(),
-            (a_dagger.adjoint() - a).max_abs_coeff(),
-        ]
-        i = pool[picks[t]]
+    a, b, c = _random_elements(rng, pool, 3, ALGEBRA_TRIALS)
+    lam, mu = draw_integers(rng, -3, 4, (2, ALGEBRA_TRIALS, 2)) @ np.array([1, 1j])
+    factors = [()] + [(x,) for x in pool]
+    pairs = [(u, v) for u in factors for v in factors]
+    left, right, involved = (
+        AlgebraElement.from_words(len(pairs), np.arange(len(pairs)), words, [1.0] * len(pairs))
+        for words in ([u for u, _ in pairs], [v for _, v in pairs],
+                      [tuple(i.involve() for i in reversed(u + v)) for u, v in pairs]))
+    residuals = (*star_residuals(a, b, c, lam, mu), (left * right).adjoint() - involved)
+    worst = [residual.max_abs_coeff() for residual in residuals]
+    for i in pool:
         once = i.involve()
         twice = once.involve()
         if (once.tag, once.ctag) != (i.ctag, i.tag) or (twice.tag, twice.ctag) != (i.tag, i.ctag):
-            residuals.append(1.0)
-    residuals += [(generator(i).adjoint() - generator(i.involve())).max_abs_coeff() for i in pool]
-    if AlgebraElement.identity().adjoint() != AlgebraElement.identity():
-        residuals.append(1.0)
-    worst = _worst(residuals)
+            worst.append(1.0)
+    worst = _worst(worst)
     return CheckResult("algebra-laws", worst <= ALGEBRA_TOLERANCE, worst, ALGEBRA_TOLERANCE)
 
 

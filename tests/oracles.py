@@ -9,7 +9,9 @@ written with the ring's operators, matrix exponentials for
 quadratic flows, the element E^dagger E multiplied out word by word and
 evaluated segment by segment by matching enumeration against y^H G_2 y over
 the degree-2 Gram matrix, ring results and derivatives rebuilt
-term by term through the validating constructors, direct position-space
+term by term through the validating constructors, the dict-of-words ring
+that the packed word ring replaced (``DictAlgebraElement``,
+``DictExtendedElement``), direct position-space
 packet evaluation for Fourier conventions, and two momentum-space routes
 for field kernels:
 a fixed Simpson grid in k and adaptive ``quad`` in k, one pair at a time.
@@ -28,7 +30,8 @@ from scipy.linalg import expm
 from qcmt.fields import PoincareElement, poincare_act
 from qcmt.gaussian import generating_function
 from qcmt.koopman import PhaseSpacePolynomial, poisson
-from qcmt.vacuum import ExtendedElement
+from qcmt.algebra import TERM_TOLERANCE, word_adjoint
+from qcmt.vacuum import ExtendedElement, normalize_segments
 
 
 def probe_value_by_products(state, element):
@@ -126,6 +129,87 @@ def poisson_by_terms(u, v):
                     key[n + i] -= 1
                     pairs.append((tuple(key), weight * (ca * cb)))
     return _rebuild(u, pairs)
+
+
+class DictCombination:
+    """The word ring as a dict from word to Python complex coefficient, one element.
+
+    Sums and products add like terms in the order the dict meets them, a
+    product starting from 0j; every result prunes coefficients of magnitude
+    at most ``TERM_TOLERANCE`` and keeps a NaN.  Subclasses give the word
+    product and the word adjoint.
+    """
+
+    def __init__(self, terms=None):
+        self.terms = {}
+        for w, c in (terms or {}).items():
+            c = complex(c)
+            if not abs(c) <= TERM_TOLERANCE:
+                self.terms[w] = c
+
+    def _like(self, terms):
+        result = type(self)()
+        result.terms = {w: c for w, c in terms.items() if not abs(c) <= TERM_TOLERANCE}
+        return result
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for w, c in other.terms.items():
+            out[w] = out.get(w, 0j) + c
+        return self._like(out)
+
+    def __sub__(self, other):
+        out = dict(self.terms)
+        for w, c in other.terms.items():
+            out[w] = out.get(w, 0j) - c
+        return self._like(out)
+
+    def __neg__(self):
+        return self._like({w: -c for w, c in self.terms.items()})
+
+    def __mul__(self, other):
+        if isinstance(other, DictCombination):
+            out = {}
+            for wa, ca in self.terms.items():
+                for wb, cb in other.terms.items():
+                    w = self._word_product(wa, wb)
+                    out[w] = out.get(w, 0j) + ca * cb
+            return self._like(out)
+        return self._like({w: complex(c * other) for w, c in self.terms.items()})
+
+    def adjoint(self):
+        return self._like({self._word_adjoint(w): c.conjugate() for w, c in self.terms.items()})
+
+
+class DictAlgebraElement(DictCombination):
+    """The free algebra: words are tuples of ``Index``, the product concatenates."""
+
+    @staticmethod
+    def _word_product(left, right):
+        return left + right
+
+    @staticmethod
+    def _word_adjoint(w):
+        return word_adjoint(w)
+
+
+class DictExtendedElement(DictCombination):
+    """The projector extension: words are tuples of segments in ``normalize_segments`` form."""
+
+    def __init__(self, terms=None):
+        merged = {}
+        for segments, c in (terms or {}).items():
+            w = normalize_segments(segments)
+            merged[w] = merged.get(w, 0j) + complex(c)
+        super().__init__(merged)
+
+    @staticmethod
+    def _word_product(left, right):
+        return normalize_segments(left[:-1] + (left[-1] + right[0],) + right[1:])
+
+    @staticmethod
+    def _word_adjoint(w):
+        return normalize_segments(tuple(word_adjoint(s) for s in reversed(w)))
 
 
 def wick_by_matchings(kernel, word):
