@@ -56,7 +56,7 @@ PACKET_FIELDS = {"amplitude", "center", "width", "wavevector"}
 # gram's basis at its degree, and verify's Wick-oracle words to length 4,
 # which include its degree-2 Gram basis.  A field kernel has one index per
 # distinct packet and conjugate.  Near the cap, gram on 44 indices at degree
-# 2 (1,981 words) takes about 18 s and 270 MB on a 2-core VM; verify takes 6
+# 2 (1,981 words) takes about 12 s and 270 MB on a 2-core VM; verify takes 6
 # indices (1,555 words).
 BASIS_CAP = 2000
 

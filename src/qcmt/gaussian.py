@@ -10,14 +10,17 @@ zero of the exponential generating function
     exp( - sum_m lambda_m^2 (i_m^c, i_m)/2
          - sum_{m<n} lambda_m lambda_n (i_m^c, i_n) ).
 
-``wick_expect`` sums the matchings by expanding along the first position,
+The engine sums the matchings by expanding along the first position,
 
     m(t) = sum_j (t_0^c, t_j) m(t without positions 0 and j),
 
 the hafnian of the contraction matrix.  A letter is coded as
 n * position(ctag) + position(tag) over the n indices, so the contraction
-(a^c, b) is matrix entry (a // n, b % n).  Each kernel memoizes the
-moments of the code words this recursion reaches, so the entries of a
+(a^c, b) is matrix entry (a // n, b % n).  ``GaussianKernel.moment`` is the
+one engine entry and takes a word already coded (``_encode``), so a caller
+that reuses words, as the Gram fill does, codes each once;
+``wick_expect`` codes one word and calls it.  Each kernel memoizes the
+moments of the code words the recursion reaches, so the entries of a
 Gram matrix share their work.  ``moment_from_generating_series`` expands
 the generating function as a power series over bitmask monomials instead
 and is kept as a structurally independent cross-check of the same number.
@@ -35,8 +38,8 @@ import numpy as np
 
 from .algebra import AlgebraElement, Index, Word
 
-# Longest word ``wick_expect`` accepts; the CLI caps moment words and Gram
-# degree by it.  It bounds the recursion depth (N/2 levels) and the
+# Longest word ``GaussianKernel.moment`` accepts; the CLI caps moment words
+# and Gram degree by it.  It bounds the recursion depth (N/2 levels) and the
 # sub-words one length-N moment can reach (under 2**(N-1)), so a single
 # moment stays cheap even with a cold memo.
 MATCHING_CAP = 12
@@ -151,6 +154,21 @@ class GaussianKernel(State):
         position, n = self._position, len(self._indices)
         return tuple([n * position[ix.ctag] + position[ix.tag] for ix in w])
 
+    def moment(self, codes: tuple) -> complex:
+        """Moment of a code word (``_encode``): the one entry to the Wick engine.
+
+        A word longer than ``MATCHING_CAP`` is refused; the empty word has
+        moment 1 and an odd word 0.
+        """
+        n = len(codes)
+        if n > MATCHING_CAP:
+            raise ValueError(f"word length {n} exceeds the matching cap {MATCHING_CAP}")
+        if n == 0:
+            return 1 + 0j
+        if n % 2:
+            return 0j
+        return self._wick(codes)
+
     def _wick(self, t: tuple) -> complex:
         """Moment of an even, non-empty code word by expansion along t[0].
 
@@ -198,16 +216,9 @@ def wick_expect(kernel: GaussianKernel, w: Word) -> complex:
     with t' the word without positions 0 and j, which sums the products of
     contractions (i_m^c, i_n), m < n, over all perfect matchings.  Sub-word
     moments are memoized on the kernel.  Odd words vanish; words longer
-    than ``MATCHING_CAP`` are refused.
+    than ``MATCHING_CAP`` are refused (``GaussianKernel.moment``).
     """
-    n = len(w)
-    if n > MATCHING_CAP:
-        raise ValueError(f"word length {n} exceeds the matching cap {MATCHING_CAP}")
-    if n == 0:
-        return 1 + 0j
-    if n % 2:
-        return 0j
-    return kernel._wick(kernel._encode(w))
+    return kernel.moment(kernel._encode(w))
 
 
 def generating_function(kernel: GaussianKernel, indices, lambdas) -> complex:
@@ -249,7 +260,7 @@ def moment_from_generating_series(kernel: GaussianKernel, w: Word) -> complex:
     target.  Odd words have no such power and vanish.
 
     Structurally independent of the contraction recursion in
-    ``wick_expect``; intended as its oracle.
+    ``GaussianKernel.moment``; intended as its oracle.
     """
     n = len(w)
     if n == 0:

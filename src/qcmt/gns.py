@@ -7,6 +7,11 @@ the Gram null space and letting generators act by left multiplication
 (which raises the degree, so the maps are rectangular and free of
 truncation error) yields a concrete representation whose vacuum
 expectations reproduce the state.
+
+The state is a ``GaussianKernel``.  A fill codes each basis word and each
+basis word's adjoint once (``GaussianKernel._encode``) and reads entry
+(a, b) from the kernel's one engine entry, ``moment``, on the two codes
+joined: bitwise the value ``wick_expect`` gives the word w_a^dagger w_b.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from itertools import product
 import numpy as np
 
 from .algebra import Index, Word, word_adjoint
-from .gaussian import State, hermitian_spectrum
+from .gaussian import GaussianKernel, hermitian_spectrum
 
 GRAM_TOLERANCE = 1e-10  # ``gram``'s default, and where ``represent`` cuts null spaces
 
@@ -85,18 +90,21 @@ class GramReport:
         }
 
 
-def _gram_matrix(basis: MonomialBasis, state: State) -> np.ndarray:
-    expect = state.word_expect
-    words = basis.words
-    g = np.empty((len(words), len(words)), dtype=complex)
-    for a, left in enumerate(map(word_adjoint, words)):
-        g[a] = [expect(left + wb) for wb in words]
+def _gram_matrix(basis: MonomialBasis, kernel: GaussianKernel) -> np.ndarray:
+    """G_ab = rho(w_a^dagger w_b) from 2N code words: each w_b and each w_a^dagger coded once."""
+    encode, moment = kernel._encode, kernel.moment
+    right = [encode(w) for w in basis.words]
+    g = np.empty((len(right), len(right)), dtype=complex)
+    for a, w in enumerate(basis.words):
+        left = encode(word_adjoint(w))
+        g[a] = [moment(left + b) for b in right]
     return g
 
 
-def gram(basis: MonomialBasis, state: State, tolerance: float = GRAM_TOLERANCE) -> GramReport:
+def gram(basis: MonomialBasis, kernel: GaussianKernel,
+         tolerance: float = GRAM_TOLERANCE) -> GramReport:
     """Gram matrix G_ab = rho(w_a^dagger w_b) with eigenvalues and null count."""
-    g = _gram_matrix(basis, state)
+    g = _gram_matrix(basis, kernel)
     eig, _, bound = hermitian_spectrum(g, tolerance)
     null = int(np.sum(np.abs(eig) <= bound))
     return GramReport(gram=g, eigenvalues=eig, null_dimension=null, tolerance=tolerance, bound=bound)
@@ -150,7 +158,7 @@ class Representation:
         return complex(np.vdot(omega, vec))
 
 
-def represent(basis: MonomialBasis, state: State) -> Representation:
+def represent(basis: MonomialBasis, kernel: GaussianKernel) -> Representation:
     """GNS representation data for all degrees up to ``basis.degree`` + 1.
 
     Needs the state on words up to length 2*degree + 2.  Each Gram matrix's
@@ -159,7 +167,7 @@ def represent(basis: MonomialBasis, state: State) -> Representation:
     """
     d = basis.degree
     top = build_basis(basis.indices, d + 1)
-    top_gram = _gram_matrix(top, state)
+    top_gram = _gram_matrix(top, kernel)
     # graded-lex order puts the words of length <= j first, so the degree-j
     # Gram matrix is the leading block of the top one
     n = len(basis.indices)

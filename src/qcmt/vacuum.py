@@ -99,18 +99,6 @@ class ExtendedElement(LinearCombination):
             right[rows[merged], column[merged]] -= power[merged]
         return super()._glued(base, left, left_lengths, right, right_lengths - merged)
 
-    @staticmethod
-    def _word_product(left: ExtendedWord, right: ExtendedWord) -> ExtendedWord:
-        """The normal form of the word product left*right, read from the ring."""
-        (w,) = (ExtendedElement({left: 1.0}) * ExtendedElement({right: 1.0})).terms
-        return w
-
-    @staticmethod
-    def _word_adjoint(w: ExtendedWord) -> ExtendedWord:
-        """The adjoint of one extended word, read from the ring."""
-        (w,) = ExtendedElement({w: 1.0}).adjoint().terms
-        return w
-
     @classmethod
     def projector(cls) -> "ExtendedElement":
         return cls({((), ()): 1.0})

@@ -16,7 +16,14 @@ from itertools import product
 
 import numpy as np
 
-from .algebra import AlgebraElement, Index, draw_integers, paired_indices, star_residuals
+from .algebra import (
+    AlgebraElement,
+    Index,
+    draw_integers,
+    paired_indices,
+    star_residuals,
+    word_adjoint,
+)
 from .fields import (
     FieldKernelSpec,
     PoincareElement,
@@ -27,12 +34,7 @@ from .fields import (
     thermal_kernel,
     vacuum_kernel,
 )
-from .gaussian import (
-    GaussianKernel,
-    moment_from_generating_series,
-    tolerance_bound,
-    wick_expect,
-)
+from .gaussian import GaussianKernel, moment_from_generating_series, tolerance_bound
 from .gns import GramReport, build_basis, gram
 from .koopman import PhaseSpacePolynomial, PolynomialBatch, bracket_residuals, embed_exponents
 
@@ -41,7 +43,8 @@ logger = logging.getLogger(__name__)
 # The suite is fixed; each report echoes the tolerance its check was held to.
 ALGEBRA_TRIALS = 40
 ALGEBRA_TOLERANCE = 1e-12
-WICK_ORACLE_LENGTH = 4
+GRAM_DEGREE = 2  # of the Gram that gram-psd and extended-positivity judge
+WICK_ORACLE_LENGTH = 2 * GRAM_DEGREE  # every word an entry of that Gram holds
 WICK_TOLERANCE = 1e-8
 BRACKET_TRIALS = 100
 RANDOM_DEGREE = 3
@@ -152,18 +155,26 @@ def check_algebra_laws(seed: int = 0) -> CheckResult:
     return CheckResult("algebra-laws", worst <= ALGEBRA_TOLERANCE, worst, ALGEBRA_TOLERANCE)
 
 
-def check_wick_oracle(kernel: GaussianKernel) -> CheckResult:
-    """Contraction recursion against generating-function differentiation.
+def check_wick_oracle(kernel: GaussianKernel, gram_matrix) -> CheckResult:
+    """The degree-``GRAM_DEGREE`` Gram's entries against generating-function differentiation.
 
-    All words share one kernel, so later words read sub-word moments from
-    the memo that earlier words filled.  ``worst`` is the largest difference
-    over max(1, max |oracle moment|), the scale ``gram-psd`` is judged at,
-    so the check passes when it is at most the tolerance.
+    ``gram_matrix`` is the Gram of ``build_basis(kernel.indices,
+    GRAM_DEGREE)``, the one ``gram-psd`` and ``extended-positivity`` judge.
+    Each word w of length at most ``WICK_ORACLE_LENGTH`` is its entry
+    G[adjoint(w[:k]), w[k:]] = rho(w), k = max(0, |w| - ``GRAM_DEGREE``), and
+    is compared with ``moment_from_generating_series``; so the check sees
+    the moment engine, the word adjoint and the fill at once.  ``worst`` is
+    the largest difference over max(1, max |oracle moment|), the scale
+    ``gram-psd`` is judged at, so the check passes when it is at most the
+    tolerance.
     """
+    row = {w: r for r, w in enumerate(build_basis(kernel.indices, GRAM_DEGREE).words)}
+    entries = gram_matrix.tolist()
     defects, oracles = [], []
     for w in build_basis(kernel.indices, WICK_ORACLE_LENGTH).words:
+        k = max(0, len(w) - GRAM_DEGREE)
         oracle = moment_from_generating_series(kernel, w)
-        defects.append(abs(wick_expect(kernel, w) - oracle))
+        defects.append(abs(entries[row[word_adjoint(w[:k])]][row[w[k:]]] - oracle))
         oracles.append(oracle)
     worst = _worst(defects) / tolerance_bound(1.0, oracles)
     return CheckResult("wick-oracle", worst <= WICK_TOLERANCE, worst, WICK_TOLERANCE)
@@ -322,13 +333,14 @@ def run_verify(kernel: GaussianKernel, seed: int, tolerance: float, field, confi
     the field checks pair the packets f and g, and microcausality shifts g
     by each spacelike separation.  ``config_echo`` is the report's config.
     """
+    report = gram(build_basis(kernel.indices, GRAM_DEGREE), kernel, tolerance)
     checks = [
         check_algebra_laws(seed=seed),
-        check_wick_oracle(kernel),
+        check_wick_oracle(kernel, report.gram),
         check_bracket_relations(seed=seed),
+        check_gram_psd(report),
+        check_extended_positivity(report),
     ]
-    report = gram(build_basis(kernel.indices, 2), kernel, tolerance)
-    checks += [check_gram_psd(report), check_extended_positivity(report)]
     if field is not None:
         spec, f, g, separations = field
         checks.append(check_vacuum_boost_invariance(spec.vacuum, f, g))

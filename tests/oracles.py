@@ -11,7 +11,9 @@ evaluated segment by segment by matching enumeration against y^H G_2 y over
 the degree-2 Gram matrix, ring results and derivatives rebuilt
 term by term through the validating constructors, the dict-of-words ring
 that the packed word ring replaced (``DictAlgebraElement``,
-``DictExtendedElement``), direct position-space
+``DictExtendedElement``), the Gram matrix filled entry by entry through
+``word_expect``, one coded word per entry (``gram_by_word_expect``),
+direct position-space
 packet evaluation for Fourier conventions, and two momentum-space routes
 for field kernels:
 a fixed Simpson grid in k and adaptive ``quad`` in k, one pair at a time.
@@ -237,6 +239,20 @@ def wick_by_matchings(kernel, word):
                 yield factor * sub
 
     return sum(matchings(tuple(range(n))), 0j)
+
+
+def gram_by_word_expect(basis, state):
+    """G_ab = rho(w_a^dagger w_b), each entry one ``state.word_expect`` call on the joined word.
+
+    The per-entry fill that ``gns.gram`` replaced: every entry codes its
+    whole word again, where the production fill codes each basis word and
+    each adjoint once.
+    """
+    words = basis.words
+    g = np.empty((len(words), len(words)), dtype=complex)
+    for a, left in enumerate(map(word_adjoint, words)):
+        g[a] = [state.word_expect(left + wb) for wb in words]
+    return g
 
 
 def _tuple_series_multiply(left, right):

@@ -1,10 +1,15 @@
 import json
 import math
 from itertools import product
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from oracles import gram_by_word_expect
+from qcmt import gns
 from qcmt.algebra import Index, paired_indices
 from qcmt.gaussian import GaussianKernel
 from qcmt.gns import GRAM_TOLERANCE, build_basis, gram, represent
@@ -202,3 +207,82 @@ def test_lower_gram_is_leading_block_of_top_gram(kind, degree):
         assert basis.words == top_basis.words[:n]
         fresh = GaussianKernel(indices, matrix)
         assert gram(basis, fresh).gram.tobytes() == top[:n, :n].tobytes()
+
+
+# ------------------------------------------------- the fill against the per-entry oracle
+
+# parts of kernel entries; zeros are frequent, so contractions are skipped
+PARTS = (0.0, 0.0, 1.0, -0.5, 0.3, 1.7)
+
+
+@st.composite
+def fill_kernels(draw, kinds=("real", "hermitian", "paired", "degenerate"), max_degree=4):
+    """(kernel indices, matrix, degree): 0-4 indices, self-conjugate or with partner pairs.
+
+    A real or Hermitian matrix is A + A^H for a drawn upper triangle A, so it
+    need not be positive; a degenerate one is v v^H, of rank at most one.
+    """
+    n = draw(st.integers(0, 4))
+    kind = draw(st.sampled_from(kinds))
+    pairs = draw(st.integers(min(1, n // 2), n // 2)) if kind == "paired" else 0
+    indices = [ix for p in range(pairs) for ix in paired_indices(f"a{p}", f"b{p}")]
+    indices += [Index(t) for t in range(n - 2 * pairs)]
+    parts = st.sampled_from(PARTS)
+    imaginary = (lambda: 0.0) if kind == "real" else (lambda: draw(parts))
+    if kind == "degenerate":
+        v = np.array([complex(draw(parts), imaginary()) for _ in range(n)])
+        matrix = np.outer(v, v.conj())
+    else:
+        upper = np.zeros((n, n), dtype=complex)
+        for a in range(n):
+            for b in range(a, n):
+                upper[a, b] = complex(draw(parts), imaginary() if a != b else 0.0)
+        matrix = upper + upper.conj().T
+    return indices, matrix, draw(st.integers(0, max_degree))
+
+
+# the largest shape drawn, N = 341, on two partner pairs with one zero entry
+LARGEST = ([*paired_indices("a", "a*"), *paired_indices("b", "b*")],
+           [[1.0, 0.3j, 0.2, 0.0], [-0.3j, 1.0, 0.1 - 0.2j, 0.5], [0.2, 0.1 + 0.2j, 0.9, 0.4j],
+            [0.0, 0.5, -0.4j, 1.2]], 4)
+
+
+@settings(max_examples=25, deadline=None)
+@given(fill_kernels())
+@example(LARGEST)
+def test_gram_is_bitwise_the_per_entry_fill(case):
+    indices, matrix, degree = case
+    basis = build_basis(indices, degree)
+    assert len(basis) <= 400
+    fill = gram(basis, GaussianKernel(indices, matrix, validate=False)).gram
+    oracle = gram_by_word_expect(basis, GaussianKernel(indices, matrix, validate=False))
+    assert fill.tobytes() == oracle.tobytes()
+
+
+@settings(max_examples=20, deadline=None)
+@given(fill_kernels(kinds=("real", "hermitian", "paired"), max_degree=2))
+def test_represent_fills_its_top_gram_as_the_per_entry_fill(case):
+    indices, matrix, degree = case
+    positive = matrix @ matrix.conj().T + np.eye(len(indices))  # represent refuses non-states
+    fill, filled = gns._gram_matrix, []
+
+    def capture(basis, kernel):
+        filled.append((basis, fill(basis, kernel)))
+        return filled[-1][1]
+
+    with mock.patch.object(gns, "_gram_matrix", capture):
+        represent(build_basis(indices, degree), GaussianKernel(indices, positive))
+    ((top, g),) = filled
+    assert top.degree == degree + 1
+    assert g.tobytes() == gram_by_word_expect(top, GaussianKernel(indices, positive)).tobytes()
+
+
+@pytest.mark.parametrize("degree", [0, 1, 3])
+def test_a_fill_codes_each_word_and_each_adjoint_once(degree):
+    a, ac = paired_indices("a", "a*")
+    kernel = GaussianKernel([a, ac, Index(3)], [[1.0, 0.3j, 0.2], [-0.3j, 1.0, 0.0], [0.2, 0.0, 0.9]])
+    basis = build_basis(kernel.indices, degree)
+    with mock.patch.object(GaussianKernel, "_encode", autospec=True,
+                           side_effect=GaussianKernel._encode) as encode:
+        gram(basis, kernel)
+    assert encode.call_count == 2 * len(basis)

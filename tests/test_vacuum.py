@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_element
-from oracles import probe_value_by_products
+from oracles import DictExtendedElement, probe_value_by_products
 from qcmt.algebra import AlgebraElement, Index, draw_terms, generator, paired_indices, word_adjoint
 from qcmt.gaussian import GaussianKernel
 from qcmt.gns import build_basis, gram
@@ -155,7 +155,7 @@ def _drawn_elements(pool, trials, seed, max_words, max_segments, max_len):
 
 def _pair_scale(state, element):
     """sum_ab |c_a c_b rho(w_a^dagger w_b)|, the size of the round-off of either route."""
-    glue, adjoint = ExtendedElement._word_product, ExtendedElement._word_adjoint
+    glue, adjoint = DictExtendedElement._word_product, DictExtendedElement._word_adjoint
     return sum(
         abs(ca * cb * extended_word_expect(state, glue(adjoint(wa), wb)))
         for wa, ca in element.terms.items()

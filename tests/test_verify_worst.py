@@ -8,10 +8,13 @@ a report never holds a non-finite number.
 
 import math
 
+import numpy as np
+
 from qcmt import cli, verify
 from qcmt.algebra import AlgebraElement
 from qcmt.fields import FieldKernelSpec, Wavepacket
 from qcmt.gaussian import GaussianKernel
+from qcmt.gns import build_basis, gram
 from qcmt.koopman import PhaseSpacePolynomial
 
 NAN = math.nan
@@ -26,21 +29,19 @@ def assert_fails_on_nan(result):
     assert math.isnan(result.worst) and not result.passed
 
 
-def nan_for_length_four(monkeypatch):
-    """``verify.wick_expect`` gives NaN for every word of length 4."""
-    original = verify.wick_expect
-    monkeypatch.setattr(verify, "wick_expect",
-                        lambda kernel, w: NAN if len(w) == 4 else original(kernel, w))
-
-
 def test_algebra_laws_sees_a_nan_residual(monkeypatch):
     monkeypatch.setattr(AlgebraElement, "max_abs_coeff", lambda self: NAN)
     assert_fails_on_nan(verify.check_algebra_laws(seed=0))
 
 
-def test_wick_oracle_sees_a_nan_moment(monkeypatch):
-    nan_for_length_four(monkeypatch)
-    assert_fails_on_nan(verify.check_wick_oracle(GaussianKernel([1, 2], [[1.0, 0.5], [0.5, 1.0]])))
+def test_wick_oracle_sees_a_nan_moment():
+    # the entries G[a, b] with |w_a| = |w_b| = 2 hold the moments of length 4
+    kernel = GaussianKernel([1, 2], [[1.0, 0.5], [0.5, 1.0]])
+    basis = build_basis(kernel.indices, verify.GRAM_DEGREE)
+    g = gram(basis, kernel).gram
+    top = np.array([len(w) == 2 for w in basis.words])
+    g[np.ix_(top, top)] = NAN
+    assert_fails_on_nan(verify.check_wick_oracle(kernel, g))
 
 
 def test_bracket_relations_sees_a_nan_jacobi_residual(monkeypatch):
@@ -89,7 +90,10 @@ def test_beta_independence_sees_a_nan_commutator(monkeypatch):
 
 
 def test_a_nan_worst_makes_verify_exit_3(monkeypatch, capsys):
-    nan_for_length_four(monkeypatch)
+    # the degree-2 Gram holds the NaN moments, so its non-finite check raises first
+    original = GaussianKernel.moment
+    monkeypatch.setattr(GaussianKernel, "moment",
+                        lambda self, codes: NAN if len(codes) == 4 else original(self, codes))
     assert cli.main(["verify"]) == 3
     out, err = capsys.readouterr()
     assert out == "" and "non-finite" in err and "Traceback" not in err
