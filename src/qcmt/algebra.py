@@ -1,4 +1,4 @@
-"""Free *-algebra of indexed measurement operators, as one packed word ring.
+"""Free *-algebra of indexed measurement operators, on the term-row core of both packed rings.
 
 Elements are finite complex-linear combinations of ordered words of
 generators.  The product concatenates words, the adjoint conjugates
@@ -6,13 +6,14 @@ coefficients and reverses words while sending each generator index to
 its involution partner.  No commutation rule is applied here: every
 relation between measurements lives in the states, not in the algebra.
 
-The ring is packed: a ``LinearCombination`` is a batch of elements, one
-per trial, held as term rows (trial, word code, length, re, im) over an
-alphabet of ``Index``.  A word over k letters is the integer spelled by
-its base-(k+1) digits 1..k, so a product is integer arithmetic on codes
-and the adjoint a digit reversal through the partner table; every result
-goes through one combine step, ``LinearCombination.summed``.  A single
-element is a batch of one.
+``TermRows`` is the core both packed rings share, this word ring and
+``koopman.PolynomialBatch``: batches of complex terms, one combination
+per trial, whose every operation ends in one combine step, ``summed``; a
+ring supplies its keys, alignment, product glue, adjoint and tolerance.
+In the word ring (``LinearCombination``) a word over k letters is the
+integer spelled by its base-(k+1) digits 1..k, so a product is integer
+arithmetic on codes and the adjoint a digit reversal through the partner
+table.  A single element is a batch of one.
 """
 
 from __future__ import annotations
@@ -105,8 +106,159 @@ def word_label(w: Word) -> str:
 TERM_TOLERANCE = 1e-14
 
 
-class LinearCombination:
-    """Complex-linear combinations of words over one alphabet, one per trial, as flat arrays.
+class TermRows:
+    """Complex-linear combinations over one ring, one per trial, as flat arrays: the term-row
+    core of both packed rings, the word ring here and ``koopman.PolynomialBatch``.
+
+    Row k is a term of trial ``trials[k]`` with coefficient ``re[k] + i
+    im[k]`` and the ring's key columns, which name its monomial.  Rows come
+    trial by trial in ascending order, each trial in first-occurrence
+    order, like terms combined.  Sums, differences and products pair trial
+    t of one batch with trial t of the other; two batches pair when one's
+    class is a subclass of the other's, and every result has the type of
+    the left operand.  Every result is one ``summed`` of raw rows, which
+    adds like terms in row order from 0.0 after coefficients multiply as
+    ``(ar br - ai bi, ar bi + ai br)``, so each is Python's complex
+    arithmetic done term by term, NaN and inf included; coefficients of
+    magnitude at most ``tolerance`` are pruned, a NaN kept.
+
+    A ring supplies nine hooks.  Five give its arithmetic: ``_keys``, the
+    int64 grouping keys of raw rows; ``_aligned``, the shape of a result
+    over two operands and both operands' key columns in it; ``_glued``, the
+    key columns of paired keys' products; ``_adjoint_rows``, the adjoint's
+    raw rows; and ``tolerance``.  Four store and read its slots: ``_fill``,
+    ``_shape`` and ``_columns`` as ``summed`` takes them, and ``_row_keys``,
+    the keys ``terms`` holds.
+    """
+
+    __slots__ = ("count", "trials", "re", "im")
+    # an array times a batch is the batch's scalar product, not numpy's elementwise one
+    __array_ufunc__ = None
+
+    @classmethod
+    def _rows(cls, *arguments):
+        """A ``cls`` over ready arrays, as ``_fill`` takes them, past the constructor."""
+        batch = object.__new__(cls)
+        batch._fill(*arguments)
+        return batch
+
+    @classmethod
+    def summed(cls, shape, count, trials, *columns):
+        """The batch of raw term rows (trials, key columns, re, im), given in any order.
+
+        Like terms of a trial are summed in row order, starting from 0.0;
+        the result holds the trials in ascending order, each in
+        first-occurrence order, and prunes coefficients of magnitude at most
+        ``tolerance``, while a NaN is kept.
+        """
+        *keys, re, im = columns
+        first, re, im = _grouped(cls._keys(count, trials, *keys), trials, re, im, cls.tolerance)
+        return cls._rows(shape, count, trials[first], *(k[first] for k in keys), re, im)
+
+    def _summed(self, columns):
+        """``summed`` of the raw rows ``columns``, as ``_columns`` gives them, in this batch's shape."""
+        return self.summed(self._shape, self.count, *columns)
+
+    def _combined(self):
+        """This batch's rows, in any order and with like terms apart, combined by ``summed``."""
+        return self._summed(self._columns())
+
+    # ring operations: a row builder each, then the one combine step ---------
+    # A row builder returns its raw rows as a batch of this class whose like
+    # terms are not yet combined, trial by trial in ascending order; +, -, *
+    # and the adjoint accept such a batch, and ``summed`` ends every operation.
+    def _paired(self, other) -> tuple:
+        """``_aligned`` of a batch that pairs with this one: of a class or subclass of the
+        other's, with as many trials."""
+        if not (isinstance(other, type(self)) or isinstance(self, type(other))):
+            raise TypeError(f"cannot pair a {type(self).__name__} with {type(other).__name__}")
+        if self.count != other.count:
+            raise ValueError(f"batch mismatch: {self.count} vs {other.count} trials")
+        return self._aligned(other)
+
+    # inf * 0.0 is NaN without a warning, as in Python's complex arithmetic
+    @np.errstate(invalid="ignore", over="ignore")
+    def _product_rows(self, other):
+        """The raw rows of ``self * other``: one per pair of terms within a trial for a batch
+        ``other``, one per term for a scalar or an array of one scalar per trial."""
+        if isinstance(other, TermRows):
+            shape, left, right = self._paired(other)
+            i, j = _term_pairs(self.count, self.trials, other.trials)
+            keys = self._glued(shape, [k[i] for k in left], [k[j] for k in right])
+            product = _product(self.re[i], self.im[i], other.re[j], other.im[j])
+            return self._rows(shape, self.count, self.trials[i], *keys, *product)
+        if isinstance(other, (int, float, complex, np.ndarray)):
+            scalar = np.asarray(other, dtype=complex)
+            if scalar.ndim:  # one scalar per trial
+                if scalar.shape != (self.count,):
+                    raise ValueError(f"{scalar.shape} scalars for {self.count} trials")
+                scalar = scalar[self.trials]
+            trials, *keys, re, im = self._columns()
+            product = _product(re, im, scalar.real, scalar.imag)
+            return self._rows(self._shape, self.count, trials, *keys, *product)
+        return NotImplemented
+
+    def __mul__(self, other):
+        rows = self._product_rows(other)
+        return rows if rows is NotImplemented else rows._combined()
+
+    def __rmul__(self, other):
+        if isinstance(other, (int, float, complex, np.ndarray)):
+            return self * other
+        return NotImplemented
+
+    def _joined(self, other, negate: bool):
+        """Per trial, this batch's terms and then ``other``'s, negated if ``negate``."""
+        if not isinstance(other, TermRows):
+            return NotImplemented
+        shape, left, right = self._paired(other)
+        theirs = (other.trials, *right, other.re, other.im)
+        ours = (self.trials, *left, self.re, self.im)
+        return self.summed(shape, self.count, *_concatenated(ours, _negated(theirs) if negate else theirs))
+
+    def __add__(self, other):
+        return self._joined(other, False)
+
+    def __sub__(self, other):
+        return self._joined(other, True)
+
+    def __neg__(self):
+        return self._summed(_negated(self._columns()))
+
+    def adjoint(self):
+        """Complex anti-linear involution, one ``summed`` of ``_adjoint_rows``."""
+        return self._adjoint_rows()._combined()
+
+    # inspection ---------------------------------------------------------
+    def elements(self) -> list:
+        """The trials as batches of one, in trial order."""
+        bounds = np.searchsorted(self.trials, np.arange(self.count + 1)).tolist()
+        _, *columns = self._columns()
+        return [self._rows(self._shape, 1, np.zeros(hi - lo, dtype=np.intp),
+                           *(column[lo:hi] for column in columns))
+                for lo, hi in zip(bounds, bounds[1:])]
+
+    @property
+    def terms(self) -> dict:
+        """Key to Python complex coefficient, in row order, of a batch of one."""
+        if self.count != 1:
+            raise ValueError(f"a batch of {self.count} trials has no one set of terms; see elements()")
+        return dict(zip(self._row_keys(), map(complex, self.re.tolist(), self.im.tolist())))
+
+    def is_zero(self) -> bool:
+        return not len(self.re)
+
+    @np.errstate(over="ignore")
+    def max_abs_coeff(self) -> float:
+        """Largest coefficient magnitude over every trial; 0.0 for no terms, NaN if any part is NaN."""
+        return float(np.max(np.hypot(self.re, self.im))) if len(self.re) else 0.0
+
+    def __len__(self):
+        return len(self.re)
+
+
+class LinearCombination(TermRows):
+    """Complex-linear combinations of words over one alphabet, one per trial: the word ring.
 
     The alphabet is a tuple of ``Index``, distinct by tag.  With k letters
     a word is the integer whose base-(k+1) digits 1..k spell it, first
@@ -114,47 +266,37 @@ class LinearCombination:
     the word.  Column j of ``codes`` holds the digits from j * capacity on,
     counted from the last letter, capacity being the most digits an int64
     takes (``_radix``), so a long word takes more columns and no code
-    wraps.  Row k is a term of trial ``trials[k]`` with word ``codes[k]`` of
-    ``lengths[k]`` letters and coefficient ``re[k] + i im[k]``; rows come
-    trial by trial in ascending order, each trial in first-occurrence
-    order, like terms combined.
-
-    Sums, differences and products pair trial t of one batch with trial t
-    of the other, over the union of both alphabets (``_unified``).  Every
-    result is one ``summed`` of raw rows, which adds like terms in row order
-    from 0.0 after coefficients multiply as ``(ar br - ai bi, ar bi + ai
-    br)``, so each is Python's complex arithmetic done term by term, NaN and
-    inf included; coefficients of magnitude at most ``TERM_TOLERANCE`` are
-    pruned, a NaN kept.  The constructor takes one element, a dict from
-    words to coefficients.
+    wraps.  Row k's key columns are its word ``codes[k]`` of ``lengths[k]``
+    letters.  Two operands align over the union of both alphabets, a
+    product shifts the left code past the right word, and coefficients of
+    magnitude at most ``TERM_TOLERANCE`` are pruned.  The constructor takes
+    one element, a dict from words to coefficients.
     """
 
-    __slots__ = ("alphabet", "count", "trials", "codes", "lengths", "re", "im")
+    __slots__ = ("alphabet", "codes", "lengths")
     # the letters every alphabet of the class starts with
     _prefix = ()
-    # an array times a batch is the batch's scalar product, not numpy's elementwise one
-    __array_ufunc__ = None
+    tolerance = TERM_TOLERANCE
+    # perfbench/tracer.py wraps these two in this class's own namespace, so its counts
+    # ``algebra.mul`` and ``algebra.adjoint`` see the word ring's calls only
+    __mul__ = TermRows.__mul__
+    adjoint = TermRows.adjoint
 
     def __init__(self, terms=None):
         terms = terms or {}
         batch = self.from_words(1, np.zeros(len(terms), dtype=np.intp), list(terms), list(terms.values()))
-        self._fill(*(getattr(batch, name) for name in LinearCombination.__slots__))
+        self._fill(batch.alphabet, batch.count, *batch._columns())
 
     def _fill(self, alphabet, count, trials, codes, lengths, re, im):
-        self.alphabet = alphabet
-        self.count = count
-        self.trials = trials
-        self.codes = codes
-        self.lengths = lengths
-        self.re = re
-        self.im = im
+        self.alphabet, self.count, self.trials, self.codes = alphabet, count, trials, codes
+        self.lengths, self.re, self.im = lengths, re, im
 
-    @classmethod
-    def _rows(cls, alphabet, count, trials, codes, lengths, re, im):
-        """A ``cls`` over ready arrays, past the constructor."""
-        batch = object.__new__(cls)
-        batch._fill(alphabet, count, trials, codes, lengths, re, im)
-        return batch
+    @property
+    def _shape(self) -> tuple:
+        return self.alphabet
+
+    def _columns(self) -> tuple:
+        return self.trials, self.codes, self.lengths, self.re, self.im
 
     # hooks: a word as a tuple of letters, and back ------------------------
     @staticmethod
@@ -166,18 +308,6 @@ class LinearCombination:
         return letters
 
     # building batches -----------------------------------------------------
-    @classmethod
-    def summed(cls, alphabet, count, trials, codes, lengths, re, im):
-        """The batch of raw term rows over ``alphabet``, given in any order.
-
-        Like terms of a trial are summed in row order, starting from 0.0;
-        the result holds the trials in ascending order, each in
-        first-occurrence order, and prunes coefficients of magnitude at most
-        ``TERM_TOLERANCE``, while a NaN is kept.
-        """
-        first, re, im = _grouped(_word_keys(count, trials, codes), trials, re, im, TERM_TOLERANCE)
-        return cls._rows(alphabet, count, trials[first], codes[first], lengths[first], re, im)
-
     @classmethod
     def packed(cls, letters, count, trials, picks, lengths, re, im):
         """``summed`` of raw rows whose words are spelled by positions in ``letters``.
@@ -203,19 +333,23 @@ class LinearCombination:
         letters = [x for w in spelled for x in w]
         return cls.packed(letters, count, np.asarray(trials), picks, lengths, values.real, values.imag)
 
-    def _columns(self) -> tuple:
-        return self.trials, self.codes, self.lengths, self.re, self.im
-
-    def _combined(self):
-        """This batch's rows, in any order and with like terms apart, combined by ``summed``."""
-        return self.summed(self.alphabet, self.count, *self._columns())
-
     @property
     def _base(self) -> int:
         return len(self.alphabet) + 1
 
-    def _unified(self, other) -> tuple:
-        """The union of both alphabets, and both operands' codes over it, with equal columns."""
+    # the ring's hooks -----------------------------------------------------
+    @staticmethod
+    def _keys(count: int, trials, codes, lengths) -> np.ndarray:
+        """Int64 keys, one row per key, equal in every key exactly where two rows have the same
+        trial and word: trial and code in mixed radix while that fits, else one row per column."""
+        if codes.shape[1] == 1 and len(trials):
+            radix = int(codes.max()) + 1
+            if count * radix < 2**63:
+                return (trials * radix + codes[:, 0])[None]
+        return np.vstack((codes.T, trials))
+
+    def _aligned(self, other) -> tuple:
+        """The union of both alphabets, and both operands' words over it, with equal code columns."""
         alphabet, left, right = self.alphabet, self.codes, other.codes
         if other.alphabet != alphabet:
             alphabet, table = _union(alphabet, other.alphabet)
@@ -224,71 +358,11 @@ class LinearCombination:
                 left = _mapped(left, self.lengths, self._base, np.arange(self._base), base)
             right = _mapped(right, other.lengths, other._base, table, base)
         columns = max(left.shape[1], right.shape[1])
-        return alphabet, _padded(left, columns), _padded(right, columns)
+        return alphabet, (_padded(left, columns), self.lengths), (_padded(right, columns), other.lengths)
 
-    # ring operations: a row builder each, then the one combine step ---------
-    # A row builder returns its raw rows as a batch of this class whose like
-    # terms are not yet combined, trial by trial in ascending order; +, -, *
-    # and the adjoint accept such a batch, and ``summed`` ends every operation.
-    def _check(self, other):
-        if self.count != other.count:
-            raise ValueError(f"batch mismatch: {self.count} vs {other.count} trials")
-
-    def _glued(self, base, left, left_lengths, right, right_lengths) -> tuple:
+    def _glued(self, alphabet, left, right) -> tuple:
         """Codes and lengths of the word products left·right, row by row."""
-        return _products(base, left, left_lengths, right, right_lengths)
-
-    # inf * 0.0 is NaN without a warning, as in Python's complex arithmetic
-    @np.errstate(invalid="ignore", over="ignore")
-    def _product_rows(self, other):
-        """The raw rows of ``self * other``: one per pair of terms within a trial for a batch
-        ``other``, one per term for a scalar or an array of one scalar per trial."""
-        if isinstance(other, type(self)):
-            self._check(other)
-            alphabet, left, right = self._unified(other)
-            i, j = _term_pairs(self.count, self.trials, other.trials)
-            codes, lengths = self._glued(len(alphabet) + 1, left[i], self.lengths[i], right[j],
-                                         other.lengths[j])
-            product = _product(self.re[i], self.im[i], other.re[j], other.im[j])
-            return self._rows(alphabet, self.count, self.trials[i], codes, lengths, *product)
-        if isinstance(other, (int, float, complex, np.ndarray)):
-            scalar = np.asarray(other, dtype=complex)
-            if scalar.ndim:  # one scalar per trial
-                if scalar.shape != (self.count,):
-                    raise ValueError(f"{scalar.shape} scalars for {self.count} trials")
-                scalar = scalar[self.trials]
-            product = _product(self.re, self.im, scalar.real, scalar.imag)
-            return self._rows(self.alphabet, self.count, self.trials, self.codes, self.lengths, *product)
-        return NotImplemented
-
-    def __mul__(self, other):
-        rows = self._product_rows(other)
-        return rows if rows is NotImplemented else rows._combined()
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, float, complex, np.ndarray)):
-            return self * other
-        return NotImplemented
-
-    def _joined(self, other, negate: bool):
-        """Per trial, this batch's terms and then ``other``'s, negated if ``negate``."""
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        self._check(other)
-        alphabet, left, right = self._unified(other)
-        theirs = (other.trials, right, other.lengths, other.re, other.im)
-        ours = (self.trials, left, self.lengths, self.re, self.im)
-        return self.summed(alphabet, self.count,
-                           *_concatenated(ours, _negated(theirs) if negate else theirs))
-
-    def __add__(self, other):
-        return self._joined(other, False)
-
-    def __sub__(self, other):
-        return self._joined(other, True)
-
-    def __neg__(self):
-        return self.summed(self.alphabet, self.count, *_negated(self._columns()))
+        return _products(len(alphabet) + 1, *left, *right)
 
     def _adjoint_rows(self):
         """The raw rows of the adjoint: each word reversed with its letters involved, each
@@ -299,50 +373,22 @@ class LinearCombination:
         return self._rows(alphabet, self.count,
                           *_conjugated((self.trials, codes, self.lengths, self.re, self.im)))
 
-    def adjoint(self):
-        """Complex anti-linear involution: conjugate coefficients, reverse words, involve letters."""
-        return self._adjoint_rows()._combined()
-
     # inspection ---------------------------------------------------------
-    def _trial_terms(self) -> list:
-        """Per trial, the word keys to Python complex coefficients, in row order."""
-        terms = [{} for _ in range(self.count)]
+    def _row_keys(self) -> list:
+        """Each row's word key, as ``terms`` holds it."""
         letters = (None,) + self.alphabet
         digits = _digits(self.codes, self._base, int(self.lengths.max(initial=0))).tolist()
-        for t, row, n, re, im in zip(self.trials.tolist(), digits, self.lengths.tolist(),
-                                     self.re.tolist(), self.im.tolist()):
-            terms[t][self._key(tuple(letters[d] for d in reversed(row[:n])))] = complex(re, im)
-        return terms
+        return [self._key(tuple(letters[d] for d in reversed(row[:n])))
+                for row, n in zip(digits, self.lengths.tolist())]
 
-    @property
-    def terms(self) -> dict:
-        """Word to Python complex coefficient, in first-occurrence order, of a batch of one."""
-        if self.count != 1:
-            raise ValueError(f"a batch of {self.count} trials has no one set of terms; see elements()")
-        return self._trial_terms()[0]
-
-    def elements(self) -> list:
-        """The trials as batches of one, in trial order."""
-        bounds = np.searchsorted(self.trials, np.arange(self.count + 1)).tolist()
-        return [self._rows(self.alphabet, 1, np.zeros(hi - lo, dtype=np.intp), self.codes[lo:hi],
-                           self.lengths[lo:hi], self.re[lo:hi], self.im[lo:hi])
-                for lo, hi in zip(bounds, bounds[1:])]
-
-    def is_zero(self) -> bool:
-        return not len(self.re)
-
-    @np.errstate(over="ignore")
-    def max_abs_coeff(self) -> float:
-        """Largest coefficient magnitude over every trial; 0.0 for no terms, NaN if any part is NaN."""
-        return float(np.max(np.hypot(self.re, self.im))) if len(self.re) else 0.0
+    def _trial_terms(self) -> list:
+        """Per trial, the word keys to Python complex coefficients, in row order."""
+        return [element.terms for element in self.elements()]
 
     def __eq__(self, other):
         if not isinstance(other, type(self)):
             return NotImplemented
         return self.count == other.count and self._trial_terms() == other._trial_terms()
-
-    def __len__(self):
-        return len(self.re)
 
     def _label(self, key) -> str:
         return word_label(key)
@@ -359,10 +405,6 @@ class AlgebraElement(LinearCombination):
     """Elements of the free *-algebra generated by the measurement operators, one per trial."""
 
     __slots__ = ()
-
-    @classmethod
-    def zero(cls) -> "AlgebraElement":
-        return cls()
 
     @classmethod
     def identity(cls) -> "AlgebraElement":
@@ -491,16 +533,6 @@ def _products(base: int, left, left_lengths, right, right_lengths) -> tuple:
         codes[rows, np.minimum(j + shift, columns - 1)] += left[:, j] % low * high
         codes[rows, np.minimum(j + shift + 1, columns - 1)] += left[:, j] // low
     return codes, lengths
-
-
-def _word_keys(count: int, trials, codes) -> np.ndarray:
-    """Int64 keys, one row per key, equal in every key exactly where two rows have the same
-    trial and word: trial and code in mixed radix while that fits, else one row per column."""
-    if codes.shape[1] == 1 and len(trials):
-        radix = int(codes.max()) + 1
-        if count * radix < 2**63:
-            return (trials * radix + codes[:, 0])[None]
-    return np.vstack((codes.T, trials))
 
 
 def _term_pairs(count: int, left, right) -> tuple:

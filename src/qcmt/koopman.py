@@ -11,9 +11,11 @@ exponentiating multiplication operators rescales pointwise, a
 non-canonical transformation (``multiplication_flow``).
 
 A polynomial (``PhaseSpacePolynomial``) is a batch of one trial of
-``PolynomialBatch``, the one exact engine: products, brackets, sums,
-differences, negation, scalar multiples, the adjoint and derivatives all
-run on its arrays, for one polynomial or for every trial at once.
+``PolynomialBatch``, the phase-space ring on the term-row core
+``algebra.TermRows``, which owns its sums, products, scalar multiples
+and negation.  The ring supplies exponent rows as keys and a conjugating
+adjoint, and adds the Poisson bracket and derivatives, for one
+polynomial or for every trial at once.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from functools import cache
 
 import numpy as np
 
-from .algebra import _concatenated, _grouped, _negated, _product, _term_pairs
+from .algebra import TermRows, _concatenated, _conjugated, _negated, _product, _term_pairs
 from .gaussian import GaussianKernel, tolerance_bound
 
 DEFAULT_FLOW_STEP = 1e-3
@@ -46,41 +48,34 @@ def _dimension(value) -> int:
     return int(value)
 
 
-class PolynomialBatch:
-    """Phase-space polynomials of one dimension, one per trial, as flat arrays.
+class PolynomialBatch(TermRows):
+    """Phase-space polynomials of one dimension, one per trial: the polynomial ring.
 
-    Row k is a term of trial ``trials[k]`` with exponent row
-    ``exponents[k]`` (width 2n, int64) and coefficient ``re[k] + i im[k]``
-    (float64).  Rows come trial by trial in ascending order and, within a
-    trial, in first-occurrence order; like terms are combined and exact
-    zeros pruned.  Products, brackets, sums and differences pair trial t of
-    one batch with trial t of the other; negation, scalar multiples, the
-    adjoint and ``diff`` act on every row.  Each follows dict arithmetic
-    step by step: like terms are summed from 0.0 in the order a dict of
-    terms would add them, a coefficient product is ``(ar br - ai bi, ar bi
-    + ai br)``, and a real or integer factor multiplies as the complex
-    ``(w, 0.0)``, so every result, NaN and inf included, is Python's complex
-    arithmetic done term by term.  A polynomial of lower dimension joins a
-    batch with zero exponents on the extra axes, which leaves its products
-    and brackets unchanged.  Every result has the type of the left operand.
+    Row k's key column is its exponent row ``exponents[k]`` (width 2n,
+    int64) for ``q^a p^b``; the sums, products, scalar multiples and
+    negation are the term-row core's (``algebra.TermRows``).  Two operands
+    must have one dimension, a product adds exponent rows, and only exact
+    zeros are pruned.  A real or integer factor multiplies as the complex
+    ``(w, 0.0)``.  The coordinate functions are real, so the adjoint only
+    conjugates coefficients.  The ring adds the Poisson bracket and
+    ``diff``; ``of`` embeds polynomials of lower dimension with zero
+    exponents on the extra axes, which leaves their products and brackets
+    unchanged.
     """
 
-    __slots__ = ("dimension", "count", "trials", "exponents", "re", "im")
+    __slots__ = ("dimension", "exponents")
+    tolerance = 0.0
 
-    def __init__(self, dimension: int, count: int, trials, exponents, re, im):
-        self.dimension = dimension
-        self.count = count
-        self.trials = trials
-        self.exponents = exponents
-        self.re = re
-        self.im = im
+    def _fill(self, dimension, count, trials, exponents, re, im):
+        self.dimension, self.count, self.trials = dimension, count, trials
+        self.exponents, self.re, self.im = exponents, re, im
 
-    @classmethod
-    def _rows(cls, dimension: int, count: int, trials, exponents, re, im):
-        """A ``cls`` over ready arrays, past any validating constructor."""
-        batch = object.__new__(cls)
-        PolynomialBatch.__init__(batch, dimension, count, trials, exponents, re, im)
-        return batch
+    @property
+    def _shape(self) -> int:
+        return self.dimension
+
+    def _columns(self) -> tuple:
+        return self.trials, self.exponents, self.re, self.im
 
     @classmethod
     def of(cls, polynomials) -> "PolynomialBatch":
@@ -94,99 +89,51 @@ class PolynomialBatch:
                          np.concatenate([p.re for p in polynomials]),
                          np.concatenate([p.im for p in polynomials]))
 
-    @classmethod
-    def summed(cls, dimension: int, count: int, trials, exponents, re, im) -> "PolynomialBatch":
-        """The batch of raw term rows, given in any order.
-
-        Like terms of a trial are summed in row order, starting from 0.0;
-        the result holds the trials in ascending order, each in
-        first-occurrence order, and prunes exact zeros, while a NaN is kept.
-        The combine step is the word ring's, ``algebra._grouped``: one stable
-        sort over the trial and exponent columns (``_sort_keys``), exact for
-        any exponent up to ``MAX_EXPONENT``; a larger one raises ``ValueError``.
-        """
-        if not len(trials):
-            return cls._rows(dimension, count, trials, exponents, re, im)
-        highest = int(exponents.max())
-        if highest > MAX_EXPONENT:
-            raise ValueError(f"an exponent of the result exceeds {MAX_EXPONENT}")
-        keys = _sort_keys(count, trials, exponents, highest + 1)
-        first, re, im = _grouped(keys, trials, re, im, 0.0)
-        return cls._rows(dimension, count, trials[first], exponents[first], re, im)
-
-    def _summed(self, columns) -> "PolynomialBatch":
-        """``summed`` of the raw rows ``columns`` = (trials, exponents, re, im) in this batch's shape."""
-        return self.summed(self.dimension, self.count, *columns)
-
-    def _columns(self) -> tuple:
-        """The rows as (trials, exponents, re, im), the columns ``summed`` takes."""
-        return self.trials, self.exponents, self.re, self.im
-
     def polynomials(self) -> list:
         """The trials as ``PhaseSpacePolynomial``s of the batch dimension, in trial order."""
-        bounds = np.searchsorted(self.trials, np.arange(self.count + 1)).tolist()
-        return [PhaseSpacePolynomial._rows(self.dimension, 1, np.zeros(hi - lo, dtype=np.intp),
-                                           self.exponents[lo:hi], self.re[lo:hi], self.im[lo:hi])
-                for lo, hi in zip(bounds, bounds[1:])]
+        return [PhaseSpacePolynomial._rows(self.dimension, 1, *p._columns()) for p in self.elements()]
 
-    def max_abs_coeff(self) -> float:
-        """Largest coefficient magnitude over every trial; 0.0 for no terms, NaN if any part is NaN."""
-        return float(np.max(np.hypot(self.re, self.im))) if len(self.re) else 0.0
+    # the ring's hooks -----------------------------------------------------
+    @staticmethod
+    def _keys(count: int, trials, exponents) -> np.ndarray:
+        """``_sort_keys`` of the rows, exact for any exponent up to ``MAX_EXPONENT``; a larger
+        one raises ``ValueError``."""
+        highest = int(exponents.max(initial=0))
+        if highest > MAX_EXPONENT:
+            raise ValueError(f"an exponent of the result exceeds {MAX_EXPONENT}")
+        return _sort_keys(count, trials, exponents, highest + 1)
 
-    def _check(self, other):
-        if not isinstance(other, PolynomialBatch):
-            raise TypeError(f"cannot pair a PolynomialBatch with {type(other).__name__}")
-        if (self.dimension, self.count) != (other.dimension, other.count):
-            raise ValueError(
-                f"batch mismatch: dimension {self.dimension} vs {other.dimension}, "
-                f"{self.count} vs {other.count} trials"
-            )
+    def _aligned(self, other) -> tuple:
+        if self.dimension != other.dimension:
+            raise ValueError(f"batch mismatch: dimension {self.dimension} vs {other.dimension}")
+        return self.dimension, (self.exponents,), (other.exponents,)
 
-    def _pairs(self, other) -> tuple:
-        """Row indices (left, right) of every term pair within a trial, left term major."""
-        self._check(other)
-        return _term_pairs(self.count, self.trials, other.trials)
+    @staticmethod
+    def _glued(dimension: int, left, right) -> tuple:
+        return (left[0] + right[0],)
 
-    # inf * 0.0 is NaN without a warning, as in Python's complex arithmetic
+    def _row_keys(self):
+        return map(tuple, self.exponents.tolist())
+
+    def _adjoint_rows(self):
+        """The raw rows of the adjoint: every coefficient conjugated, every key kept."""
+        return self._rows(self.dimension, self.count, *_conjugated(self._columns()))
+
+    # what only this ring has ------------------------------------------------
     @np.errstate(invalid="ignore", over="ignore")
-    def _product_rows(self, other) -> tuple:
-        """The raw rows of ``self * other`` for a batch ``other``: one per term pair (``_pairs``)."""
-        left, right = self._pairs(other)
-        product = _product(self.re[left], self.im[left], other.re[right], other.im[right])
-        return self.trials[left], self.exponents[left] + other.exponents[right], *product
-
-    @np.errstate(invalid="ignore", over="ignore")
-    def _poisson_rows(self, other) -> tuple:
+    def _poisson_rows(self, other):
         """The raw rows of ``{self, other}``: the term pairs of ``*``, axis minor (``_bracket_rows``)."""
-        left, right = self._pairs(other)
-        pair, weight, exponents = _bracket_rows(self.exponents[left], other.exponents[right],
-                                                self.dimension)
+        n, (mine,), (theirs,) = self._paired(other)
+        left, right = _term_pairs(self.count, self.trials, other.trials)
+        pair, weight, exponents = _bracket_rows(mine[left], theirs[right], n)
         left, right = left[pair], right[pair]
         product = _product(self.re[left], self.im[left], other.re[right], other.im[right])
-        return self.trials[left], exponents, *_product(weight.astype(float), 0.0, *product)
-
-    @np.errstate(invalid="ignore", over="ignore")
-    def __mul__(self, other):
-        if isinstance(other, PolynomialBatch):
-            return self._summed(self._product_rows(other))
-        if isinstance(other, (int, float, complex)):
-            scalar = complex(other)
-            return self._summed((self.trials, self.exponents,
-                                 *_product(self.re, self.im, scalar.real, scalar.imag)))
-        return NotImplemented
-
-    __rmul__ = __mul__  # a batch on the left takes its own __mul__; scalar products commute
-
-    def __neg__(self):
-        return self._summed(_negated(self._columns()))
-
-    def adjoint(self):
-        """Conjugate every coefficient; the coordinate functions are real, so exponents stay."""
-        return self._summed((self.trials, self.exponents, self.re, -self.im))
+        return self._rows(n, self.count, self.trials[left], exponents,
+                          *_product(weight.astype(float), 0.0, *product))
 
     def bracket(self, other) -> "PolynomialBatch":
         """{u, v} trial by trial."""
-        return self._summed(self._poisson_rows(other))
+        return self._poisson_rows(other)._combined()
 
     @np.errstate(invalid="ignore", over="ignore")
     def diff(self, var: int) -> "PolynomialBatch":
@@ -200,20 +147,6 @@ class PolynomialBatch:
         exponents[:, var] -= 1
         return self._summed((self.trials[rows], exponents,
                              *_product(weight, 0.0, self.re[rows], self.im[rows])))
-
-    def _joined(self, other, negate: bool):
-        """Per trial, this batch's terms and then ``other``'s, negated if ``negate``."""
-        if not isinstance(other, PolynomialBatch):
-            return NotImplemented
-        self._check(other)
-        columns = other._columns()
-        return self._summed(_concatenated(self._columns(), _negated(columns) if negate else columns))
-
-    def __add__(self, other):
-        return self._joined(other, False)
-
-    def __sub__(self, other):
-        return self._joined(other, True)
 
 
 class PhaseSpacePolynomial(PolynomialBatch):
@@ -232,11 +165,11 @@ class PhaseSpacePolynomial(PolynomialBatch):
 
     __slots__ = ()
 
-    def __init__(self, dimension: int, terms=None):
+    def __init__(self, dimension: int, terms):
         dimension = _dimension(dimension)
         width = 2 * dimension
         merged = {}
-        for exps, c in (terms or {}).items():
+        for exps, c in terms.items():
             if not (
                 isinstance(exps, tuple)
                 and len(exps) == width
@@ -249,14 +182,14 @@ class PhaseSpacePolynomial(PolynomialBatch):
             merged[exps] = merged.get(exps, 0j) + complex(c)
         merged = {exps: c for exps, c in merged.items() if c != 0}  # a NaN is kept
         coefficients = np.array(list(merged.values()), dtype=complex)
-        super().__init__(dimension, 1, np.zeros(len(merged), dtype=np.intp),
-                         np.array(list(merged), dtype=np.int64).reshape(-1, width),
-                         coefficients.real, coefficients.imag)
+        self._fill(dimension, 1, np.zeros(len(merged), dtype=np.intp),
+                   np.array(list(merged), dtype=np.int64).reshape(-1, width),
+                   coefficients.real, coefficients.imag)
 
     # constructors -------------------------------------------------------
     @classmethod
     def zero(cls, dimension: int) -> "PhaseSpacePolynomial":
-        return cls(dimension)
+        return cls(dimension, {})
 
     @classmethod
     def constant(cls, dimension: int, value: complex) -> "PhaseSpacePolynomial":
@@ -275,12 +208,6 @@ class PhaseSpacePolynomial(PolynomialBatch):
         exps = tuple(1 if s == pos else 0 for s in range(2 * dimension))
         return cls(dimension, {exps: 1.0})
 
-    @property
-    def terms(self) -> dict:
-        """Exponent tuple to Python complex coefficient, in row order."""
-        return dict(zip(map(tuple, self.exponents.tolist()),
-                        map(complex, self.re.tolist(), self.im.tolist())))
-
     def __eq__(self, other):
         if not isinstance(other, PhaseSpacePolynomial):
             return NotImplemented
@@ -291,12 +218,6 @@ class PhaseSpacePolynomial(PolynomialBatch):
         return _evaluator(self)(point)
 
     # inspection -------------------------------------------------------------
-    def is_zero(self) -> bool:
-        return not len(self.re)
-
-    def __len__(self):
-        return len(self.re)
-
     def degree(self) -> int:
         return int(self.exponents.sum(axis=1).max()) if len(self.re) else 0
 
@@ -401,13 +322,18 @@ def bracket_residuals(u, v, f):
     uv, uf, vf = poisson(u, v), poisson(u, f), poisson(v, f)
     u_vf, fu = poisson(u, vf), poisson(f, u)
     v_times_f, u_times_f = v * f, u * f
-    r1 = u._summed(_concatenated(u._product_rows(v_times_f), _negated(v._product_rows(u_times_f))))
-    r2 = u._summed(_concatenated(u._poisson_rows(v_times_f), _negated(v._product_rows(uf)),
-                                 _negated(uv._product_rows(f))))
-    r3 = u._summed(_concatenated(u_vf._columns(), _negated(v._poisson_rows(uf)),
-                                 _negated(uv._poisson_rows(f))))
-    jacobi = u._summed(_concatenated(u_vf._columns(), v._poisson_rows(fu), f._poisson_rows(uv)))
+    r1 = _residual(u._product_rows(v_times_f), v._product_rows(u_times_f), negate=True)
+    r2 = _residual(u._poisson_rows(v_times_f), v._product_rows(uf), uv._product_rows(f), negate=True)
+    r3 = _residual(u_vf, v._poisson_rows(uf), uv._poisson_rows(f), negate=True)
+    jacobi = _residual(u_vf, v._poisson_rows(fu), f._poisson_rows(uv), negate=False)
     return r1, r2, r3, jacobi
+
+
+def _residual(first, *rest, negate: bool):
+    """One ``summed`` of the raw rows of ``first`` and then of each of ``rest``, those negated
+    if ``negate``, in the shape and type of ``first``."""
+    rest = [_negated(part._columns()) if negate else part._columns() for part in rest]
+    return first._summed(_concatenated(first._columns(), *rest))
 
 
 def _evaluator(polynomial: PhaseSpacePolynomial):

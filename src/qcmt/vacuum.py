@@ -86,9 +86,11 @@ class ExtendedElement(LinearCombination):
                 segments[-1].append(x)
         return tuple(map(tuple, segments))
 
-    def _glued(self, base, left, left_lengths, right, right_lengths) -> tuple:
+    def _glued(self, alphabet, left, right) -> tuple:
         """The word products in normal form: a right word that begins with V (digit 1) loses
         that V where its left word ends with one, since V*V = V."""
+        (left, left_lengths), (right, right_lengths) = left, right
+        base = len(alphabet) + 1
         capacity, powers = _radix(base)
         top = np.maximum(right_lengths - 1, 0)
         rows, column, power = np.arange(len(top)), top // capacity, powers[top % capacity]
@@ -97,7 +99,7 @@ class ExtendedElement(LinearCombination):
         if merged.any():
             right = right.copy()
             right[rows[merged], column[merged]] -= power[merged]
-        return super()._glued(base, left, left_lengths, right, right_lengths - merged)
+        return super()._glued(alphabet, (left, left_lengths), (right, right_lengths - merged))
 
     @classmethod
     def projector(cls) -> "ExtendedElement":

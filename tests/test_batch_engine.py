@@ -30,7 +30,7 @@ from oracles import (
     scalar_multiple_by_terms,
     sum_by_terms,
 )
-from qcmt import koopman
+from qcmt import algebra, koopman
 from qcmt.gaussian import tolerance_bound
 from qcmt.koopman import (
     MAX_EXPONENT,
@@ -183,7 +183,7 @@ ENGINES = [
     contextlib.nullcontext,
     lambda: mock.patch.object(koopman, "_bracket_rows", _mutated_rows("drop the -b_i c_i half")),
     # the conjugate of the product: u (v f) and v (u f) then differ
-    lambda: mock.patch.object(koopman, "_product", lambda ar, ai, br, bi: (ar * br - ai * bi,
+    lambda: mock.patch.object(algebra, "_product", lambda ar, ai, br, bi: (ar * br - ai * bi,
                                                                            -ar * bi - ai * br)),
 ]
 

@@ -11,7 +11,7 @@ from scipy import integrate
 
 from conftest import seeded
 from oracles import exact_quadratic_flow, poisson_by_derivatives, poisson_by_terms, sympy_poisson
-from qcmt import koopman
+from qcmt import algebra, koopman
 from qcmt.algebra import AlgebraElement, Index
 from qcmt.gaussian import commutator_factor, hermitian_spectrum, wick_expect
 from qcmt.koopman import (
@@ -333,7 +333,8 @@ def test_bracket_check_fails_on_a_broken_bracket(monkeypatch):
 def test_bracket_check_sees_the_imaginary_part_of_products(monkeypatch):
     # with ar bi - ai br as the imaginary part, (1j q) q comes out as -1j q^2; real
     # coefficients never see it, complex draws fail the check at every seed
-    monkeypatch.setattr(koopman, "_product", lambda ar, ai, br, bi: (ar * br - ai * bi,
+    # products run in the term-row core, so the mutant goes where the core reads _product
+    monkeypatch.setattr(algebra, "_product", lambda ar, ai, br, bi: (ar * br - ai * bi,
                                                                      ar * bi - ai * br))
     (q,), _ = coords()
     assert ((1j * q) * q).terms == {(2, 0): -1j}

@@ -8,8 +8,10 @@ terms in the same key order.
 """
 
 import math
+import operator
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,7 +26,7 @@ from oracles import (
     sum_by_terms,
 )
 from qcmt.algebra import AlgebraElement, Index, generator
-from qcmt.koopman import PhaseSpacePolynomial, poisson
+from qcmt.koopman import PhaseSpacePolynomial, PolynomialBatch, poisson
 from qcmt.vacuum import ExtendedElement, normalize_segments
 
 POOL = index_pool()
@@ -114,3 +116,31 @@ def test_extended_results_are_normalized():
         assert result.terms
         assert all(w == normalize_segments(w) for w in result.terms)
     assert (ExtendedElement.projector() * ExtendedElement.projector()) == ExtendedElement.projector()
+
+
+# two batches pair when one's class is a subclass of the other's; the result has the left type
+PAIRED_OPERATIONS = (operator.mul, operator.add, operator.sub)
+
+
+def test_a_polynomial_and_a_batch_of_one_pair_in_either_order():
+    u = PhaseSpacePolynomial(2, {(1, 0, 0, 1): 2.0, (0, 1, 1, 0): -1j, (0, 0, 0, 0): 3.0})
+    v = PhaseSpacePolynomial(2, {(0, 0, 1, 0): 1.5, (1, 1, 0, 0): 1.0 + 1j})
+    batch_u, batch_v = PolynomialBatch.of([u]), PolynomialBatch.of([v])
+    for operation in (*PAIRED_OPERATIONS, poisson):
+        want = operation(batch_u, batch_v)
+        assert len(want.re)
+        for left, right in ((u, batch_v), (batch_u, v)):
+            got = operation(left, right)
+            assert type(got) is type(left)
+            assert (got.dimension, got.count) == (want.dimension, want.count)
+            for column, expected in zip(got._columns(), want._columns()):
+                np.testing.assert_array_equal(column, expected)
+
+
+def test_free_and_extended_elements_do_not_pair():
+    x = AlgebraElement({(POOL[0],): 1.0})
+    e = ExtendedElement({((POOL[0],), ()): 1.0})
+    for operation in PAIRED_OPERATIONS:
+        for left, right in ((x, e), (e, x)):
+            with pytest.raises(TypeError):
+                operation(left, right)
