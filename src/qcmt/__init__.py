@@ -12,7 +12,6 @@ from .fields import (
     kernel_pairing,
     packet_index,
     poincare_act,
-    spatial_reflection,
     thermal_kernel,
     vacuum_kernel,
 )

@@ -9,7 +9,7 @@ relation between measurements lives in the states, not in the algebra.
 ``TermRows`` is the core both packed rings share, this word ring and
 ``koopman.PolynomialBatch``: batches of complex terms, one combination
 per trial, whose every operation ends in one combine step, ``summed``; a
-ring supplies its keys, alignment, product glue, adjoint and tolerance.
+ring supplies its key codes, alignment, product glue, adjoint and tolerance.
 In the word ring (``LinearCombination``) a word over k letters is the
 integer spelled by its base-(k+1) digits 1..k, so a product is integer
 arithmetic on codes and the adjoint a digit reversal through the partner
@@ -122,8 +122,10 @@ class TermRows:
     arithmetic done term by term, NaN and inf included; coefficients of
     magnitude at most ``tolerance`` are pruned, a NaN kept.
 
-    A ring supplies nine hooks.  Five give its arithmetic: ``_keys``, the
-    int64 grouping keys of raw rows; ``_aligned``, the shape of a result
+    A ring supplies nine hooks.  Five give its arithmetic: ``_codes``, the
+    nonnegative int64 code columns of raw rows' keys, equal exactly where
+    the keys are, which ``summed`` prefixes with the trials into grouping
+    keys (``_grouping_keys``); ``_aligned``, the shape of a result
     over two operands and both operands' key columns in it; ``_glued``, the
     key columns of paired keys' products; ``_adjoint_rows``, the adjoint's
     raw rows; and ``tolerance``.  Four store and read its slots: ``_fill``,
@@ -152,7 +154,8 @@ class TermRows:
         ``tolerance``, while a NaN is kept.
         """
         *keys, re, im = columns
-        first, re, im = _grouped(cls._keys(count, trials, *keys), trials, re, im, cls.tolerance)
+        first, re, im = _grouped(_grouping_keys(count, trials, cls._codes(*keys)), trials, re, im,
+                                 cls.tolerance)
         return cls._rows(shape, count, trials[first], *(k[first] for k in keys), re, im)
 
     def _summed(self, columns):
@@ -309,6 +312,15 @@ class LinearCombination(TermRows):
 
     # building batches -----------------------------------------------------
     @classmethod
+    def identity(cls):
+        return cls({cls._key(()): 1.0})
+
+    @classmethod
+    def from_word(cls, w: Word):
+        """The element of the one word ``w``, a tuple of letters."""
+        return cls({cls._key(tuple(w)): 1.0})
+
+    @classmethod
     def packed(cls, letters, count, trials, picks, lengths, re, im):
         """``summed`` of raw rows whose words are spelled by positions in ``letters``.
 
@@ -339,14 +351,9 @@ class LinearCombination(TermRows):
 
     # the ring's hooks -----------------------------------------------------
     @staticmethod
-    def _keys(count: int, trials, codes, lengths) -> np.ndarray:
-        """Int64 keys, one row per key, equal in every key exactly where two rows have the same
-        trial and word: trial and code in mixed radix while that fits, else one row per column."""
-        if codes.shape[1] == 1 and len(trials):
-            radix = int(codes.max()) + 1
-            if count * radix < 2**63:
-                return (trials * radix + codes[:, 0])[None]
-        return np.vstack((codes.T, trials))
+    def _codes(codes, lengths) -> np.ndarray:
+        """The word codes: digit 0 is unused, so the code alone fixes the word."""
+        return codes
 
     def _aligned(self, other) -> tuple:
         """The union of both alphabets, and both operands' words over it, with equal code columns."""
@@ -405,14 +412,6 @@ class AlgebraElement(LinearCombination):
     """Elements of the free *-algebra generated by the measurement operators, one per trial."""
 
     __slots__ = ()
-
-    @classmethod
-    def identity(cls) -> "AlgebraElement":
-        return cls({(): 1.0})
-
-    @classmethod
-    def from_word(cls, w: Word) -> "AlgebraElement":
-        return cls({tuple(w): 1.0})
 
 
 def star_residuals(a, b, c, lam, mu) -> tuple:
@@ -544,6 +543,17 @@ def _term_pairs(count: int, left, right) -> tuple:
     offsets = np.arange(len(i)) - np.repeat(np.cumsum(reps) - reps, reps)
     j = np.repeat((np.cumsum(per_trial) - per_trial)[left], reps) + offsets
     return i, j
+
+
+def _grouping_keys(count: int, trials, codes) -> np.ndarray:
+    """Int64 keys, one row per key, equal in every key exactly where two rows have the same
+    trial and row of nonnegative ``codes``: ``trial * radix + code`` when the codes take one
+    column and that fits, else one row per code column and then the trials."""
+    if codes.shape[1] == 1 and len(trials):
+        radix = int(codes.max()) + 1
+        if count * radix < 2**63:
+            return (trials * radix + codes[:, 0])[None]
+    return np.vstack((codes.T, trials))
 
 
 def _grouped(keys, trials, re, im, tolerance: float) -> tuple:

@@ -218,28 +218,6 @@ class PoincareElement:
             sh * t + ch * x + self.translation[1],
         )
 
-    def compose(self, other: "PoincareElement") -> "PoincareElement":
-        """Group product: (self * other) x = self(other(x))."""
-        ch = math.cosh(self.rapidity)
-        sh = math.sinh(self.rapidity)
-        bt, bx = other.translation
-        return PoincareElement(
-            rapidity=self.rapidity + other.rapidity,
-            translation=(
-                self.translation[0] + ch * bt + sh * bx,
-                self.translation[1] + sh * bt + ch * bx,
-            ),
-        )
-
-    def inverse(self) -> "PoincareElement":
-        ch = math.cosh(self.rapidity)
-        sh = math.sinh(self.rapidity)
-        at, ax = self.translation
-        return PoincareElement(
-            rapidity=-self.rapidity,
-            translation=(-(ch * at - sh * ax), -(ch * ax - sh * at)),
-        )
-
 
 def poincare_act(g: PoincareElement, f: Wavepacket) -> Wavepacket:
     """Pullback action (g f)(x) = f(g^{-1} x), as exact parameter maps."""
@@ -262,19 +240,6 @@ def poincare_act(g: PoincareElement, f: Wavepacket) -> Wavepacket:
             )
         )
     return Wavepacket(moved)
-
-
-def spatial_reflection(f: Wavepacket) -> Wavepacket:
-    """The parity map x -> -x on packets; stabilizes any rest frame."""
-    return Wavepacket(
-        replace(
-            c,
-            center=(c.center[0], -c.center[1]),
-            wavevector=(c.wavevector[0], -c.wavevector[1]),
-            rapidity=-c.rapidity,
-        )
-        for c in f.components
-    )
 
 
 @dataclass(frozen=True)

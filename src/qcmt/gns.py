@@ -124,11 +124,6 @@ class Representation:
         self._isometries = isometries
 
     @property
-    def maps(self) -> dict:
-        """The top-level (degree d to degree d+1) map per generator index."""
-        return {i: per_level[self.basis.degree] for i, per_level in self._level_maps.items()}
-
-    @property
     def dimension(self) -> int:
         """Dimension of the degree-d quotient (basis size minus null space)."""
         return self._isometries[self.basis.degree].shape[0]

@@ -13,7 +13,8 @@ non-canonical transformation (``multiplication_flow``).
 A polynomial (``PhaseSpacePolynomial``) is a batch of one trial of
 ``PolynomialBatch``, the phase-space ring on the term-row core
 ``algebra.TermRows``, which owns its sums, products, scalar multiples
-and negation.  The ring supplies exponent rows as keys and a conjugating
+and negation, and groups like terms by its trial prefix over the ring's
+``_codes``.  The ring supplies exponent rows as keys and a conjugating
 adjoint, and adds the Poisson bracket and derivatives, for one
 polynomial or for every trial at once.
 """
@@ -25,7 +26,7 @@ from functools import cache
 
 import numpy as np
 
-from .algebra import TermRows, _concatenated, _conjugated, _negated, _product, _term_pairs
+from .algebra import TermRows, _concatenated, _conjugated, _encoded, _negated, _product, _term_pairs
 from .gaussian import GaussianKernel, tolerance_bound
 
 DEFAULT_FLOW_STEP = 1e-3
@@ -52,12 +53,14 @@ class PolynomialBatch(TermRows):
     """Phase-space polynomials of one dimension, one per trial: the polynomial ring.
 
     Row k's key column is its exponent row ``exponents[k]`` (width 2n,
-    int64) for ``q^a p^b``; the sums, products, scalar multiples and
-    negation are the term-row core's (``algebra.TermRows``).  Two operands
-    must have one dimension, a product adds exponent rows, and only exact
-    zeros are pruned.  A real or integer factor multiplies as the complex
-    ``(w, 0.0)``.  The coordinate functions are real, so the adjoint only
-    conjugates coefficients.  The ring adds the Poisson bracket and
+    int64) for ``q^a p^b``; its ``_codes`` are the exponents as digits in
+    the least power-of-two radix above them all, which the term-row core
+    (``algebra.TermRows``) prefixes with the trial to group like terms.
+    The sums, products, scalar multiples and negation are the core's.  Two
+    operands must have one dimension, a product adds exponent rows, and
+    only exact zeros are pruned.  A real or integer factor multiplies as
+    the complex ``(w, 0.0)``.  The coordinate functions are real, so the
+    adjoint only conjugates coefficients.  The ring adds the Poisson bracket and
     ``diff``; ``of`` embeds polynomials of lower dimension with zero
     exponents on the extra axes, which leaves their products and brackets
     unchanged.
@@ -95,13 +98,13 @@ class PolynomialBatch(TermRows):
 
     # the ring's hooks -----------------------------------------------------
     @staticmethod
-    def _keys(count: int, trials, exponents) -> np.ndarray:
-        """``_sort_keys`` of the rows, exact for any exponent up to ``MAX_EXPONENT``; a larger
-        one raises ``ValueError``."""
+    def _codes(exponents) -> np.ndarray:
+        """The exponent rows packed by ``algebra._encoded`` at the least power-of-two radix above
+        every exponent; an exponent above ``MAX_EXPONENT`` raises ``ValueError``."""
         highest = int(exponents.max(initial=0))
         if highest > MAX_EXPONENT:
             raise ValueError(f"an exponent of the result exceeds {MAX_EXPONENT}")
-        return _sort_keys(count, trials, exponents, highest + 1)
+        return _encoded(exponents, 1 << highest.bit_length())
 
     def _aligned(self, other) -> tuple:
         if self.dimension != other.dimension:
@@ -158,7 +161,7 @@ class PhaseSpacePolynomial(PolynomialBatch):
     exactly and residual checks can demand literal zero.  The constructor
     validates its input once: the dimension must be a positive integer and
     every exponent an integer from 0 to ``MAX_EXPONENT`` (Python or numpy,
-    never bool).  Ring results are built without re-validation; one whose
+    never bool); the terms then go through one ``summed``.  Ring results are built without re-validation; one whose
     exponent would exceed ``MAX_EXPONENT`` raises ``ValueError``, and one
     with a polynomial of another dimension raises ``ValueError`` too.
     """
@@ -168,8 +171,7 @@ class PhaseSpacePolynomial(PolynomialBatch):
     def __init__(self, dimension: int, terms):
         dimension = _dimension(dimension)
         width = 2 * dimension
-        merged = {}
-        for exps, c in terms.items():
+        for exps in terms:
             if not (
                 isinstance(exps, tuple)
                 and len(exps) == width
@@ -178,19 +180,13 @@ class PhaseSpacePolynomial(PolynomialBatch):
                 raise ValueError(
                     f"exponent key {exps!r} is not {width} integers from 0 to {MAX_EXPONENT}"
                 )
-            exps = tuple(map(int, exps))
-            merged[exps] = merged.get(exps, 0j) + complex(c)
-        merged = {exps: c for exps, c in merged.items() if c != 0}  # a NaN is kept
-        coefficients = np.array(list(merged.values()), dtype=complex)
-        self._fill(dimension, 1, np.zeros(len(merged), dtype=np.intp),
-                   np.array(list(merged), dtype=np.int64).reshape(-1, width),
-                   coefficients.real, coefficients.imag)
+        coefficients = np.array([complex(c) for c in terms.values()], dtype=complex)
+        batch = self.summed(dimension, 1, np.zeros(len(terms), dtype=np.intp),
+                            np.array(list(terms), dtype=np.int64).reshape(-1, width),
+                            coefficients.real, coefficients.imag)
+        self._fill(dimension, 1, *batch._columns())
 
     # constructors -------------------------------------------------------
-    @classmethod
-    def zero(cls, dimension: int) -> "PhaseSpacePolynomial":
-        return cls(dimension, {})
-
     @classmethod
     def constant(cls, dimension: int, value: complex) -> "PhaseSpacePolynomial":
         dimension = _dimension(dimension)
@@ -240,30 +236,6 @@ class PhaseSpacePolynomial(PolynomialBatch):
             return "*".join(factors) if factors else "1"
 
         return " + ".join(f"({c:g})*{monomial(e)}" for e, c in self.terms.items())
-
-
-def _sort_keys(count: int, trials, exponents, radix: int) -> np.ndarray:
-    """Int64 words, one row per word, that are equal in every word exactly where two
-    term rows have the same trial and exponent row.
-
-    The trial (below ``count``) and then each exponent (below ``radix``) are
-    digits in mixed radix.  A word takes digits while the product of its
-    radices stays below 2**63, so no word overflows; the next digit starts a
-    new word.
-    """
-    chunks, lo, capacity = [], 0, count
-    for j in range(exponents.shape[1]):
-        if capacity * radix >= 2**63:
-            chunks.append((lo, j))
-            lo, capacity = j, 1
-        capacity *= radix
-    chunks.append((lo, exponents.shape[1]))
-    words = []
-    for lo, hi in chunks:
-        powers = np.array([radix ** (hi - 1 - j) for j in range(lo, hi)], dtype=np.int64)
-        words.append(exponents[:, lo:hi] @ powers)
-    words[0] += trials * radix ** (chunks[0][1] - chunks[0][0])
-    return np.array(words)
 
 
 def embed_exponents(exponents: tuple, dimension: int) -> tuple:

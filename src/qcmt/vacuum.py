@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from .algebra import AlgebraElement, Index, LinearCombination, Word, _mapped, _radix, _union, draw_terms, word_label
+from .algebra import AlgebraElement, Index, LinearCombination, Word, _radix, draw_terms, word_label
 from .gaussian import State
 
 # An extended word is a tuple of plain words (segments); k+1 segments mean
@@ -104,22 +104,6 @@ class ExtendedElement(LinearCombination):
     @classmethod
     def projector(cls) -> "ExtendedElement":
         return cls({((), ()): 1.0})
-
-    @classmethod
-    def identity(cls) -> "ExtendedElement":
-        return cls({((),): 1.0})
-
-    @classmethod
-    def from_word(cls, w: Word) -> "ExtendedElement":
-        return cls({(tuple(w),): 1.0})
-
-    @classmethod
-    def embed(cls, element: AlgebraElement) -> "ExtendedElement":
-        """Every trial of ``element`` as one-segment extended words."""
-        alphabet, table = _union(cls._prefix, element.alphabet)
-        codes = _mapped(element.codes, element.lengths, element._base, table, len(alphabet) + 1)
-        return cls._rows(alphabet, element.count, element.trials, codes, element.lengths,
-                         element.re, element.im)
 
     def _label(self, key) -> str:
         return "[" + " V ".join(word_label(s) for s in key) + "]"

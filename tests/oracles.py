@@ -14,7 +14,8 @@ that the packed word ring replaced (``DictAlgebraElement``,
 ``DictExtendedElement``), the Gram matrix filled entry by entry through
 ``word_expect``, one coded word per entry (``gram_by_word_expect``),
 direct position-space
-packet evaluation for Fourier conventions, and two momentum-space routes
+packet evaluation for Fourier conventions, the Poincare group product,
+inverse and spatial reflection from the parameters, and two momentum-space routes
 for field kernels:
 a fixed Simpson grid in k and adaptive ``quad`` in k, one pair at a time.
 The production kernels integrate over the rapidity theta instead
@@ -23,13 +24,14 @@ neither route shares its variable, its rule or its error control.
 """
 
 import math
+from dataclasses import replace
 from itertools import product
 
 import numpy as np
 from scipy import integrate
 from scipy.linalg import expm
 
-from qcmt.fields import PoincareElement, poincare_act
+from qcmt.fields import PoincareElement, Wavepacket, poincare_act
 from qcmt.gaussian import generating_function
 from qcmt.koopman import PhaseSpacePolynomial, poisson
 from qcmt.algebra import TERM_TOLERANCE, word_adjoint
@@ -372,7 +374,7 @@ def poisson_by_derivatives(u, v):
     with the ring's ``*``, ``+`` and ``-``, one axis at a time.
     """
     n = u.dimension
-    out = type(u).zero(n)
+    out = PhaseSpacePolynomial(n, {})
     for i in range(n):
         out = out + u.diff(i) * v.diff(n + i) - u.diff(n + i) * v.diff(i)
     return out
@@ -423,6 +425,44 @@ def packet_value(packet, t, x):
         phase = np.exp(-1j * (c.wavevector[0] * tb - c.wavevector[1] * xb))
         total += c.amplitude * envelope * phase
     return total
+
+
+def poincare_compose(a, b):
+    """The Poincare group product a * b, (a * b) x = a(b(x)), from the parameters."""
+    ch = math.cosh(a.rapidity)
+    sh = math.sinh(a.rapidity)
+    bt, bx = b.translation
+    return PoincareElement(
+        rapidity=a.rapidity + b.rapidity,
+        translation=(
+            a.translation[0] + ch * bt + sh * bx,
+            a.translation[1] + sh * bt + ch * bx,
+        ),
+    )
+
+
+def poincare_inverse(g):
+    """The Poincare group inverse of g, from the parameters."""
+    ch = math.cosh(g.rapidity)
+    sh = math.sinh(g.rapidity)
+    at, ax = g.translation
+    return PoincareElement(
+        rapidity=-g.rapidity,
+        translation=(-(ch * at - sh * ax), -(ch * ax - sh * at)),
+    )
+
+
+def spatial_reflection(f):
+    """The parity map x -> -x on packets, as an exact map of component parameters."""
+    return Wavepacket(
+        replace(
+            c,
+            center=(c.center[0], -c.center[1]),
+            wavevector=(c.wavevector[0], -c.wavevector[1]),
+            rapidity=-c.rapidity,
+        )
+        for c in f.components
+    )
 
 
 def grid_fourier(packet, omega, k, half_width=14.0, points=701):

@@ -36,7 +36,6 @@ from qcmt.koopman import (
     MAX_EXPONENT,
     PhaseSpacePolynomial,
     PolynomialBatch,
-    _sort_keys,
     bracket_residuals,
     embed_exponents,
     poisson,
@@ -120,14 +119,14 @@ def test_summed_takes_rows_in_any_trial_order(rows):
 
 
 def test_like_terms_group_exactly_at_the_largest_exponents():
-    # radix 2**31 and 3 trials: (trial, e_0), (e_1, e_2) and (e_3) are three words
+    # radix 2**31 packs two exponents a column: two code columns and the trials are three key rows
     # exponents reach MAX_EXPONENT = 2 half - 1, and x[0] y[1] meets x[1] y[0]
     half = 2**30
     x = PhaseSpacePolynomial(2, {(half, 0, 1, 0): 1, (half - 1, 1, 0, 1): 2, (0, half, half - 1, 1): 3})
     y = PhaseSpacePolynomial(2, {(1, 0, 1, 1): -1, (0, 1, 0, 2): 4, (half - 1, 0, 1, half - 1): 5})
     assert max(max(e) for e in (x * y).terms) == MAX_EXPONENT
     batch = PolynomialBatch.of([x, y, x])
-    assert len(_sort_keys(3, batch.trials, batch.exponents, MAX_EXPONENT + 1)) == 3
+    assert len(algebra._grouping_keys(3, batch.trials, PolynomialBatch._codes(batch.exponents))) == 3
     for operation, oracle in OPERATIONS:
         a, b = PolynomialBatch.of([x, y, y]), PolynomialBatch.of([y, y, x])
         expected = [oracle(x, y), oracle(y, y), oracle(y, x)]
@@ -135,20 +134,36 @@ def test_like_terms_group_exactly_at_the_largest_exponents():
             assert _exact(result.terms, 2) == _exact(want.terms, 2)
 
 
-def test_sort_keys_are_equal_exactly_on_equal_rows():
+def _keys_are_exact(count, trials, rows, codes):
+    """The core's grouping keys over ``codes`` are equal exactly where (trial, row) pairs are."""
+    keys = algebra._grouping_keys(count, trials, codes).T
+    same_rows = np.all(rows[:, None] == rows[None], axis=2) & (trials[:, None] == trials[None])
+    assert np.array_equal(np.all(keys[:, None] == keys[None], axis=2), same_rows)
+    return keys
+
+
+def _trials(rng, count):
+    """60 ascending trials below ``count``, from three values so that many repeat."""
+    return np.sort(rng.integers(0, min(count, 3), size=60) * (count // 3 or 1))
+
+
+def test_grouping_keys_are_equal_exactly_on_equal_rows():
     rng = np.random.default_rng(5)
     for radix, count in ((4, 3), (2**20, 7), (2**31, 2)):
         exponents = rng.integers(0, min(radix, 3), size=(60, 4)) * (radix // 3 or 1)
-        trials = np.sort(rng.integers(0, count, size=60))
-        keys = _sort_keys(count, trials, exponents, radix)
-        rows = [(t, *e) for t, e in zip(trials.tolist(), exponents.tolist())]
-        for i in range(60):
-            for j in range(60):
-                assert (rows[i] == rows[j]) == bool(np.all(keys[:, i] == keys[:, j]))
+        _keys_are_exact(count, _trials(rng, count), exponents, PolynomialBatch._codes(exponents))
+    # word codes: one column, two columns, and one column with too many trials for one key row
+    for base, width, count, key_rows in ((5, 6, 3, 1), (151, 12, 7, 3), (151, 8, 2**40, 2)):
+        lengths = rng.integers(width // 2, width + 1, size=5)
+        lengths[0] = 0  # the empty word, code 0, meets the largest code of the trial before
+        pool = np.where(np.arange(width) < lengths[:, None], rng.integers(1, base, size=(5, width)), 0)
+        digits = pool[rng.integers(0, 5, size=60)]
+        keys = _keys_are_exact(count, _trials(rng, count), digits, algebra._encoded(digits, base))
+        assert keys.shape[1] == key_rows
 
 
 def test_empty_trials_and_batches_keep_their_shape():
-    zero = PhaseSpacePolynomial.zero(2)
+    zero = PhaseSpacePolynomial(2, {})
     q = PhaseSpacePolynomial.coordinate(1, "q")
     batch = PolynomialBatch.of([zero, q, zero])
     assert batch.dimension == 2 and batch.count == 3 and batch.max_abs_coeff() == 1.0

@@ -164,7 +164,7 @@ def test_representation_maps_are_degree_raising(k2):
     basis = build_basis(k2.indices, 1)
     rep = represent(basis, k2)
     i1, _ = k2.indices
-    rows, cols = rep.maps[i1].shape
+    rows, cols = rep._level_maps[i1][basis.degree].shape
     assert cols == rep.dimension
     assert rows >= cols
 

@@ -1,7 +1,8 @@
 """Every name a ``qcmt`` module imports is read somewhere in that module,
-every module-level function, class and constant of ``qcmt`` is read somewhere
-in the project, every defaulted parameter is passed by some call in ``src/``,
-``demos/`` or ``perfbench/``, and no ``qcmt`` module uses ``numpy.random``.
+every module-level function, class and constant of ``qcmt`` and every method
+and property of its classes is read outside docstrings in ``src/``, ``demos/``
+or ``perfbench/``, every defaulted parameter is passed by some call there, and
+no ``qcmt`` module uses ``numpy.random``.
 
 ``__init__.py`` is skipped by the import check: its imports are the package's
 exports.
@@ -22,8 +23,7 @@ import qcmt
 PACKAGE = Path(qcmt.__file__).parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 ROOT = PACKAGE.parents[1]
-READERS = ("src", "tests", "demos", "perfbench")
-# production callers: a default that only tests set is a test-only option
+# production callers: a name that only tests read, or a default that only tests set, is test-only
 CALLERS = ("src", "demos", "perfbench")
 
 
@@ -66,16 +66,36 @@ def defined_names(source: str) -> set:
     return {n for n in names if not (n.startswith("__") and n.endswith("__"))}
 
 
+def defined_methods(source: str) -> set:
+    """Methods and properties of module-level classes, as ``Class.name``, dunders excluded."""
+    return {f"{node.name}.{method.name}"
+            for node in ast.parse(source).body if isinstance(node, ast.ClassDef)
+            for method in node.body
+            if isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not (method.name.startswith("__") and method.name.endswith("__"))}
+
+
+def _docstrings(tree) -> set:
+    """The ids of the docstring nodes of a module and of its classes and functions."""
+    return {id(node.body[0].value) for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.body and isinstance(node.body[0], ast.Expr)
+            and isinstance(node.body[0].value, ast.Constant) and isinstance(node.body[0].value.value, str)}
+
+
 def read_names(source: str) -> set:
     """Names a source reads: loaded names, attributes, and the dotted parts of
-    strings (``getattr(module, "name")``, ``monkeypatch.setattr("qcmt.cli.NAME", ...)``)."""
+    strings (``getattr(module, "name")``, ``monkeypatch.setattr("qcmt.cli.NAME", ...)``)
+    other than docstrings."""
+    tree = ast.parse(source)
+    docstrings = _docstrings(tree)
     read = set()
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             read.add(node.id)
         elif isinstance(node, ast.Attribute):
             read.add(node.attr)
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in docstrings:
             read.update(node.value.split("."))
     return read
 
@@ -85,7 +105,7 @@ def sources(folders) -> list:
 
 
 def test_no_module_level_name_is_dead():
-    read = set().union(*map(read_names, sources(READERS)))
+    read = set().union(*map(read_names, sources(CALLERS)))
     dead = {
         f"{path.name}:{name}"
         for path in sorted(PACKAGE.glob("*.py"))
@@ -94,9 +114,39 @@ def test_no_module_level_name_is_dead():
     assert sorted(dead) == []
 
 
+def test_no_method_is_dead():
+    # by name alone: any read of the method's name counts, so one named like another read escapes
+    read = set().union(*map(read_names, sources(CALLERS)))
+    dead = {
+        f"{path.name}:{method}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for method in defined_methods(path.read_text(encoding="utf-8"))
+        if method.split(".")[1] not in read
+    }
+    assert sorted(dead) == []
+
+
 def test_dead_code_detector_flags_an_unread_definition():
     source = "LIMIT = 3\ndef used():\n    return LIMIT\ndef unused():\n    pass\nclass Spare: ...\n"
     assert defined_names(source) - read_names(source + "used()\n") == {"unused", "Spare"}
+
+
+def test_dead_method_detector_skips_docstrings():
+    source = (
+        '"""Call ``Box.spare`` or getattr(box, "spare")."""\n'
+        "class Box:\n"
+        '    """See Box.spare."""\n'
+        "    def used(self):\n"
+        '        """Unlike spare."""\n'
+        "        return getattr(self, 'size')\n"
+        "    @property\n    def size(self): ...\n"
+        "    def spare(self): ...\n"
+        "    def __len__(self): ...\n"
+        "Box().used()\n"
+    )
+    assert defined_methods(source) == {"Box.used", "Box.size", "Box.spare"}
+    assert {"used", "size"} <= read_names(source)
+    assert "spare" not in read_names(source)
 
 
 def _defaults(function: ast.FunctionDef, is_method: bool) -> dict:

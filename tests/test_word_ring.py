@@ -109,8 +109,9 @@ def test_packed_ring_is_the_dict_ring_term_for_term(pair, scalar, data):
     _same(x * per_trial, [a * complex(s) for a, s in zip(xs, per_trial)])
     _same(per_trial * x, [a * complex(s) for a, s in zip(xs, per_trial)])
     if isinstance(x, AlgebraElement):
-        _same(ExtendedElement.embed(x), [DictExtendedElement({(w,): c for w, c in a.terms.items()})
-                                         for a in xs])
+        embedded = ExtendedElement.from_words(x.count, x.trials, [(w,) for w in x._row_keys()],
+                                              list(map(complex, x.re.tolist(), x.im.tolist())))
+        _same(embedded, [DictExtendedElement({(w,): c for w, c in a.terms.items()}) for a in xs])
 
 
 def _code(row, base) -> int:
